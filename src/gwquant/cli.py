@@ -44,7 +44,6 @@ from .persist import atomic_write_text, load_model, save_model
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
-    StateProbabilityTable,
     predict_single_state,
     predict_two_states,
     summarize_predictions,
@@ -142,7 +141,12 @@ def parse_config(text: str) -> PipelineConfig:
             raise InvalidArgumentError(f"config line {lineno}: key must be section.name")
         section, name = key.split(".", 1)
         if key in ("simulation.damage_grid", "simulation.load_grid"):
-            grids[name] = [float(v) for v in value.split()]
+            try:
+                grids[name] = [float(v) for v in value.split()]
+            except ValueError as exc:
+                raise InvalidArgumentError(
+                    f"config line {lineno}: {key} must be space-separated numbers"
+                ) from exc
             continue
         sections.setdefault(section, {})[name] = _parse_scalar(value)
 
@@ -277,7 +281,9 @@ def cmd_di(args) -> int:
     kind = args.kind or di.kind
     mode = (args.mode or di.mode).replace("-", "_")
     policy = _POLICY_NAMES[args.policy or di.policy]
-    n_use = args.n_use or di.n_use
+    n_use = args.n_use if args.n_use is not None else di.n_use
+    if n_use < 1:
+        raise InvalidArgumentError("n_use must be >= 1")
     workdir = args.workdir or config.paths.workdir
     signals = _read_workdir_signals(workdir)
     n_use = min(n_use, min(len(s) for s in signals))
@@ -303,8 +309,8 @@ def cmd_train(args) -> int:
     train = config.train
     kind = args.model or train.model_kind
     seed = _resolve_seed(args.seed, train.seed)
-    fraction = args.train_fraction or train.train_fraction
-    restarts = args.restarts or train.restarts
+    fraction = args.train_fraction if args.train_fraction is not None else train.train_fraction
+    restarts = args.restarts if args.restarts is not None else train.restarts
     center = args.center_targets or train.center_targets
 
     dataset = read_di_csv(args.di_file)
@@ -445,10 +451,12 @@ def _read_two_state_dis(path):
             cls, ref_load, ref_damage, di = ln.split(",")
             if int(cls) == 1:
                 class1.append((float(ref_load), float(di)))
-            else:
+            elif int(cls) == 2:
                 class2[float(ref_damage)] = float(di)
+            else:
+                raise ValueError("class must be 1 or 2")
         except ValueError as exc:
-            raise InvalidArgumentError(f"{path}: bad row {ln!r}") from exc
+            raise InvalidArgumentError(f"{path}: bad row {ln!r} ({exc})") from exc
     if not class1:
         raise InvalidArgumentError(f"{path}: no class-1 test DI rows")
     return class1, class2
@@ -465,8 +473,7 @@ def cmd_report(args) -> int:
     true_states = []
     with open(args.true_file, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = lines[0].split(",")
-    if header not in (["damage"], ["damage", "load"]):
+    if not lines or lines[0].split(",") not in (["damage"], ["damage", "load"]):
         raise InvalidArgumentError(
             f"{args.true_file}: expected header 'damage' or 'damage,load'"
         )
@@ -480,26 +487,11 @@ def cmd_report(args) -> int:
             f"{len(true_states)} true states vs {len(predictions)} predictions"
         )
 
-    # Rebuild minimal tables from the JSON payloads for the summary fold.
-    tables = []
+    predicted_states = []
     for pred in predictions:
-        argmax = pred["argmax"]
-        state = (
-            (argmax["damage"],)
-            if argmax.get("load") is None
-            else (argmax["damage"], argmax["load"])
-        )
-        tables.append(
-            StateProbabilityTable(
-                entries=[(state, 1.0)],
-                test_di=pred.get("test_di", float("nan")),
-                closest_training_di=float("nan"),
-                closest_variance=float("nan"),
-                argmax_state=state,
-                low_confidence=pred.get("low_confidence", False),
-            )
-        )
-    report = summarize_predictions(true_states, tables)
+        damage, load = pred["argmax"]["damage"], pred["argmax"].get("load")
+        predicted_states.append((damage,) if load is None else (damage, load))
+    report = summarize_predictions(true_states, predicted_states)
 
     box_lines = ["state,median,q25,q75,lo_whisk,hi_whisk,outliers"]
     for box in report.boxes:

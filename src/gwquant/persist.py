@@ -21,10 +21,18 @@ import numpy as np
 from .errors import SchemaMismatchError
 from .kernels import KernelParams
 from .sgpr import SgprModel
-from .vhgpr import VhgprModel, VhgprState
+from .vhgpr import VhgprModel
 
-SGPR_SCHEMA = "gwquant.sgpr.v1"
-VHGPR_SCHEMA = "gwquant.vhgpr.v1"
+# Schema id -> model class and the keys of its hyperparameters, in the order
+# of the class's hyperparams() and from_hyperparams(); the remaining keys
+# are common to both schemas.
+_SCHEMAS = {
+    "gwquant.sgpr.v1": (SgprModel, ("kernel", "log_noise_variance")),
+    "gwquant.vhgpr.v1": (
+        VhgprModel,
+        ("kernel_f", "kernel_g", "mu0", "variational_lambda"),
+    ),
+}
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -41,69 +49,58 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _kernel_to_dict(params: KernelParams) -> dict:
-    return {
-        "log_output_variance": float(params.log_output_variance),
-        "log_length_scales": [float(v) for v in params.log_length_scales],
-    }
+def _encode(value):
+    if isinstance(value, KernelParams):
+        return {
+            "log_output_variance": float(value.log_output_variance),
+            "log_length_scales": [float(v) for v in value.log_length_scales],
+        }
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    return float(value)
 
 
-def _kernel_from_dict(payload: dict) -> KernelParams:
-    return KernelParams(
-        payload["log_output_variance"], np.array(payload["log_length_scales"])
-    )
+def _decode(value):
+    if isinstance(value, dict):
+        return KernelParams(
+            value["log_output_variance"], np.array(value["log_length_scales"])
+        )
+    if isinstance(value, list):
+        return np.array(value, dtype=float)
+    return float(value)
 
 
 def model_to_dict(model, seed: int | None = None) -> dict:
-    common = {
-        "d": int(model.ndim),
-        "target_offset": float(model.target_offset),
-        "train_inputs": [[float(v) for v in row] for row in model.train_inputs],
-        "train_targets": [float(v) for v in model.train_targets],
-    }
+    schema = next((s for s, (cls, _) in _SCHEMAS.items() if isinstance(model, cls)), None)
+    if schema is None:
+        raise SchemaMismatchError(f"cannot serialize object of type {type(model).__name__}")
+    keys = _SCHEMAS[schema][1]
+    payload = {"schema": schema}
+    payload.update(zip(keys, map(_encode, model.hyperparams())))
+    payload.update(
+        d=int(model.ndim),
+        target_offset=float(model.target_offset),
+        train_inputs=[[float(v) for v in row] for row in model.train_inputs],
+        train_targets=[float(v) for v in model.train_targets],
+    )
     if seed is not None:
-        common["seed"] = int(seed)
-    if isinstance(model, SgprModel):
-        return {
-            "schema": SGPR_SCHEMA,
-            "kernel": _kernel_to_dict(model.kernel),
-            "log_noise_variance": float(model.log_noise_variance),
-            **common,
-        }
-    if isinstance(model, VhgprModel):
-        return {
-            "schema": VHGPR_SCHEMA,
-            "kernel_f": _kernel_to_dict(model.kernel_f),
-            "kernel_g": _kernel_to_dict(model.kernel_g),
-            "mu0": float(model.mu0),
-            "variational_lambda": [float(v) for v in model.variational_lambda],
-            **common,
-        }
-    raise SchemaMismatchError(f"cannot serialize object of type {type(model).__name__}")
+        payload["seed"] = int(seed)
+    return payload
 
 
-def model_from_dict(payload: dict):
-    schema = payload.get("schema")
-    x = np.array(payload.get("train_inputs", []), dtype=float)
-    y = np.array(payload.get("train_targets", []), dtype=float)
-    offset = float(payload.get("target_offset", 0.0))
-    if schema == SGPR_SCHEMA:
-        return SgprModel.from_hyperparams(
-            _kernel_from_dict(payload["kernel"]),
-            payload["log_noise_variance"],
-            x,
-            y,
-            target_offset=offset,
-        )
-    if schema == VHGPR_SCHEMA:
-        state = VhgprState(
-            _kernel_from_dict(payload["kernel_f"]),
-            _kernel_from_dict(payload["kernel_g"]),
-            float(payload["mu0"]),
-            np.array(payload["variational_lambda"], dtype=float),
-        )
-        return VhgprModel.from_state(state, x, y, target_offset=offset)
-    raise SchemaMismatchError(f"unsupported model schema {schema!r}")
+def model_from_dict(payload):
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema not in _SCHEMAS:
+        raise SchemaMismatchError(f"unsupported model schema {schema!r}")
+    cls, keys = _SCHEMAS[schema]
+    try:
+        hyperparams = [_decode(payload[key]) for key in keys]
+        x = np.array(payload["train_inputs"], dtype=float)
+        y = np.array(payload["train_targets"], dtype=float)
+        offset = float(payload["target_offset"])
+    except KeyError as exc:
+        raise SchemaMismatchError(f"{schema} model lacks key {exc}") from exc
+    return cls.from_hyperparams(*hyperparams, x, y, target_offset=offset)
 
 
 def save_model(path, model, seed: int | None = None) -> None:

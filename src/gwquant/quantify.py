@@ -328,19 +328,18 @@ def _quartiles(values: np.ndarray):
     return float(q25), float(med), float(q75)
 
 
-def summarize_predictions(true_states: list[tuple], tables: list[StateProbabilityTable]) -> SummaryReport:
+def summarize_predictions(true_states: list[tuple], predicted_states: list[tuple]) -> SummaryReport:
     """Box-plot stats of predicted damage per true state plus signed errors.
 
     Whiskers follow the Tukey convention: the most extreme data points
     within 1.5 IQR of the box edges; everything beyond is an outlier.
     """
-    if len(true_states) != len(tables):
-        raise DimensionMismatchError("true_states and tables lengths differ")
+    if len(true_states) != len(predicted_states):
+        raise DimensionMismatchError("true_states and predicted_states lengths differ")
     groups: dict[tuple, list[float]] = {}
     errors = []
-    for true_state, table in zip(true_states, tables):
+    for true_state, pred in zip(true_states, predicted_states):
         true_state = tuple(float(v) for v in true_state)
-        pred = table.argmax_state
         groups.setdefault(true_state, []).append(pred[0])
         has_load = len(true_state) > 1 and len(pred) > 1
         errors.append(

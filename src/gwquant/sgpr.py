@@ -1,4 +1,8 @@
-"""Standard homoscedastic GP regression on DI data.
+"""The GP core shared by both model kinds, and homoscedastic GP regression.
+
+Both kinds are a posterior of f under K_f + diag(R) (GpPosterior) with one
+predict path (sgpr_predict) and one Gaussian likelihood term (gaussian_nll);
+gwquant.vhgpr finds R variationally, this module uses R = sn2 I.
 
 Hyperparameters (output variance, ARD length scales, noise variance) are
 optimized in log space by minimizing the negative log marginal likelihood
@@ -37,23 +41,29 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _BAD_OBJECTIVE = 1e25
 
 
+# L-BFGS-B stopping rule (gradient infinity norm, relative objective change,
+# iteration cap) and the log-space std of the restart perturbations.
+_MAX_ITER = 500
+_GRAD_TOL = 1e-6
+_REL_OBJ_TOL = 1e-10
+_INIT_JITTER_STD = 0.5
+
+
 @dataclass
 class OptimizerConfig:
     """Quasi-Newton training contract shared by both model kinds.
 
-    Converges when the gradient infinity norm drops to grad_tol or the
-    relative objective change drops to rel_obj_tol, up to max_iter
-    iterations. n_restarts counts optimization runs: the first starts from
-    the data-derived initialization, the rest from log-normal perturbations
-    of it (std init_jitter_std) drawn from a generator seeded with seed.
+    n_restarts counts optimization runs: the first starts from the
+    data-derived initialization, the rest from log-normal perturbations of
+    it drawn from a generator seeded with seed.
     """
 
     n_restarts: int = 5
     seed: int = 0
-    max_iter: int = 500
-    grad_tol: float = 1e-6
-    rel_obj_tol: float = 1e-10
-    init_jitter_std: float = 0.5
+
+    def __post_init__(self):
+        if self.n_restarts < 1:
+            raise InvalidArgumentError("n_restarts must be >= 1")
 
 
 @dataclass
@@ -80,21 +90,47 @@ class FitMetrics:
     rss_sss_percent: float
 
 
+def _factor(k: np.ndarray, r: np.ndarray, y: np.ndarray):
+    """Lower Cholesky factor of K + diag(r) and (K + diag(r))^-1 y."""
+    l, _ = robust_cholesky(k + np.diag(r))
+    return l, chol_solve(l, y)
+
+
 @dataclass
-class SgprModel:
-    """Trained homoscedastic model with cached factorization."""
+class GpPosterior:
+    """Posterior of f under K_f + diag(R); SGPR is the case R = sn2 I.
+
+    chol_factor factorizes K_f + diag(R) and alpha solves it against the
+    offset-corrected targets (train_targets keeps the raw ones). Subclasses
+    supply noise_at(xq), the noise variance at the query rows.
+    """
 
     kernel: KernelParams
-    log_noise_variance: float
     train_inputs: np.ndarray
     train_targets: np.ndarray
-    chol_factor: np.ndarray = field(repr=False, default=None)
-    alpha: np.ndarray = field(repr=False, default=None)
-    target_offset: float = 0.0
+    target_offset: float
+    chol_factor: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
 
     @property
     def ndim(self) -> int:
         return self.train_inputs.shape[1]
+
+    @classmethod
+    def _conditioned(cls, kernel: KernelParams, x, y, r, target_offset: float, **fields):
+        """Factorize K_f + diag(r) at x and solve it against y - target_offset."""
+        l, alpha = _factor(kernel_matrix(x, x, kernel), r, y - target_offset)
+        return cls(kernel, x, y, target_offset, l, alpha, **fields)
+
+    def predict(self, xq) -> PredictiveMoments:
+        return sgpr_predict(self, xq)
+
+
+@dataclass
+class SgprModel(GpPosterior):
+    """Trained homoscedastic model with cached factorization."""
+
+    log_noise_variance: float
 
     @property
     def noise_variance(self) -> float:
@@ -109,21 +145,31 @@ class SgprModel:
         y,
         target_offset: float = 0.0,
     ) -> "SgprModel":
-        """Build the cached factorization for fixed hyperparameters.
-
-        train_targets keeps the raw targets; alpha solves against the
-        offset-corrected ones.
-        """
+        """Build the cached factorization for fixed hyperparameters."""
         x = _as_2d(x)
         y = np.asarray(y, dtype=float).ravel()
-        k = kernel_matrix(x, x, kernel)
-        ky = k + np.exp(log_noise_variance) * np.eye(x.shape[0])
-        l, _ = robust_cholesky(ky)
-        alpha = chol_solve(l, y - target_offset)
-        return cls(kernel, float(log_noise_variance), x, y, l, alpha, target_offset)
+        r = np.full(x.shape[0], np.exp(log_noise_variance))
+        return cls._conditioned(
+            kernel, x, y, r, target_offset, log_noise_variance=float(log_noise_variance)
+        )
 
-    def predict(self, xq) -> PredictiveMoments:
-        return sgpr_predict(self, xq)
+    def hyperparams(self) -> tuple:
+        """Arguments that from_hyperparams takes before x, in its order."""
+        return self.kernel, self.log_noise_variance
+
+    def noise_at(self, xq: np.ndarray) -> float:
+        return self.noise_variance
+
+
+def gaussian_nll(k: np.ndarray, r: np.ndarray, y: np.ndarray):
+    """-log N(y | 0, K + diag(r)) and M = alpha alpha^T - (K + diag(r))^-1.
+
+    M carries the gradient: d(-log N)/dtheta = -0.5 tr(M d(K + diag(r))/dtheta).
+    """
+    n = y.size
+    l, alpha = _factor(k, r, y)
+    value = 0.5 * float(y @ alpha) + 0.5 * chol_logdet(l) + 0.5 * n * _LOG_2PI
+    return value, np.outer(alpha, alpha) - chol_solve(l, np.eye(n))
 
 
 def sgpr_nlml(params: KernelParams, log_noise_variance: float, x, y):
@@ -140,13 +186,7 @@ def sgpr_nlml(params: KernelParams, log_noise_variance: float, x, y):
         raise InvalidArgumentError("need n >= 1 training rows with matching targets")
     noise = float(np.exp(log_noise_variance))
     k, k_grads = kernel_matrix_grads(x, params)
-    ky = k + noise * np.eye(n)
-    l, _ = robust_cholesky(ky)
-    alpha = chol_solve(l, y)
-    value = 0.5 * float(y @ alpha) + 0.5 * chol_logdet(l) + 0.5 * n * _LOG_2PI
-
-    ky_inv = chol_solve(l, np.eye(n))
-    m = np.outer(alpha, alpha) - ky_inv
+    value, m = gaussian_nll(k, np.full(n, noise), y)
     grad = np.empty(params.ndim + 2)
     for j, dk in enumerate(k_grads):
         grad[j] = -0.5 * float(np.sum(m * dk))
@@ -190,10 +230,10 @@ def minimize_with_restarts(objective, theta0, config: OptimizerConfig):
 
     rng = np.random.default_rng(config.seed)
     best_theta, best_value = None, np.inf
-    for restart in range(max(1, config.n_restarts)):
+    for restart in range(config.n_restarts):
         start = np.array(theta0, dtype=float)
         if restart > 0:
-            start = start + rng.normal(0.0, config.init_jitter_std, start.size)
+            start = start + rng.normal(0.0, _INIT_JITTER_STD, start.size)
         f0, _ = safe_objective(start)
         result = minimize(
             safe_objective,
@@ -201,9 +241,9 @@ def minimize_with_restarts(objective, theta0, config: OptimizerConfig):
             jac=True,
             method="L-BFGS-B",
             options={
-                "maxiter": config.max_iter,
-                "ftol": config.rel_obj_tol,
-                "gtol": config.grad_tol,
+                "maxiter": _MAX_ITER,
+                "ftol": _REL_OBJ_TOL,
+                "gtol": _GRAD_TOL,
                 "maxcor": 20,
             },
         )
@@ -247,8 +287,8 @@ def train_sgpr(x, y, optimizer: OptimizerConfig | None = None, center_targets: b
     return SgprModel.from_hyperparams(params, log_noise, x, y, target_offset=offset)
 
 
-def sgpr_predict(model: SgprModel, xq) -> PredictiveMoments:
-    """Predictive mean and variance at query inputs (noise variance included)."""
+def sgpr_predict(model: GpPosterior, xq) -> PredictiveMoments:
+    """Predictive mean and variance: latent variance of f + model.noise_at(xq)."""
     xq = _as_2d(xq)
     if xq.shape[1] != model.ndim:
         raise DimensionMismatchError(
@@ -258,7 +298,7 @@ def sgpr_predict(model: SgprModel, xq) -> PredictiveMoments:
     mean = k_star @ model.alpha + model.target_offset
     v = solve_triangular(model.chol_factor, k_star.T, lower=True)
     latent = model.kernel.output_variance - np.sum(v**2, axis=0)
-    variance = np.maximum(latent, 0.0) + model.noise_variance
+    variance = np.maximum(latent, 0.0) + model.noise_at(xq)
     return PredictiveMoments(mean, variance, xq)
 
 

@@ -34,12 +34,13 @@ from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .kernels import KernelParams, kernel_matrix, kernel_matrix_grads, _as_2d
-from .linalg import chol_logdet, chol_solve, robust_cholesky
+from .linalg import chol_logdet, robust_cholesky
 from .sgpr import (
-    _LOG_2PI,
+    GpPosterior,
     OptimizerConfig,
-    PredictiveMoments,
+    gaussian_nll,
     minimize_with_restarts,
+    sgpr_predict,
     train_sgpr,
 )
 
@@ -96,56 +97,48 @@ class VhgprState:
 
 
 @dataclass
-class VhgprModel:
-    """Trained heteroscedastic model with cached posterior factorizations."""
+class VhgprModel(GpPosterior):
+    """Trained heteroscedastic model; kernel is k_f, the rest describe g."""
 
-    kernel_f: KernelParams
     kernel_g: KernelParams
     mu0: float
     variational_lambda: np.ndarray
-    train_inputs: np.ndarray
-    train_targets: np.ndarray
-    target_offset: float = 0.0
-    # caches
-    mu: np.ndarray = field(repr=False, default=None)
-    sigma_diag: np.ndarray = field(repr=False, default=None)
-    r_diag: np.ndarray = field(repr=False, default=None)
-    chol_w: np.ndarray = field(repr=False, default=None)
-    alpha: np.ndarray = field(repr=False, default=None)
+    mu: np.ndarray = field(repr=False)
+    sigma_diag: np.ndarray = field(repr=False)
+    r_diag: np.ndarray = field(repr=False)
     # u_g = L_A^-1 diag(sqrt lambda) so that S = u_g^T u_g; this is the
     # Lambda=0-safe equivalent of factorizing K_g + Lambda^-1
-    u_g: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def ndim(self) -> int:
-        return self.train_inputs.shape[1]
+    u_g: np.ndarray = field(repr=False)
 
     @classmethod
     def from_state(cls, state: VhgprState, x, y, target_offset: float = 0.0) -> "VhgprModel":
         x = _as_2d(x)
         y = np.asarray(y, dtype=float).ravel()
         post = _posterior(state, x)
-        w = kernel_matrix(x, x, state.kernel_f) + np.diag(post["r"])
-        chol_w, _ = robust_cholesky(w)
-        alpha = chol_solve(chol_w, y - target_offset)
-        return cls(
-            state.kernel_f,
-            state.kernel_g,
-            state.mu0,
-            state.variational_lambda,
-            x,
-            y,
-            target_offset,
-            mu=post["mu"],
-            sigma_diag=post["sigma_diag"],
-            r_diag=post["r"],
-            chol_w=chol_w,
-            alpha=alpha,
-            u_g=post["u_g"],
+        return cls._conditioned(
+            state.kernel_f, x, y, post["r"], target_offset,
+            kernel_g=state.kernel_g, mu0=state.mu0, variational_lambda=state.variational_lambda,
+            mu=post["mu"], sigma_diag=post["sigma_diag"], r_diag=post["r"], u_g=post["u_g"],
         )
 
-    def predict(self, xq) -> PredictiveMoments:
-        return vhgpr_predict(self, xq)
+    @classmethod
+    def from_hyperparams(
+        cls, kernel_f, kernel_g, mu0, variational_lambda, x, y, target_offset: float = 0.0
+    ) -> "VhgprModel":
+        state = VhgprState(kernel_f, kernel_g, mu0, variational_lambda)
+        return cls.from_state(state, x, y, target_offset)
+
+    def hyperparams(self) -> tuple:
+        """Arguments that from_hyperparams takes before x, in its order."""
+        return self.kernel, self.kernel_g, self.mu0, self.variational_lambda
+
+    def noise_at(self, xq: np.ndarray) -> np.ndarray:
+        """exp(mu* + sigma*^2 / 2), the mean noise variance under q(g)."""
+        kg_star = kernel_matrix(xq, self.train_inputs, self.kernel_g)
+        mu_star = kg_star @ (self.variational_lambda - 0.5) + self.mu0
+        quad = np.sum((self.u_g @ kg_star.T) ** 2, axis=0)
+        sig2_star = np.maximum(self.kernel_g.output_variance - quad, 0.0)
+        return np.exp(np.clip(mu_star + 0.5 * sig2_star, -_EXP_CLIP, _EXP_CLIP))
 
 
 def _posterior(state: VhgprState, x: np.ndarray) -> dict:
@@ -200,23 +193,19 @@ def mv_bound(state: VhgprState, x, y):
 
     kf, kf_grads = kernel_matrix_grads(x, state.kernel_f)
     _, kg_grads = kernel_matrix_grads(x, state.kernel_g)
-    w = kf + np.diag(r)
-    chol_w, _ = robust_cholesky(w)
-    alpha = chol_solve(chol_w, y)
+    nll, m = gaussian_nll(kf, r, y)
 
     # Sigma = K_g - K_g S K_g; only the trace terms need more than its diag
     kg_s = kg @ s
     sigma = kg - kg_s @ kg
 
-    log_gauss = -0.5 * float(y @ alpha) - 0.5 * chol_logdet(chol_w) - 0.5 * n * _LOG_2PI
     kl = 0.5 * (
         float(v @ (kg @ v)) - float(lam @ sigma_diag) + chol_logdet(post["chol_a"])
     )
-    bound = log_gauss - 0.25 * float(np.sum(sigma_diag)) - kl
+    bound = -nll - 0.25 * float(np.sum(sigma_diag)) - kl
 
     # --- gradient of the bound ---
-    w_inv = chol_solve(chol_w, np.eye(n))
-    b_mat = 0.5 * (np.outer(alpha, alpha) - w_inv)
+    b_mat = 0.5 * m
     b = np.diag(b_mat) * r  # dM/dmu_i
     c = -0.5 * b - 0.25 + 0.5 * lam  # dM/dSigma_ii (diagonal sensitivity)
 
@@ -271,27 +260,5 @@ def train_vhgpr(
     return VhgprModel.from_state(VhgprState.unpack(theta, ndim), x, y, offset)
 
 
-def vhgpr_predict(model: VhgprModel, xq) -> PredictiveMoments:
-    """Analytic first two predictive moments.
-
-    mean     = k_f* (K_f + R)^-1 y
-    variance = c*^2 + exp(mu* + sigma*^2 / 2)
-    """
-    xq = _as_2d(xq)
-    if xq.shape[1] != model.ndim:
-        raise DimensionMismatchError(
-            f"query has {xq.shape[1]} columns, model expects {model.ndim}"
-        )
-    kf_star = kernel_matrix(xq, model.train_inputs, model.kernel_f)
-    kg_star = kernel_matrix(xq, model.train_inputs, model.kernel_g)
-
-    mean = kf_star @ model.alpha + model.target_offset
-    vf = solve_triangular(model.chol_w, kf_star.T, lower=True)
-    c2 = np.maximum(model.kernel_f.output_variance - np.sum(vf**2, axis=0), 0.0)
-
-    mu_star = kg_star @ (model.variational_lambda - 0.5) + model.mu0
-    quad = np.sum((model.u_g @ kg_star.T) ** 2, axis=0)
-    sig2_star = np.maximum(model.kernel_g.output_variance - quad, 0.0)
-
-    noise = np.exp(np.clip(mu_star + 0.5 * sig2_star, -_EXP_CLIP, _EXP_CLIP))
-    return PredictiveMoments(mean, c2 + noise, xq)
+# Both model kinds share one prediction path; see GpPosterior.noise_at.
+vhgpr_predict = sgpr_predict

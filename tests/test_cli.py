@@ -9,6 +9,9 @@ import pytest
 from gwquant.cli import main, parse_config, split_dataset
 from gwquant.damage_index import DiDataset, read_di_csv
 from gwquant.errors import InvalidArgumentError
+from gwquant.kernels import KernelParams
+from gwquant.persist import save_model
+from gwquant.vhgpr import VhgprModel, VhgprState
 
 BASE_CONFIG = """
 # synthetic test-rig configuration
@@ -414,3 +417,92 @@ class TestTwoStateCli:
         payload = json.loads(out.read_text())
         assert payload["argmax"]["damage"] == 2.0
         assert payload["argmax"]["load"] == 5.0
+
+
+def _train_argv(pipeline, tmp_path, *extra):
+    return [
+        "train", "--config", pipeline["config"], "--di-file", pipeline["di_csv"],
+        "--model-file", tmp_path / "model.json", *extra,
+    ]
+
+
+def _model_lacking(key, model_file, tmp_path):
+    with open(model_file) as fh:
+        payload = json.load(fh)
+    del payload[key]
+    path = tmp_path / "lacking.json"
+    path.write_text(json.dumps(payload))
+    return ["predict", "--model-file", path, "--test-di", 0.0]
+
+
+def _vhgpr_model_file(tmp_path):
+    x = np.repeat(np.arange(3.0), 2).reshape(-1, 1)
+    y = 0.1 * x.ravel()
+    kernel = KernelParams(0.0, [0.0])
+    state = VhgprState(kernel, kernel, -3.0, np.full(x.shape[0], 0.5))
+    path = tmp_path / "vhgpr.json"
+    save_model(path, VhgprModel.from_state(state, x, y))
+    return path
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+# case -> (argv builder, fragment the single error line must contain)
+BAD_INPUTS = {
+    "restarts-0": (
+        lambda p, t: _train_argv(p, t, "--restarts", 0), "n_restarts must be >= 1"
+    ),
+    "train-fraction-0": (
+        lambda p, t: _train_argv(p, t, "--train-fraction", 0), "train_fraction"
+    ),
+    "n-use-0": (
+        lambda p, t: [
+            "di", "--config", p["config"], "--workdir", p["workdir"],
+            "--n-use", 0, "--out", t / "di.csv",
+        ],
+        "n_use must be >= 1",
+    ),
+    "two-state-class-3": (
+        lambda p, t: [
+            "predict", "--model-file", p["model_file"], "--two-state", "--test-di-file",
+            _write(t, "two.csv", "class,ref_load,ref_damage,di\n1,0,0,0.1\n3,0,1,0.2\n"),
+        ],
+        "class must be 1 or 2",
+    ),
+    "non-numeric-grid": (
+        lambda p, t: [
+            "simulate", "--workdir", t / "out", "--config",
+            _write(t, "cfg", BASE_CONFIG.replace("damage_grid = 0 1 2", "damage_grid = 0 1 two")),
+        ],
+        "simulation.damage_grid must be space-separated numbers",
+    ),
+    "sgpr-model-lacks-kernel": (
+        lambda p, t: _model_lacking("kernel", p["model_file"], t), "lacks key 'kernel'"
+    ),
+    "vhgpr-model-lacks-mu0": (
+        lambda p, t: _model_lacking("mu0", _vhgpr_model_file(t), t), "lacks key 'mu0'"
+    ),
+    "empty-truth-file": (
+        lambda p, t: [
+            "report", "--pred-file", _write(t, "preds.json", "[]"),
+            "--true-file", _write(t, "truth.csv", "# no rows\n"),
+            "--box-out", t / "box.csv", "--errors-out", t / "errors.csv",
+        ],
+        "expected header",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_with_one_error_line(case, pipeline, tmp_path, capsys):
+    build_argv, fragment = BAD_INPUTS[case]
+    argv = build_argv(pipeline, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and fragment in err[0]

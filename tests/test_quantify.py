@@ -351,23 +351,10 @@ class TestPredictTwoStates:
             predict_two_states(model, [(0.0, 0.0)], lambda d: 0.0, [0.0], [0.0])
 
 
-def table_for(state):
-    from gwquant.quantify import StateProbabilityTable
-
-    return StateProbabilityTable(
-        entries=[(state, 1.0)],
-        test_di=0.0,
-        closest_training_di=0.0,
-        closest_variance=1.0,
-        argmax_state=state,
-    )
-
-
 class TestSummarizePredictions:
     def test_exact_predictions_give_degenerate_boxes(self):
         true_states = [(0.0,), (0.0,), (2.0,), (2.0,)]
-        tables = [table_for(s) for s in true_states]
-        report = summarize_predictions(true_states, tables)
+        report = summarize_predictions(true_states, true_states)
         for box in report.boxes:
             assert box.median == box.q25 == box.q75 == box.state[0]
             assert box.outliers == []
@@ -375,15 +362,13 @@ class TestSummarizePredictions:
 
     def test_symmetric_errors_keep_median_on_truth(self):
         true_states = [(2.0,)] * 3
-        tables = [table_for((1.0,)), table_for((2.0,)), table_for((3.0,))]
-        report = summarize_predictions(true_states, tables)
+        report = summarize_predictions(true_states, [(1.0,), (2.0,), (3.0,)])
         assert report.boxes[0].median == 2.0
 
     def test_quartiles_match_sorting_oracle(self, rng):
         preds = rng.normal(2.0, 1.0, 12)
         true_states = [(2.0,)] * 12
-        tables = [table_for((float(p),)) for p in preds]
-        report = summarize_predictions(true_states, tables)
+        report = summarize_predictions(true_states, [(float(p),) for p in preds])
 
         def quantile(sorted_values, q):
             # linear interpolation between closest ranks
@@ -400,8 +385,7 @@ class TestSummarizePredictions:
 
     def test_two_state_error_records(self):
         true_states = [(1.0, 5.0)]
-        tables = [table_for((2.0, 10.0))]
-        report = summarize_predictions(true_states, tables)
+        report = summarize_predictions(true_states, [(2.0, 10.0)])
         rec = report.errors[0]
         assert rec.err_damage == 1.0
         assert rec.err_load == 5.0
@@ -409,7 +393,6 @@ class TestSummarizePredictions:
     def test_whiskers_and_outliers(self):
         values = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0]
         true_states = [(0.0,)] * len(values)
-        tables = [table_for((v,)) for v in values]
-        box = summarize_predictions(true_states, tables).boxes[0]
+        box = summarize_predictions(true_states, [(v,) for v in values]).boxes[0]
         assert box.outliers == [10.0]
         assert box.hi_whisker == 0.0

@@ -165,9 +165,9 @@ class TestTrainVhgpr:
         mom = vhgpr_predict(model, q)
         # noise part of the predictive variance, per state
         vf = np.maximum(
-            model.kernel_f.output_variance
+            model.kernel.output_variance
             - np.sum(
-                np.linalg.solve(model.chol_w, kernel_matrix(model.train_inputs, q, model.kernel_f)) ** 2,
+                np.linalg.solve(model.chol_factor, kernel_matrix(model.train_inputs, q, model.kernel)) ** 2,
                 axis=0,
             ),
             0.0,
@@ -191,7 +191,7 @@ class TestTrainVhgpr:
         init_value, _ = mv_bound(init, x, y)
         model = train_vhgpr(x, y, opt)
         final_state = VhgprState(
-            model.kernel_f, model.kernel_g, model.mu0, model.variational_lambda
+            model.kernel, model.kernel_g, model.mu0, model.variational_lambda
         )
         final_value, _ = mv_bound(final_state, x, y)
         assert final_value <= init_value + 1e-9
