@@ -13,6 +13,13 @@ space-separated numbers. Example::
     train.train_fraction = 0.5
     paths.workdir = out
 
+Each value takes the type of its key's default: an integer, a number,
+``true``/``false`` or text. ``di.kind`` (rmsd, normalized), ``di.mode``
+(projection, as-written), ``di.policy`` (class1, class2, both, fixed) and
+``train.model_kind`` (sgpr, vhgpr) take only the listed choices;
+``paths.workdir`` is the only ``paths`` key. A flag given on the command
+line replaces the key of the same name, and both pass the same checks.
+
 The environment variable ``GWQUANT_SEED`` overrides any configured or
 flag-provided seed. Every subcommand is deterministic given identical
 inputs and seed; output files are written atomically (temp file + rename).
@@ -37,6 +44,7 @@ from .damage_index import (
     DiDataset,
     build_di_dataset,
     di_to_csv_text,
+    read_csv_table,
     read_di_csv,
 )
 from .errors import GwquantError, InvalidArgumentError
@@ -59,6 +67,18 @@ from .vhgpr import train_vhgpr
 
 SEED_ENV_VAR = "GWQUANT_SEED"
 
+_POLICY_NAMES = {
+    "class1": "healthy_per_load",
+    "class2": "unloaded_per_damage",
+    "both": "both_classes",
+    "fixed": "fixed",
+}
+
+
+def _check_choice(name: str, value: str, choices) -> None:
+    if value not in choices:
+        raise InvalidArgumentError(f"{name} must be one of {', '.join(choices)}; got {value!r}")
+
 
 @dataclass
 class DiConfig:
@@ -68,6 +88,14 @@ class DiConfig:
     n_use: int = DEFAULT_N_USE
     fixed_damage: float = 0.0
     fixed_load: float = 0.0
+
+    def __post_init__(self):
+        self.mode = self.mode.replace("-", "_")
+        _check_choice("di.kind", self.kind, ("rmsd", "normalized"))
+        _check_choice("di.mode", self.mode, ("projection", "as_written"))
+        _check_choice("di.policy", self.policy, tuple(_POLICY_NAMES))
+        if self.n_use < 1:
+            raise InvalidArgumentError("n_use must be >= 1")
 
 
 @dataclass
@@ -79,6 +107,7 @@ class TrainConfig:
     train_fraction: float = 0.5
 
     def __post_init__(self):
+        _check_choice("train.model_kind", self.model_kind, ("sgpr", "vhgpr"))
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidArgumentError("train_fraction must be in (0, 1)")
 
@@ -92,8 +121,6 @@ class QuantifyConfig:
 @dataclass
 class PathsConfig:
     workdir: str = "gwquant-out"
-    model_file: str = "model.json"
-    report_dir: str = "reports"
 
 
 @dataclass
@@ -107,28 +134,31 @@ class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
 
-_POLICY_NAMES = {
-    "class1": "healthy_per_load",
-    "class2": "unloaded_per_damage",
-    "both": "both_classes",
-    "fixed": "fixed",
+_SECTIONS = {
+    "simulation": SimulationConfig,
+    "di": DiConfig,
+    "train": TrainConfig,
+    "quantify": QuantifyConfig,
+    "paths": PathsConfig,
 }
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
 
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+
+def _typed(text: str, default, where: str):
+    """text converted to the type of default; where names the value in errors."""
+    kind = type(default)
+    try:
+        if kind is bool:
+            return {"true": True, "false": False}[text.lower()]
+        return kind(text)
+    except (KeyError, ValueError):
+        raise InvalidArgumentError(f"{where} must be {_TYPE_NAMES[kind]}, got {text!r}") from None
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse the flat key/value grammar into a validated PipelineConfig."""
-    sections: dict[str, dict] = {}
+    given: dict[str, dict[str, tuple[int, str]]] = {}
     grids: dict[str, list[float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,37 +178,24 @@ def parse_config(text: str) -> PipelineConfig:
                     f"config line {lineno}: {key} must be space-separated numbers"
                 ) from exc
             continue
-        sections.setdefault(section, {})[name] = _parse_scalar(value)
+        given.setdefault(section, {})[name] = (lineno, value)
 
-    def build(cls, section):
-        payload = sections.pop(section, {})
-        valid = {f.name for f in fields(cls)}
-        unknown = set(payload) - valid
+    sections = {}
+    for section, values in given.items():
+        cls = _SECTIONS.get(section)
+        if cls is None:
+            raise InvalidArgumentError(f"config: unknown sections {[section]}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(values) - set(defaults)
         if unknown:
             raise InvalidArgumentError(
                 f"config section {section!r}: unknown keys {sorted(unknown)}"
             )
-        try:
-            return cls(**payload)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidArgumentError):
-                raise
-            raise InvalidArgumentError(f"config section {section!r}: {exc}") from exc
-
-    config = PipelineConfig(
-        simulation=build(SimulationConfig, "simulation"),
-        di=build(DiConfig, "di"),
-        train=build(TrainConfig, "train"),
-        quantify=build(QuantifyConfig, "quantify"),
-        paths=build(PathsConfig, "paths"),
-    )
-    if sections:
-        raise InvalidArgumentError(f"config: unknown sections {sorted(sections)}")
-    if "damage_grid" in grids:
-        config.damage_grid = grids["damage_grid"]
-    if "load_grid" in grids:
-        config.load_grid = grids["load_grid"]
-    return config
+        sections[section] = cls(**{
+            name: _typed(value, defaults[name], f"config line {lineno}: {section}.{name}")
+            for name, (lineno, value) in values.items()
+        })
+    return PipelineConfig(**sections, **grids)
 
 
 def load_config(path) -> PipelineConfig:
@@ -186,13 +203,22 @@ def load_config(path) -> PipelineConfig:
         return parse_config(fh.read())
 
 
-def _resolve_seed(flag_seed, config_seed: int) -> int:
+def _settings(args, section, seed_field: str | None = None):
+    """The config section with the flags the user set laid over it.
+
+    A flag's dest names the field it replaces; unset flags are None. The
+    seed field, when given, takes GWQUANT_SEED over both flag and config.
+    """
+    names = {f.name for f in fields(section)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    if flag_seed is not None:
-        return int(flag_seed)
-    return int(config_seed)
+    if seed_field is not None and env is not None:
+        flags[seed_field] = _typed(env, 0, SEED_ENV_VAR)
+    return replace(section, **flags)
+
+
+def _config(args) -> PipelineConfig:
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
@@ -233,10 +259,9 @@ def _signal_file_name(damage: float, load: float) -> str:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config) if args.config else PipelineConfig()
-    seed = _resolve_seed(args.seed, config.simulation.rng_seed)
-    sim = replace(config.simulation, rng_seed=seed)
-    workdir = args.workdir or config.paths.workdir
+    config = _config(args)
+    sim = _settings(args, config.simulation, seed_field="rng_seed")
+    workdir = _settings(args, config.paths).workdir
     os.makedirs(workdir, exist_ok=True)
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
@@ -249,12 +274,12 @@ def cmd_simulate(args) -> int:
                 if s.state.damage_size == damage and s.state.load == load
             ]
             name = _signal_file_name(damage, load)
-            text = signals_to_csv_text(cell, comment=f"seed={seed}")
+            text = signals_to_csv_text(cell, comment=f"seed={sim.rng_seed}")
             atomic_write_text(os.path.join(workdir, name), text)
             manifest.append(f"{damage:.17g},{load:.17g},{len(cell)},{name}")
     atomic_write_text(
         os.path.join(workdir, "manifest.csv"),
-        f"# seed={seed}\n" + "\n".join(manifest) + "\n",
+        f"# seed={sim.rng_seed}\n" + "\n".join(manifest) + "\n",
     )
     print(f"wrote {len(signals)} signals to {workdir}")
     return 0
@@ -276,25 +301,14 @@ def _read_workdir_signals(workdir: str):
 
 
 def cmd_di(args) -> int:
-    config = load_config(args.config) if args.config else PipelineConfig()
-    di = config.di
-    kind = args.kind or di.kind
-    mode = (args.mode or di.mode).replace("-", "_")
-    policy = _POLICY_NAMES[args.policy or di.policy]
-    n_use = args.n_use if args.n_use is not None else di.n_use
-    if n_use < 1:
-        raise InvalidArgumentError("n_use must be >= 1")
-    workdir = args.workdir or config.paths.workdir
-    signals = _read_workdir_signals(workdir)
-    n_use = min(n_use, min(len(s) for s in signals))
-    fixed = None
-    if policy == "fixed":
-        fixed = (
-            args.fixed_damage if args.fixed_damage is not None else di.fixed_damage,
-            args.fixed_load if args.fixed_load is not None else di.fixed_load,
-        )
-    dataset = build_di_dataset(signals, kind, policy, n_use, mode, fixed)
-    text = di_to_csv_text(dataset, comment=f"kind={kind} policy={policy} n_use={n_use}")
+    config = _config(args)
+    di = _settings(args, config.di)
+    policy = _POLICY_NAMES[di.policy]
+    signals = _read_workdir_signals(_settings(args, config.paths).workdir)
+    n_use = min(di.n_use, min(len(s) for s in signals))
+    fixed = (di.fixed_damage, di.fixed_load) if policy == "fixed" else None
+    dataset = build_di_dataset(signals, di.kind, policy, n_use, di.mode, fixed)
+    text = di_to_csv_text(dataset, comment=f"kind={di.kind} policy={policy} n_use={n_use}")
     atomic_write_text(args.out, text)
     print(f"wrote {dataset.n} DI rows ({dataset.ndim} input columns) to {args.out}")
     return 0
@@ -305,36 +319,25 @@ def _format_metric(value: float) -> str:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config) if args.config else PipelineConfig()
-    train = config.train
-    kind = args.model or train.model_kind
-    seed = _resolve_seed(args.seed, train.seed)
-    fraction = args.train_fraction if args.train_fraction is not None else train.train_fraction
-    restarts = args.restarts if args.restarts is not None else train.restarts
-    center = args.center_targets or train.center_targets
-
+    train = _settings(args, _config(args).train, seed_field="seed")
     dataset = read_di_csv(args.di_file)
-    train_set, test_set = split_dataset(dataset, fraction, seed)
-    optimizer = OptimizerConfig(n_restarts=restarts, seed=seed)
-    if kind == "sgpr":
-        model = train_sgpr(train_set.inputs, train_set.targets, optimizer, center)
-    elif kind == "vhgpr":
-        model = train_vhgpr(train_set.inputs, train_set.targets, optimizer, center)
-    else:
-        raise InvalidArgumentError(f"unknown model kind {kind!r}")
+    train_set, test_set = split_dataset(dataset, train.train_fraction, train.seed)
+    optimizer = OptimizerConfig(n_restarts=train.restarts, seed=train.seed)
+    trainer = train_sgpr if train.model_kind == "sgpr" else train_vhgpr
+    model = trainer(train_set.inputs, train_set.targets, optimizer, train.center_targets)
 
-    save_model(args.model_file, model, seed=seed)
+    save_model(args.model_file, model, seed=train.seed)
     heldout = args.heldout_file or args.model_file + ".heldout.csv"
     source = os.path.basename(args.di_file)
     atomic_write_text(
-        heldout, di_to_csv_text(test_set, comment=f"seed={seed} heldout_of={source}")
+        heldout, di_to_csv_text(test_set, comment=f"seed={train.seed} heldout_of={source}")
     )
 
     metrics = evaluate_fit(
         model.predict(test_set.inputs), test_set.targets, train_set.targets
     )
     print(
-        f"{kind} trained on {train_set.n}/{dataset.n} rows: "
+        f"{train.model_kind} trained on {train_set.n}/{dataset.n} rows: "
         f"nmse={_format_metric(metrics.nmse)} "
         f"rss_sss_percent={_format_metric(metrics.rss_sss_percent)}"
     )
@@ -374,24 +377,16 @@ def _table_to_json(table, two_state_argmax=None) -> dict:
     }
 
 
-def _single_state_grid(model, refine: int) -> StateGrid:
-    damages = sorted({float(v) for v in model.train_inputs[:, 0]})
-    return StateGrid([(d,) for d in damages]).refine(refine)
-
-
 def cmd_predict(args) -> int:
-    config = load_config(args.config) if args.config else PipelineConfig()
-    refine = args.grid_refine if args.grid_refine is not None else config.quantify.grid_refine
-    threshold = config.quantify.low_confidence_threshold
+    quantify = _settings(args, _config(args).quantify)
+    threshold = quantify.low_confidence_threshold
     model = load_model(args.model_file)
 
     results = []
     if args.two_state:
         class1, class2 = _read_two_state_dis(args.test_di_file)
-        damages = sorted({float(v) for v in model.train_inputs[:, 0]})
-        loads = sorted({float(v) for v in model.train_inputs[:, 1]})
         prediction = predict_two_states(
-            model, class1, lambda d: class2[d], damages, loads, threshold
+            model, class1, lambda d: class2[d], low_confidence_threshold=threshold
         )
         payload = _table_to_json(
             prediction.step2_table,
@@ -407,7 +402,8 @@ def cmd_predict(args) -> int:
         test_dis = (
             [args.test_di] if args.test_di is not None else _read_di_column(args.test_di_file)
         )
-        grid = _single_state_grid(model, refine)
+        grid = StateGrid.from_training_inputs(model.train_inputs, include_load=False)
+        grid = grid.refine(quantify.grid_refine)
         for test_di in test_dis:
             table = predict_single_state(
                 model, grid, test_di, known_load=args.known_load,
@@ -426,8 +422,7 @@ def cmd_predict(args) -> int:
 def _read_di_column(path) -> list[float]:
     if path is None:
         raise InvalidArgumentError("provide --test-di or --test-di-file")
-    dataset = read_di_csv(path)
-    return [float(v) for v in dataset.targets]
+    return [float(v) for v in read_di_csv(path).targets]
 
 
 def _read_two_state_dis(path):
@@ -440,23 +435,14 @@ def _read_two_state_dis(path):
         raise InvalidArgumentError("--two-state requires --test-di-file")
     class1 = []
     class2 = {}
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "class,ref_load,ref_damage,di":
-        raise InvalidArgumentError(
-            f"{path}: expected header 'class,ref_load,ref_damage,di'"
-        )
-    for ln in lines[1:]:
-        try:
-            cls, ref_load, ref_damage, di = ln.split(",")
-            if int(cls) == 1:
-                class1.append((float(ref_load), float(di)))
-            elif int(cls) == 2:
-                class2[float(ref_damage)] = float(di)
-            else:
-                raise ValueError("class must be 1 or 2")
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{path}: bad row {ln!r} ({exc})") from exc
+    _, rows = read_csv_table(path, [("class", "ref_load", "ref_damage", "di")])
+    for cls, ref_load, ref_damage, di in rows:
+        if cls == 1:
+            class1.append((ref_load, di))
+        elif cls == 2:
+            class2[ref_damage] = di
+        else:
+            raise InvalidArgumentError(f"{path}: class must be 1 or 2, got {cls:g}")
     if not class1:
         raise InvalidArgumentError(f"{path}: no class-1 test DI rows")
     return class1, class2
@@ -470,27 +456,22 @@ def cmd_report(args) -> int:
             raise InvalidArgumentError(f"{args.pred_file}: not a predictions file ({exc})")
     predictions = payload if isinstance(payload, list) else [payload]
 
-    true_states = []
-    with open(args.true_file, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0].split(",") not in (["damage"], ["damage", "load"]):
-        raise InvalidArgumentError(
-            f"{args.true_file}: expected header 'damage' or 'damage,load'"
-        )
-    for ln in lines[1:]:
-        try:
-            true_states.append(tuple(float(v) for v in ln.split(",")))
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{args.true_file}: bad row {ln!r}") from exc
+    _, rows = read_csv_table(args.true_file, [("damage",), ("damage", "load")])
+    true_states = [tuple(row) for row in rows]
     if len(true_states) != len(predictions):
         raise InvalidArgumentError(
             f"{len(true_states)} true states vs {len(predictions)} predictions"
         )
 
     predicted_states = []
-    for pred in predictions:
-        damage, load = pred["argmax"]["damage"], pred["argmax"].get("load")
-        predicted_states.append((damage,) if load is None else (damage, load))
+    for i, pred in enumerate(predictions):
+        try:
+            damage, load = float(pred["argmax"]["damage"]), pred["argmax"].get("load")
+            predicted_states.append((damage,) if load is None else (damage, float(load)))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise InvalidArgumentError(
+                f"{args.pred_file}: prediction {i} has no numeric argmax damage"
+            ) from None
     report = summarize_predictions(true_states, predicted_states)
 
     box_lines = ["state,median,q25,q75,lo_whisk,hi_whisk,outliers"]
@@ -529,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize signal files for a state grid")
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--workdir", help="output directory (default from config)")
-    p.add_argument("--seed", type=int, help="simulation RNG seed")
+    p.add_argument("--seed", type=int, dest="rng_seed", help="simulation RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("di", help="compute a DI dataset from simulated signals")
@@ -547,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a DI dataset")
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--di-file", required=True, dest="di_file")
-    p.add_argument("--model", choices=["sgpr", "vhgpr"])
+    p.add_argument("--model", choices=["sgpr", "vhgpr"], dest="model_kind")
     p.add_argument("--restarts", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--center-targets", action="store_true", dest="center_targets")
+    p.add_argument("--center-targets", action="store_true", default=None, dest="center_targets")
     p.add_argument("--train-fraction", type=float, dest="train_fraction")
     p.add_argument("--model-file", required=True, dest="model_file")
     p.add_argument("--heldout-file", dest="heldout_file")

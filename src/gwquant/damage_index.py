@@ -300,23 +300,37 @@ def write_di_csv(path, dataset: DiDataset, comment: str | None = None) -> None:
         fh.write(di_to_csv_text(dataset, comment))
 
 
-def read_di_csv(path) -> DiDataset:
+def read_csv_table(path, headers) -> tuple[list[str], list[list[float]]]:
+    """Column names and float rows of a comma-separated table.
+
+    Blank lines and lines starting with ``#`` are skipped. The first line
+    left must be one of ``headers`` (sequences of column names); every later
+    line must have one number per column. Errors name the file and, for a
+    bad row, its 1-based line number.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise InvalidArgumentError(f"{path}: empty DI dataset file")
-    names = lines[0].split(",")
-    if names[-1] != "di" or names[:-1] != list(COLUMN_NAMES[: len(names) - 1]):
-        raise InvalidArgumentError(f"{path}: unrecognized DI header {lines[0]!r}")
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
+    names = lines[0][1].split(",") if lines else []
+    if names not in [list(h) for h in headers]:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        found = repr(lines[0][1]) if lines else "no rows"
+        raise InvalidArgumentError(f"{path}: expected header {expected}, got {found}")
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(names):
-            raise InvalidArgumentError(f"{path}: row has {len(cells)} cells, expected {len(names)}")
+            raise InvalidArgumentError(
+                f"{path} line {lineno}: row has {len(cells)} cells, expected {len(names)}"
+            )
         try:
             rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{path}: bad value in row {ln!r}") from exc
-    data = np.array(rows, dtype=float)
+        except ValueError:
+            raise InvalidArgumentError(f"{path} line {lineno}: bad value in row {ln!r}") from None
+    return names, rows
+
+
+def read_di_csv(path) -> DiDataset:
+    names, rows = read_csv_table(path, [[*COLUMN_NAMES[:d], "di"] for d in (1, 2, 3)])
+    data = np.array(rows, dtype=float).reshape(len(rows), len(names))
     return DiDataset(data[:, :-1], data[:, -1], names[:-1])

@@ -23,16 +23,39 @@ from .kernels import KernelParams
 from .sgpr import SgprModel
 from .vhgpr import VhgprModel
 
-# Schema id -> model class and the keys of its hyperparameters, in the order
-# of the class's hyperparams() and from_hyperparams(); the remaining keys
-# are common to both schemas.
+
+def _numbers(ndim: int):
+    """Decoder of a finite number (ndim 0) or an ndim-deep list of them."""
+
+    def decode(value):
+        array = np.array(value, dtype=float)
+        if array.ndim != ndim or not np.all(np.isfinite(array)):
+            raise ValueError(f"expected {ndim}-D finite numbers")
+        return float(array) if ndim == 0 else array
+
+    return decode
+
+
+_scalar, _vector, _matrix = _numbers(0), _numbers(1), _numbers(2)
+
+
+def _kernel(value) -> KernelParams:
+    return KernelParams(
+        _scalar(value["log_output_variance"]), _vector(value["log_length_scales"])
+    )
+
+
+# Schema id -> model class and the decoder of each hyperparameter key, in
+# the order of the class's hyperparams() and from_hyperparams(); the
+# _COMMON keys follow in both schemas.
 _SCHEMAS = {
-    "gwquant.sgpr.v1": (SgprModel, ("kernel", "log_noise_variance")),
+    "gwquant.sgpr.v1": (SgprModel, {"kernel": _kernel, "log_noise_variance": _scalar}),
     "gwquant.vhgpr.v1": (
         VhgprModel,
-        ("kernel_f", "kernel_g", "mu0", "variational_lambda"),
+        {"kernel_f": _kernel, "kernel_g": _kernel, "mu0": _scalar, "variational_lambda": _vector},
     ),
 }
+_COMMON = {"target_offset": _scalar, "train_inputs": _matrix, "train_targets": _vector}
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -60,16 +83,6 @@ def _encode(value):
     return float(value)
 
 
-def _decode(value):
-    if isinstance(value, dict):
-        return KernelParams(
-            value["log_output_variance"], np.array(value["log_length_scales"])
-        )
-    if isinstance(value, list):
-        return np.array(value, dtype=float)
-    return float(value)
-
-
 def model_to_dict(model, seed: int | None = None) -> dict:
     schema = next((s for s, (cls, _) in _SCHEMAS.items() if isinstance(model, cls)), None)
     if schema is None:
@@ -90,16 +103,20 @@ def model_to_dict(model, seed: int | None = None) -> dict:
 
 def model_from_dict(payload):
     schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema not in _SCHEMAS:
+    if not isinstance(schema, str) or schema not in _SCHEMAS:
         raise SchemaMismatchError(f"unsupported model schema {schema!r}")
-    cls, keys = _SCHEMAS[schema]
-    try:
-        hyperparams = [_decode(payload[key]) for key in keys]
-        x = np.array(payload["train_inputs"], dtype=float)
-        y = np.array(payload["train_targets"], dtype=float)
-        offset = float(payload["target_offset"])
-    except KeyError as exc:
-        raise SchemaMismatchError(f"{schema} model lacks key {exc}") from exc
+    cls, decoders = _SCHEMAS[schema]
+    values = []
+    for key, decode in [*decoders.items(), *_COMMON.items()]:
+        if key not in payload:
+            raise SchemaMismatchError(f"{schema} model lacks key {key!r}")
+        try:
+            values.append(decode(payload[key]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaMismatchError(f"{schema} model has a malformed {key!r} ({exc})") from exc
+    *hyperparams, offset, x, y = values
+    if x.shape[0] != y.size:
+        raise SchemaMismatchError(f"{schema} model has {x.shape[0]} inputs but {y.size} targets")
     return cls.from_hyperparams(*hyperparams, x, y, target_offset=offset)
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
+from .damage_index import COLUMN_NAMES
 from .errors import (
     CovariateMismatchError,
     DimensionMismatchError,
@@ -36,15 +37,12 @@ from .errors import (
 
 DEFAULT_LOW_CONFIDENCE_THRESHOLD = 0.05
 
-_CANONICAL_COLUMNS = ("damage", "load", "switch")
-
 
 @dataclass
 class StateGrid:
     """Candidate states: (damage,) or (damage, load) tuples, sorted."""
 
     states: list[tuple]
-    source: str = "training"
 
     def __post_init__(self):
         if not self.states:
@@ -64,12 +62,13 @@ class StateGrid:
         if include_load is None:
             include_load = inputs.shape[1] >= 2
         cols = 2 if include_load and inputs.shape[1] >= 2 else 1
-        return cls([tuple(row) for row in inputs[:, :cols]])
+        # dedupe as Python floats first: training inputs repeat per replicate
+        return cls(list({tuple(row) for row in inputs[:, :cols].tolist()}))
 
     def refine(self, k: int) -> "StateGrid":
         """Insert k interpolated damage values between adjacent grid damages."""
         if k <= 0:
-            return StateGrid(list(self.states), self.source)
+            return StateGrid(list(self.states))
         width = len(self.states[0])
         by_load: dict[tuple, list[float]] = {}
         for s in self.states:
@@ -82,7 +81,7 @@ class StateGrid:
                 refined.extend(np.linspace(lo, hi, k + 2)[:-1])
             refined.append(damages[-1])
             states.extend(tuple([d, *rest]) for d in refined)
-        return StateGrid(states, source=f"{self.source}+refined")
+        return StateGrid(states)
 
 
 @dataclass
@@ -161,7 +160,7 @@ def gaussian_cdf(s, mean, variance):
 def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
     """Assemble model queries over canonical columns damage, load, switch."""
     fixed = dict(fixed_covariates or {})
-    unknown = set(fixed) - set(_CANONICAL_COLUMNS)
+    unknown = set(fixed) - set(COLUMN_NAMES)
     if unknown:
         raise CovariateMismatchError(f"unknown fixed covariates {sorted(unknown)}")
     state_width = len(grid.states[0])
@@ -176,7 +175,7 @@ def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
                     f"covariate {name!r} is fixed but already present in the grid"
                 )
             values[name] = float(value)
-        needed = _CANONICAL_COLUMNS[:ndim]
+        needed = COLUMN_NAMES[:ndim]
         missing = [c for c in needed if c not in values]
         if missing:
             raise CovariateMismatchError(
@@ -271,8 +270,8 @@ def predict_two_states(
     model,
     class1_test_dis: list[tuple[float, float]],
     class2_di_provider,
-    damage_grid,
-    load_grid,
+    damage_grid=None,
+    load_grid=None,
     low_confidence_threshold: float = DEFAULT_LOW_CONFIDENCE_THRESHOLD,
 ) -> TwoStepPrediction:
     """Two-step simultaneous damage-size and load prediction.
@@ -280,6 +279,7 @@ def predict_two_states(
     class1_test_dis holds (reference_load, di) pairs, one per class-1
     reference; class2_di_provider(damage) returns the test DI referenced to
     the unloaded signal at that damage and may raise KeyError when absent.
+    The damage and load grids default to the training states' values.
     """
     if model.ndim != 3:
         raise CovariateMismatchError(
@@ -287,6 +287,10 @@ def predict_two_states(
         )
     if not class1_test_dis:
         raise InvalidArgumentError("class1_test_dis must be non-empty")
+    if damage_grid is None:
+        damage_grid = np.unique(model.train_inputs[:, 0])
+    if load_grid is None:
+        load_grid = np.unique(model.train_inputs[:, 1])
     damage_grid = [float(d) for d in damage_grid]
     load_grid = [float(w) for w in load_grid]
     if not damage_grid or not load_grid:

@@ -234,7 +234,6 @@ def minimize_with_restarts(objective, theta0, config: OptimizerConfig):
         start = np.array(theta0, dtype=float)
         if restart > 0:
             start = start + rng.normal(0.0, _INIT_JITTER_STD, start.size)
-        f0, _ = safe_objective(start)
         result = minimize(
             safe_objective,
             start,
@@ -247,13 +246,10 @@ def minimize_with_restarts(objective, theta0, config: OptimizerConfig):
                 "maxcor": 20,
             },
         )
-        # The line search guarantees decrease, but keep the start defensively.
-        candidates = [(f0, start)]
-        if np.isfinite(result.fun):
-            candidates.append((float(result.fun), result.x))
-        for value, theta in candidates:
-            if value < best_value and value < _BAD_OBJECTIVE:
-                best_value, best_theta = value, theta
+        # safe_objective is always finite and the line search never ends
+        # above its start, so the result is the best point of the restart.
+        if result.fun < min(best_value, _BAD_OBJECTIVE):
+            best_value, best_theta = float(result.fun), result.x
     if best_theta is None:
         raise OptimizerFailureError("no restart produced a finite objective")
     return best_theta, best_value

@@ -82,6 +82,10 @@ class TestParseConfig:
         with pytest.raises(InvalidArgumentError):
             parse_config("train.train_fraction = 1.5\n")
 
+    def test_mistyped_value_names_its_line(self):
+        with pytest.raises(InvalidArgumentError, match="line 3: train.restarts must be an integer"):
+            parse_config("# header\ntrain.seed = 4\ntrain.restarts = 2.5\n")
+
 
 class TestSplitDataset:
     def make_dataset(self, reps=6, states=4):
@@ -426,11 +430,13 @@ def _train_argv(pipeline, tmp_path, *extra):
     ]
 
 
-def _model_lacking(key, model_file, tmp_path):
+def _edited_model(model_file, tmp_path, drop=None, **values):
+    """predict argv on a copy of model_file without key drop and with values set."""
     with open(model_file) as fh:
         payload = json.load(fh)
-    del payload[key]
-    path = tmp_path / "lacking.json"
+    payload.pop(drop, None)
+    payload.update(values)
+    path = tmp_path / "edited.json"
     path.write_text(json.dumps(payload))
     return ["predict", "--model-file", path, "--test-di", 0.0]
 
@@ -449,6 +455,18 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _config_with(tmp_path, line):
+    return _write(tmp_path, "extra.cfg", BASE_CONFIG + line + "\n")
+
+
+def _report_argv(tmp_path, preds, truth):
+    return [
+        "report", "--pred-file", _write(tmp_path, "preds.json", preds),
+        "--true-file", _write(tmp_path, "truth.csv", truth),
+        "--box-out", tmp_path / "box.csv", "--errors-out", tmp_path / "errors.csv",
+    ]
 
 
 # case -> (argv builder, fragment the single error line must contain)
@@ -481,26 +499,94 @@ BAD_INPUTS = {
         "simulation.damage_grid must be space-separated numbers",
     ),
     "sgpr-model-lacks-kernel": (
-        lambda p, t: _model_lacking("kernel", p["model_file"], t), "lacks key 'kernel'"
+        lambda p, t: _edited_model(p["model_file"], t, drop="kernel"), "lacks key 'kernel'"
     ),
     "vhgpr-model-lacks-mu0": (
-        lambda p, t: _model_lacking("mu0", _vhgpr_model_file(t), t), "lacks key 'mu0'"
+        lambda p, t: _edited_model(_vhgpr_model_file(t), t, drop="mu0"), "lacks key 'mu0'"
     ),
     "empty-truth-file": (
+        lambda p, t: _report_argv(t, "[]", "# no rows\n"), "expected header"
+    ),
+    "config-unknown-policy": (
         lambda p, t: [
-            "report", "--pred-file", _write(t, "preds.json", "[]"),
-            "--true-file", _write(t, "truth.csv", "# no rows\n"),
-            "--box-out", t / "box.csv", "--errors-out", t / "errors.csv",
+            "di", "--config", _config_with(t, "di.policy = bogus"), "--workdir", p["workdir"],
+            "--out", t / "di.csv",
         ],
-        "expected header",
+        "di.policy must be one of class1, class2, both, fixed",
+    ),
+    "config-n-use-not-integer": (
+        lambda p, t: [
+            "di", "--config", _config_with(t, "di.n_use = abc"), "--workdir", p["workdir"],
+            "--out", t / "di.csv",
+        ],
+        "di.n_use must be an integer",
+    ),
+    "config-restarts-not-integer": (
+        lambda p, t: [
+            "train", "--config", _config_with(t, "train.restarts = 2.5"),
+            "--di-file", p["di_csv"], "--model-file", t / "model.json",
+        ],
+        "train.restarts must be an integer",
+    ),
+    "config-grid-refine-not-integer": (
+        lambda p, t: [
+            "predict", "--config", _config_with(t, "quantify.grid_refine = x"),
+            "--model-file", p["model_file"], "--test-di", 0.0,
+        ],
+        "quantify.grid_refine must be an integer",
+    ),
+    "seed-env-not-integer": (
+        lambda p, t: _train_argv(p, t), "GWQUANT_SEED must be an integer"
+    ),
+    "header-only-di-file": (
+        lambda p, t: [
+            "evaluate", "--model-file", p["model_file"],
+            "--di-file", _write(t, "di.csv", "damage,di\n"),
+        ],
+        "at least 2 rows",
+    ),
+    "truth-row-too-long": (
+        lambda p, t: _report_argv(
+            t, json.dumps([{"argmax": {"damage": 1.0, "load": 2.0}}]), "damage,load\n1,2,3\n"
+        ),
+        "cells",
+    ),
+    "prediction-without-argmax": (
+        lambda p, t: _report_argv(t, json.dumps([{"test_di": 0.1}]), "damage\n1\n"),
+        "prediction 0 has no numeric argmax",
+    ),
+    "two-state-on-1d-model": (
+        lambda p, t: [
+            "predict", "--model-file", _vhgpr_model_file(t), "--two-state", "--test-di-file",
+            _write(t, "two.csv", "class,ref_load,ref_damage,di\n1,0,0,0.1\n2,0,1,0.2\n"),
+        ],
+        "(damage, load, switch)",
+    ),
+    "model-schema-is-list": (
+        lambda p, t: _edited_model(p["model_file"], t, schema=[1]), "unsupported model schema"
+    ),
+    "model-kernel-is-number": (
+        lambda p, t: _edited_model(p["model_file"], t, kernel=3), "malformed 'kernel'"
+    ),
+    "model-train-inputs-is-text": (
+        lambda p, t: _edited_model(p["model_file"], t, train_inputs="abc"),
+        "malformed 'train_inputs'",
+    ),
+    "model-targets-fewer-than-inputs": (
+        lambda p, t: _edited_model(p["model_file"], t, train_targets=[0.1]), "but 1 targets"
     ),
 }
 
+# case -> environment variables set while the case runs
+BAD_ENV = {"seed-env-not-integer": {"GWQUANT_SEED": "abc"}}
+
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_one_with_one_error_line(case, pipeline, tmp_path, capsys):
+def test_bad_input_exits_one_with_one_error_line(case, pipeline, tmp_path, capsys, monkeypatch):
     build_argv, fragment = BAD_INPUTS[case]
     argv = build_argv(pipeline, tmp_path)
+    for name, value in BAD_ENV.get(case, {}).items():
+        monkeypatch.setenv(name, value)
     capsys.readouterr()
     assert run(*argv) == 1
     err = capsys.readouterr().err.splitlines()
