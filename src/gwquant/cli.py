@@ -41,6 +41,7 @@ import numpy as np
 
 from .damage_index import (
     DEFAULT_N_USE,
+    DI_HEADERS,
     DiDataset,
     build_di_dataset,
     di_to_csv_text,
@@ -191,10 +192,15 @@ def parse_config(text: str) -> PipelineConfig:
             raise InvalidArgumentError(
                 f"config section {section!r}: unknown keys {sorted(unknown)}"
             )
-        sections[section] = cls(**{
-            name: _typed(value, defaults[name], f"config line {lineno}: {section}.{name}")
-            for name, (lineno, value) in values.items()
-        })
+        # one key at a time, so the section's own checks name the line too
+        settings = cls()
+        for name, (lineno, text) in values.items():
+            try:
+                value = _typed(text, defaults[name], f"{section}.{name}")
+                settings = replace(settings, **{name: value})
+            except InvalidArgumentError as exc:
+                raise InvalidArgumentError(f"config line {lineno}: {exc}") from None
+        sections[section] = settings
     return PipelineConfig(**sections, **grids)
 
 
@@ -404,12 +410,14 @@ def cmd_predict(args) -> int:
         )
         grid = StateGrid.from_training_inputs(model.train_inputs, include_load=False)
         grid = grid.refine(quantify.grid_refine)
-        for test_di in test_dis:
-            table = predict_single_state(
-                model, grid, test_di, known_load=args.known_load,
+        # no name keeps the tables, so they are freed before the JSON is built
+        results.extend(
+            _table_to_json(table)
+            for table in predict_single_state(
+                model, grid, test_dis, known_load=args.known_load,
                 low_confidence_threshold=threshold,
             )
-            results.append(_table_to_json(table))
+        )
 
     text = json.dumps(results[0] if len(results) == 1 else results, indent=1, sort_keys=True)
     if args.out:
@@ -420,9 +428,13 @@ def cmd_predict(args) -> int:
 
 
 def _read_di_column(path) -> list[float]:
+    """The di column of a DI CSV, one test DI per row."""
     if path is None:
         raise InvalidArgumentError("provide --test-di or --test-di-file")
-    return [float(v) for v in read_di_csv(path).targets]
+    _, rows = read_csv_table(path, DI_HEADERS)
+    if not rows:
+        raise InvalidArgumentError(f"{path}: no test DI rows")
+    return [row[-1] for row in rows]
 
 
 def _read_two_state_dis(path):

@@ -39,6 +39,9 @@ REFERENCE_CLASSES = ("class1", "class2", "single")
 
 COLUMN_NAMES = ("damage", "load", "switch")
 
+# headers a DI CSV may carry: the input columns of a D-column dataset, then di
+DI_HEADERS = [(*COLUMN_NAMES[:d], "di") for d in (1, 2, 3)]
+
 
 @dataclass(frozen=True)
 class DiValue:
@@ -331,6 +334,9 @@ def read_csv_table(path, headers) -> tuple[list[str], list[list[float]]]:
 
 
 def read_di_csv(path) -> DiDataset:
-    names, rows = read_csv_table(path, [[*COLUMN_NAMES[:d], "di"] for d in (1, 2, 3)])
+    names, rows = read_csv_table(path, DI_HEADERS)
     data = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    return DiDataset(data[:, :-1], data[:, -1], names[:-1])
+    try:
+        return DiDataset(data[:, :-1], data[:, -1], names[:-1])
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from None

@@ -12,6 +12,11 @@ where y_closest is the training target nearest to y* in absolute value and
 V{y_closest} the model's predictive variance at that training row's inputs.
 The candidate grid defaults to the unique training states.
 
+state_probabilities scores a whole vector of test DIs at once: one predict
+over the grid, a blocked search for each DI's nearest training target, one
+predict over the distinct nearest rows, and the CDF differences as one
+(n_test x n_grid) array.
+
 Simultaneous damage-size + load prediction runs in two steps over a model
 trained with the two reference-signal classes and a switch covariate:
 class-1 test DIs (one per reference load) vote over the full damage x load
@@ -36,6 +41,9 @@ from .errors import (
 )
 
 DEFAULT_LOW_CONFIDENCE_THRESHOLD = 0.05
+
+# distances held at once by the nearest-target search (test DIs x rows)
+_SEARCH_BLOCK = 1 << 16
 
 
 @dataclass
@@ -163,38 +171,34 @@ def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
     unknown = set(fixed) - set(COLUMN_NAMES)
     if unknown:
         raise CovariateMismatchError(f"unknown fixed covariates {sorted(unknown)}")
-    state_width = len(grid.states[0])
-    rows = np.empty((len(grid.states), ndim))
-    for i, state in enumerate(grid.states):
-        values = {"damage": state[0]}
-        if state_width > 1:
-            values["load"] = state[1]
-        for name, value in fixed.items():
-            if name in values:
-                raise CovariateMismatchError(
-                    f"covariate {name!r} is fixed but already present in the grid"
-                )
-            values[name] = float(value)
-        needed = COLUMN_NAMES[:ndim]
-        missing = [c for c in needed if c not in values]
-        if missing:
+    states = np.array(grid.states)
+    columns = dict(zip(COLUMN_NAMES, states.T))
+    for name, value in fixed.items():
+        if name in columns:
             raise CovariateMismatchError(
-                f"model expects covariates {list(needed)}; missing {missing}"
+                f"covariate {name!r} is fixed but already present in the grid"
             )
-        extra = [c for c in values if c not in needed]
-        if extra:
-            raise CovariateMismatchError(
-                f"covariates {extra} not used by a {ndim}-input model"
-            )
-        rows[i] = [values[c] for c in needed]
-    return rows
+        columns[name] = np.full(len(states), float(value))
+    needed = COLUMN_NAMES[:ndim]
+    missing = [c for c in needed if c not in columns]
+    if missing:
+        raise CovariateMismatchError(
+            f"model expects covariates {list(needed)}; missing {missing}"
+        )
+    extra = [c for c in columns if c not in needed]
+    if extra:
+        raise CovariateMismatchError(
+            f"covariates {extra} not used by a {ndim}-input model"
+        )
+    return np.column_stack([columns[c] for c in needed])
 
 
-def _closest_training_point(model, test_di: float, switch: float | None = None):
-    """Nearest training target by absolute difference, ties to smaller index.
+def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarray:
+    """Row of the training target nearest each test DI, ties to the smaller row.
 
-    With a fixed switch covariate the search stays within that reference
-    class, so the other class's predictive moments are never read.
+    The distance is |target - di|; with a fixed switch covariate the search
+    stays within that reference class, so the other class's predictive
+    moments are never read.
     """
     targets = np.asarray(model.train_targets, dtype=float).ravel()
     rows = np.arange(targets.size)
@@ -202,31 +206,43 @@ def _closest_training_point(model, test_di: float, switch: float | None = None):
         rows = rows[np.asarray(model.train_inputs)[:, 2] == switch]
         if rows.size == 0:
             raise CovariateMismatchError(f"no training rows with switch={switch:g}")
-    idx = int(rows[np.argmin(np.abs(targets[rows] - test_di))])
-    variance = float(model.predict(model.train_inputs[idx : idx + 1]).variance[0])
-    return float(targets[idx]), variance
+    candidates = targets[rows]
+    step = max(1, _SEARCH_BLOCK // rows.size)
+    nearest = np.empty(test_dis.size, dtype=int)
+    for start in range(0, test_dis.size, step):
+        block = test_dis[start : start + step, None]
+        # argmin takes the first minimum: the smallest row among equal distances
+        nearest[start : start + step] = rows[np.argmin(np.abs(candidates - block), axis=1)]
+    return nearest
 
 
 def state_probabilities(
     model,
     grid: StateGrid,
-    test_di: float,
+    test_di,
     fixed_covariates: dict | None = None,
     low_confidence_threshold: float = DEFAULT_LOW_CONFIDENCE_THRESHOLD,
-) -> StateProbabilityTable:
-    """Probability that the test DI originates from each candidate state.
+):
+    """Probability that each test DI originates from each candidate state.
 
-    The argmax breaks ties toward smaller damage, then smaller load. A table
-    whose best probability falls below low_confidence_threshold is flagged.
+    test_di is a number, giving one StateProbabilityTable, or a 1-D
+    sequence, giving a list of them in input order. The argmax breaks ties
+    toward smaller damage, then smaller load. A table whose best probability
+    falls below low_confidence_threshold is flagged.
     """
-    test_di = float(test_di)
-    if not np.isfinite(test_di):
+    test_dis = np.asarray(test_di, dtype=float)
+    if test_dis.ndim > 1:
+        raise InvalidArgumentError("test_di must be a number or a 1-D sequence")
+    flat = test_dis.ravel()
+    if not np.all(np.isfinite(flat)):
         raise InvalidArgumentError("test_di must be finite")
     queries = _query_matrix(grid, fixed_covariates, model.ndim)
-    switch = (fixed_covariates or {}).get("switch")
-    y_closest, v_closest = _closest_training_point(model, test_di, switch)
-    half_width = 2.0 * np.sqrt(v_closest)
-    a, b = test_di - half_width, test_di + half_width
+    nearest = _nearest_rows(model, flat, (fixed_covariates or {}).get("switch"))
+    y_closest = np.asarray(model.train_targets, dtype=float).ravel()[nearest]
+    rows, inverse = np.unique(nearest, return_inverse=True)
+    v_closest = model.predict(model.train_inputs[rows]).variance[inverse]
+    half_width = (2.0 * np.sqrt(v_closest))[:, None]
+    a, b = flat[:, None] - half_width, flat[:, None] + half_width
 
     moments = model.predict(queries)
     probs = gaussian_cdf(b, moments.mean, moments.variance) - gaussian_cdf(
@@ -234,30 +250,36 @@ def state_probabilities(
     )
     probs = np.clip(probs, 0.0, 1.0)
 
-    entries = list(zip(grid.states, (float(p) for p in probs)))
-    # grid states are sorted, so ties resolve toward smaller damage then load
-    best = max(
-        range(len(entries)),
-        key=lambda i: (entries[i][1], tuple(-v for v in entries[i][0])),
-    )
-    return StateProbabilityTable(
-        entries=entries,
-        test_di=test_di,
-        closest_training_di=y_closest,
-        closest_variance=v_closest,
-        argmax_state=entries[best][0],
-        low_confidence=entries[best][1] < low_confidence_threshold,
-    )
+    # grid states are sorted, so the first maximum is the smallest damage
+    # then load among ties
+    best = np.argmax(probs, axis=1)
+    tables = [
+        StateProbabilityTable(
+            entries=list(zip(grid.states, row)),
+            test_di=di,
+            closest_training_di=y,
+            closest_variance=v,
+            argmax_state=grid.states[k],
+            low_confidence=row[k] < low_confidence_threshold,
+        )
+        for di, y, v, k, row in zip(
+            flat.tolist(), y_closest.tolist(), v_closest.tolist(), best.tolist(), probs.tolist()
+        )
+    ]
+    return tables[0] if test_dis.ndim == 0 else tables
 
 
 def predict_single_state(
     model,
     grid: StateGrid,
-    test_di: float,
+    test_di,
     known_load: float | None = None,
     low_confidence_threshold: float = DEFAULT_LOW_CONFIDENCE_THRESHOLD,
-) -> StateProbabilityTable:
-    """Damage-size quantification over a damage-only grid."""
+):
+    """Damage-size quantification over a damage-only grid.
+
+    test_di is a number or a 1-D sequence, as in state_probabilities.
+    """
     if any(len(s) != 1 for s in grid.states):
         raise InvalidArgumentError("predict_single_state expects a damage-only grid")
     fixed = {}
@@ -297,14 +319,11 @@ def predict_two_states(
         raise InvalidArgumentError("damage and load grids must be non-empty")
 
     grid = StateGrid([(d, w) for d in damage_grid for w in load_grid])
-    best_table = None
-    best_ref_load = None
-    for ref_load, di in class1_test_dis:
-        table = state_probabilities(
-            model, grid, di, {"switch": 1.0}, low_confidence_threshold
-        )
-        if best_table is None or table.max_probability > best_table.max_probability:
-            best_table, best_ref_load = table, float(ref_load)
+    tables = state_probabilities(
+        model, grid, [di for _, di in class1_test_dis], {"switch": 1.0}, low_confidence_threshold
+    )
+    best = max(range(len(tables)), key=lambda i: tables[i].max_probability)
+    best_table, best_ref_load = tables[best], float(class1_test_dis[best][0])
     predicted_damage = best_table.argmax_state[0]
 
     try:

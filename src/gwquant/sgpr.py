@@ -27,8 +27,8 @@ from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatchError,
-    GwquantError,
     InvalidArgumentError,
+    NotPositiveDefiniteError,
     OptimizerFailureError,
 )
 from .kernels import KernelParams, kernel_matrix, kernel_matrix_grads, _as_2d
@@ -218,11 +218,15 @@ def minimize_with_restarts(objective, theta0, config: OptimizerConfig):
 
     def safe_objective(theta):
         # exploratory iterates can overflow exp() or break factorizations;
-        # report a huge value so the line search backs off
+        # report a huge value so the line search backs off. Mismatched
+        # shapes are a bug in the objective, not a bad point.
         try:
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 value, grad = objective(theta)
-        except (FloatingPointError, OverflowError, np.linalg.LinAlgError, GwquantError):
+        except DimensionMismatchError:
+            raise
+        except (FloatingPointError, OverflowError, np.linalg.LinAlgError,
+                InvalidArgumentError, NotPositiveDefiniteError):
             return _BAD_OBJECTIVE, np.zeros_like(theta)
         if not (np.isfinite(value) and np.all(np.isfinite(grad))):
             return _BAD_OBJECTIVE, np.zeros_like(theta)

@@ -304,6 +304,18 @@ class TestPredict:
         assert isinstance(payload, list) and len(payload) == 3
         assert all("argmax" in p for p in payload)
 
+    def test_one_row_test_di_file_emits_one_table(self, pipeline, tmp_path, capsys):
+        di_file = _write(tmp_path, "one.csv", "damage,di\n0,0.5\n")
+        assert (
+            run(
+                "predict", "--model-file", pipeline["model_file"],
+                "--test-di-file", di_file, "--known-load", 0,
+            )
+            == 0
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert isinstance(payload, dict) and payload["test_di"] == 0.5
+
     def test_vhgpr_model_through_cli(self, pipeline, tmp_path, capsys):
         model_file = tmp_path / "vhgpr.json"
         assert (
@@ -461,6 +473,17 @@ def _config_with(tmp_path, line):
     return _write(tmp_path, "extra.cfg", BASE_CONFIG + line + "\n")
 
 
+# line number of the line _config_with appends
+EXTRA_LINE = len(BASE_CONFIG.splitlines()) + 1
+
+
+def _di_argv_with(pipeline, tmp_path, line):
+    return [
+        "di", "--config", _config_with(tmp_path, line), "--workdir", pipeline["workdir"],
+        "--out", tmp_path / "di.csv",
+    ]
+
+
 def _report_argv(tmp_path, preds, truth):
     return [
         "report", "--pred-file", _write(tmp_path, "preds.json", preds),
@@ -508,17 +531,29 @@ BAD_INPUTS = {
         lambda p, t: _report_argv(t, "[]", "# no rows\n"), "expected header"
     ),
     "config-unknown-policy": (
+        lambda p, t: _di_argv_with(p, t, "di.policy = bogus"),
+        f"config line {EXTRA_LINE}: di.policy must be one of class1, class2, both, fixed",
+    ),
+    "config-n-use-0": (
+        lambda p, t: _di_argv_with(p, t, "di.n_use = 0"),
+        f"config line {EXTRA_LINE}: n_use must be >= 1",
+    ),
+    "config-train-fraction-1": (
         lambda p, t: [
-            "di", "--config", _config_with(t, "di.policy = bogus"), "--workdir", p["workdir"],
-            "--out", t / "di.csv",
+            "train", "--config", _config_with(t, "train.train_fraction = 1"),
+            "--di-file", p["di_csv"], "--model-file", t / "model.json",
         ],
-        "di.policy must be one of class1, class2, both, fixed",
+        f"config line {EXTRA_LINE}: train_fraction must be in (0, 1)",
+    ),
+    "config-n-samples-0": (
+        lambda p, t: [
+            "simulate", "--config", _config_with(t, "simulation.n_samples = 0"),
+            "--workdir", t / "out",
+        ],
+        f"config line {EXTRA_LINE}: n_samples must be >= 1",
     ),
     "config-n-use-not-integer": (
-        lambda p, t: [
-            "di", "--config", _config_with(t, "di.n_use = abc"), "--workdir", p["workdir"],
-            "--out", t / "di.csv",
-        ],
+        lambda p, t: _di_argv_with(p, t, "di.n_use = abc"),
         "di.n_use must be an integer",
     ),
     "config-restarts-not-integer": (
@@ -544,6 +579,20 @@ BAD_INPUTS = {
             "--di-file", _write(t, "di.csv", "damage,di\n"),
         ],
         "at least 2 rows",
+    ),
+    "one-row-di-file": (
+        lambda p, t: [
+            "train", "--di-file", _write(t, "one.csv", "damage,di\n0,0.5\n"),
+            "--model-file", t / "model.json",
+        ],
+        "one.csv: a DI dataset needs at least 2 rows",
+    ),
+    "header-only-test-di-file": (
+        lambda p, t: [
+            "predict", "--model-file", p["model_file"], "--known-load", 0,
+            "--test-di-file", _write(t, "test.csv", "damage,load,di\n"),
+        ],
+        "test.csv: no test DI rows",
     ),
     "truth-row-too-long": (
         lambda p, t: _report_argv(

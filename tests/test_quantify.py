@@ -1,9 +1,12 @@
 """State-quantification tests: CDF oracles, probability tables, two-step flow."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gwquant.errors import (
@@ -12,6 +15,7 @@ from gwquant.errors import (
     MissingBaselineError,
 )
 from gwquant.quantify import (
+    DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
     gaussian_cdf,
     predict_single_state,
@@ -20,6 +24,7 @@ from gwquant.quantify import (
     summarize_predictions,
 )
 from gwquant.sgpr import OptimizerConfig, PredictiveMoments, train_sgpr
+from gwquant.vhgpr import train_vhgpr
 
 TWO_SIGMA_MASS = math.erf(math.sqrt(2.0))  # Phi(2) - Phi(-2)
 
@@ -155,6 +160,134 @@ class TestStateProbabilities:
         model = two_state_stub()
         with pytest.raises(CovariateMismatchError):
             state_probabilities(model, StateGrid([(0.0,), (1.0,)]), 0.0, {"load": 1.0})
+
+    @pytest.mark.parametrize(
+        "grid_states, fixed, fragment",
+        [
+            ([(0.0, 5.0)], {"torque": 1.0}, "unknown fixed covariates ['torque']"),
+            ([(0.0, 5.0)], {"load": 5.0}, "'load' is fixed but already present"),
+            ([(0.0,)], {"switch": 1.0}, "missing ['load']"),
+            ([(0.0, 5.0)], {}, "missing ['switch']"),
+        ],
+    )
+    def test_query_covariate_errors_name_the_column(self, grid_states, fixed, fragment):
+        model = StubModel({(0.0, 5.0, 1.0): (0.0, 1.0)}, [[0.0, 5.0, 1.0]], [0.0])
+        with pytest.raises(CovariateMismatchError, match=re.escape(fragment)):
+            state_probabilities(model, StateGrid(grid_states), 0.0, fixed)
+
+    def test_sequence_gives_one_table_per_di_in_input_order(self):
+        model = two_state_stub()
+        grid = StateGrid([(0.0,), (1.0,)])
+        dis = [0.9, 0.0, 50.0, 0.4, 0.9]
+        tables = state_probabilities(model, grid, dis)
+        assert isinstance(tables, list)
+        assert [t.test_di for t in tables] == dis
+        assert tables == [state_probabilities(model, grid, di) for di in dis]
+        assert state_probabilities(model, grid, np.array(dis)) == tables
+
+    def test_matrix_of_test_dis_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="1-D sequence"):
+            state_probabilities(two_state_stub(), StateGrid([(0.0,)]), [[0.0, 1.0]])
+
+
+def per_di_oracle(model, grid, test_di, fixed=None):
+    """The quantification rule for one DI, with one-row predicts.
+
+    Returns (closest target, its variance, probabilities, argmax state,
+    low_confidence).
+    """
+    fixed = fixed or {}
+    targets = np.asarray(model.train_targets).ravel()
+    rows = range(targets.size)
+    if "switch" in fixed:
+        rows = [i for i in rows if model.train_inputs[i, 2] == fixed["switch"]]
+    row = min(rows, key=lambda i: (abs(targets[i] - test_di), i))
+    variance = float(model.predict(model.train_inputs[row : row + 1]).variance[0])
+    half_width = 2.0 * math.sqrt(variance)
+    queries = np.array([[*state, *fixed.values()] for state in grid.states])
+    moments = model.predict(queries)
+    probs = []
+    for m, v in zip(moments.mean, moments.variance):
+        p = gaussian_cdf(test_di + half_width, m, v) - gaussian_cdf(test_di - half_width, m, v)
+        probs.append(min(max(p, 0.0), 1.0))
+    best = max(range(len(probs)), key=lambda k: (probs[k], [-v for v in grid.states[k]]))
+    low = probs[best] < DEFAULT_LOW_CONFIDENCE_THRESHOLD
+    return float(targets[row]), variance, probs, grid.states[best], low
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(model, grid, fixed covariates) on trained SGPR and VHGPR models.
+
+    Some targets are copied onto rows of other states, so equal targets
+    with different predictive variances exist and the row tie rule shows.
+    """
+    rng = np.random.default_rng(7)
+    x = np.repeat(np.arange(5.0), 6).reshape(-1, 1)
+    y = 0.8 * x.ravel() + rng.normal(0.0, 0.05 + 0.04 * x.ravel())
+    y[[9, 20]] = y[[2, 14]]
+    vhgpr = train_vhgpr(x, y, OptimizerConfig(n_restarts=1, seed=0))
+
+    class1 = lambda d, w: 1.0 * d + 0.02 * w  # noqa: E731
+    class2 = lambda d, w: 0.3 * w + 0.05 * d  # noqa: E731
+    xs, ys = eq20_layout(
+        [0.0, 1.0, 2.0], [0.0, 5.0], class1, class2, reps=3, noise=0.05, rng=rng
+    )
+    ys[[4, 30]] = ys[[0, 21]]
+    sgpr = train_sgpr(xs, ys, OptimizerConfig(n_restarts=1, seed=0))
+    grid2 = StateGrid.from_training_inputs(xs)
+    return {
+        "vhgpr": (vhgpr, StateGrid.from_training_inputs(x), None),
+        "sgpr-switch-1": (sgpr, grid2, {"switch": 1.0}),
+        "sgpr-switch-2": (sgpr, grid2, {"switch": 2.0}),
+    }
+
+
+def _equidistant_points(targets):
+    """Points exactly as far from two adjacent distinct targets."""
+    values = np.unique(targets)
+    mids = (values[:-1] + values[1:]) / 2.0
+    return [float(m) for m, a, b in zip(mids, values[:-1], values[1:]) if abs(a - m) == abs(b - m)]
+
+
+@pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1", "sgpr-switch-2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_array_path_matches_per_di_oracle(case, oracle_cases, data):
+    # The array path predicts all nearest rows in one call, which rounds
+    # differently from the oracle's one-row predicts by ~1e-16 in variance.
+    # A probability moves with d(2 sqrt(v)), so the 1e-12 bound holds for
+    # nearest-row variances well above zero, as these models' noise gives.
+    model, grid, fixed = oracle_cases[case]
+    targets = np.asarray(model.train_targets)
+    if fixed:
+        targets = targets[model.train_inputs[:, 2] == fixed["switch"]]
+    ties = _equidistant_points(targets)
+    assert ties
+    lo, hi = float(targets.min()) - 1.0, float(targets.max()) + 1.0
+    test_dis = data.draw(
+        st.lists(
+            st.one_of(
+                st.floats(lo, hi),
+                st.sampled_from([float(t) for t in targets]),
+                st.sampled_from(ties),
+                # far enough that rounding ties the distances to many targets
+                st.floats(-1e18, 1e18),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    tables = state_probabilities(model, grid, test_dis, fixed)
+    assert len(tables) == len(test_dis)
+    for di, table in zip(test_dis, tables):
+        y_closest, v_closest, probs, argmax, low = per_di_oracle(model, grid, di, fixed)
+        assert table.test_di == di
+        assert table.closest_training_di == y_closest
+        assert table.closest_variance == pytest.approx(v_closest, rel=1e-12)
+        assert max(abs(p - q) for (_, p), q in zip(table.entries, probs)) <= 1e-12
+        assert table.argmax_state == argmax
+        assert table.low_confidence == low
 
 
 class TestStateGrid:
@@ -343,6 +476,32 @@ class TestPredictTwoStates:
         predict_two_states(Instrumented(model), class1_dis, provider, damages, loads)
         assert seen["step1"] and set(seen["step1"]) == {1.0}
         assert seen["step2"] and set(seen["step2"]) == {2.0}
+
+    def test_step1_predicts_a_fixed_number_of_times(self, trained):
+        model, damages, loads, class1, class2 = trained
+
+        class Counting:
+            def __init__(self, inner):
+                self._inner = inner
+                self.train_inputs = inner.train_inputs
+                self.train_targets = inner.train_targets
+                self.ndim = inner.ndim
+                self.calls = 0
+
+            def predict(self, xq):
+                self.calls += 1
+                return self._inner.predict(xq)
+
+        calls = []
+        for n_refs in (1, 4, 12):
+            counting = Counting(model)
+            class1_dis = [
+                (loads[k % len(loads)], class1(2.0, 10.0) + 0.01 * k) for k in range(n_refs)
+            ]
+            predict_two_states(counting, class1_dis, lambda d: class2(d, 10.0), damages, loads)
+            calls.append(counting.calls)
+        # step 1: the grid and the nearest training rows; step 2 the same
+        assert calls == [4, 4, 4]
 
     def test_requires_three_input_model(self, rng):
         x, y, damages = make_separated_di_data(rng)

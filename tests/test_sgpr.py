@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from gwquant.errors import DimensionMismatchError, InvalidArgumentError
+from gwquant.errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    NotPositiveDefiniteError,
+)
 from gwquant.kernels import KernelParams, kernel_matrix
 from gwquant.persist import load_model, save_model
 from gwquant.sgpr import (
@@ -294,6 +298,37 @@ class TestMinimizeWithRestarts:
 
         with pytest.raises(OptimizerFailureError):
             minimize_with_restarts(broken, np.zeros(2), OptimizerConfig(n_restarts=2))
+
+    def test_dimension_mismatch_propagates(self):
+        from gwquant.sgpr import minimize_with_restarts
+
+        def mis_shaped(theta):
+            raise DimensionMismatchError("query has 2 columns, model expects 3")
+
+        with pytest.raises(DimensionMismatchError, match="model expects 3"):
+            minimize_with_restarts(mis_shaped, np.zeros(2), OptimizerConfig(n_restarts=2))
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            NotPositiveDefiniteError("not positive definite"),
+            InvalidArgumentError("matrix contains non-finite entries"),
+        ],
+    )
+    def test_bad_trial_points_are_rejected_not_raised(self, error):
+        from gwquant.sgpr import minimize_with_restarts
+
+        def quadratic_with_a_wall(theta):
+            # a trial point beyond the wall fails the way a factorization does
+            if theta[0] > 2.0:
+                raise error
+            return float(np.sum((theta - 3.0) ** 2)), 2.0 * (theta - 3.0)
+
+        theta, value = minimize_with_restarts(
+            quadratic_with_a_wall, np.zeros(2), OptimizerConfig(n_restarts=1)
+        )
+        assert theta[0] <= 2.0
+        assert value == pytest.approx(float(np.sum((theta - 3.0) ** 2)))
 
 
 def test_persistence_round_trip(tmp_path, rng):
