@@ -2,9 +2,7 @@
 
 from .damage_index import (
     DiDataset,
-    DiValue,
     build_di_dataset,
-    compute_di_values,
     normalized_di,
     read_di_csv,
     rmsd_di,

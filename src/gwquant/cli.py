@@ -185,12 +185,14 @@ def parse_config(text: str) -> PipelineConfig:
     for section, values in given.items():
         cls = _SECTIONS.get(section)
         if cls is None:
-            raise InvalidArgumentError(f"config: unknown sections {[section]}")
+            first = min(lineno for lineno, _ in values.values())
+            raise InvalidArgumentError(f"config line {first}: unknown sections {[section]}")
         defaults = {f.name: f.default for f in fields(cls)}
         unknown = set(values) - set(defaults)
         if unknown:
+            first = min(values[name][0] for name in unknown)
             raise InvalidArgumentError(
-                f"config section {section!r}: unknown keys {sorted(unknown)}"
+                f"config line {first}: section {section!r} has unknown keys {sorted(unknown)}"
             )
         # one key at a time, so the section's own checks name the line too
         settings = cls()
@@ -261,7 +263,9 @@ def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
 
 
 def _signal_file_name(damage: float, load: float) -> str:
-    return f"signals_d{damage:g}_L{load:g}.csv"
+    """Cell file name: each value in ``:g`` form, or its repr when ``:g`` rounds it."""
+    text = [f"{v:g}" if float(f"{v:g}") == v else repr(v) for v in (damage, load)]
+    return f"signals_d{text[0]}_L{text[1]}.csv"
 
 
 def cmd_simulate(args) -> int:

@@ -12,12 +12,15 @@ Two DI formulations are provided:
   identical signals. ``as_written`` keeps the literal per-index division for
   fidelity experiments.
 
-Training datasets pair every test signal with the replicate-averaged
-reference of the state its policy selects: the healthy signal at the same
-load (class 1), the unloaded signal at the same damage size (class 2), both
-(block layout with a switch covariate of 1 or 2), or one fixed state. When a
-test signal is itself part of its reference pool the average excludes it, so
-healthy-state DI scatter is not deflated by self-pairing.
+``build_di_dataset`` is the one path from signals to a training dataset. It
+pairs every test signal with the replicate-averaged reference of the state
+its policy selects: the healthy signal at the same load (class 1), the
+unloaded signal at the same damage size (class 2), both (block layout with a
+switch covariate of 1 or 2), or one fixed state. When a test signal is itself
+part of its reference pool the average excludes it, so healthy-state DI
+scatter is not deflated by self-pairing. That leave-one-out mean is averaged
+afresh over the other members: deriving it from the pool sum would change
+DIs in the last bits, and with them every model trained on them.
 """
 
 from __future__ import annotations
@@ -31,38 +34,14 @@ from .errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
-from .signals import Signal, StateLabel
+from .signals import Signal
 
 DEFAULT_N_USE = 2500
-
-REFERENCE_CLASSES = ("class1", "class2", "single")
 
 COLUMN_NAMES = ("damage", "load", "switch")
 
 # headers a DI CSV may carry: the input columns of a D-column dataset, then di
 DI_HEADERS = [(*COLUMN_NAMES[:d], "di") for d in (1, 2, 3)]
-
-
-@dataclass(frozen=True)
-class DiValue:
-    """One computed damage index with its pairing metadata."""
-
-    value: float
-    state: StateLabel
-    reference_state: StateLabel
-    reference_class: str = "single"
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise InvalidArgumentError("DI value must be finite")
-        if self.reference_class not in REFERENCE_CLASSES:
-            raise InvalidArgumentError(
-                f"reference_class must be one of {REFERENCE_CLASSES}"
-            )
-        if self.reference_class == "class1" and self.reference_state.damage_size != 0:
-            raise InvalidArgumentError("class1 reference must be a healthy signal")
-        if self.reference_class == "class2" and self.reference_state.load != 0:
-            raise InvalidArgumentError("class2 reference must be an unloaded signal")
 
 
 @dataclass
@@ -139,7 +118,7 @@ def normalized_di(
         DI    = sum (Yu[t] - Y0[t])
 
     as_written mode divides by y0[t] per index instead of projecting, and
-    raises ZeroDivisionError whenever the baseline has a zero sample.
+    raises DegenerateSignalError whenever the baseline has a zero sample.
     """
     if mode not in ("projection", "as_written"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -156,7 +135,7 @@ def normalized_di(
         y0_n = y0 * (cross / e0)
     else:
         if np.any(y0 == 0.0):
-            raise ZeroDivisionError(
+            raise DegenerateSignalError(
                 "as_written mode divides by the baseline per index and the "
                 "baseline contains zero samples"
             )
@@ -164,90 +143,15 @@ def normalized_di(
     return float(np.sum(yu_n - y0_n))
 
 
-def _di_function(di_kind: str, mode: str, n_use: int):
-    if di_kind == "rmsd":
-        return lambda ref, sig: rmsd_di(ref, sig, n_use)
-    if di_kind == "normalized":
-        return lambda ref, sig: normalized_di(ref, sig, n_use, mode)
-    raise InvalidArgumentError(f"unknown di_kind {di_kind!r}")
-
-
-def _mean_reference(pool: list[Signal], exclude: Signal | None, n_use: int) -> Signal:
-    """Replicate-averaged reference signal, leave-one-out when possible."""
-    members = [s for s in pool if s is not exclude]
-    if not members:
-        members = pool
-    stack = np.stack([s.samples[:n_use] for s in members])
-    ref_state = StateLabel(
-        members[0].state.damage_size, members[0].state.load, 0, "baseline"
-    )
-    return Signal(stack.mean(axis=0), members[0].sample_rate, ref_state)
-
-
-def _group_by_state(signals: list[Signal]) -> dict[tuple[float, float], list[Signal]]:
-    groups: dict[tuple[float, float], list[Signal]] = {}
-    for sig in signals:
-        groups.setdefault((sig.state.damage_size, sig.state.load), []).append(sig)
-    return groups
-
-
-def _reference_pool(groups, damage: float, load: float) -> list[Signal]:
-    pool = groups.get((damage, load))
-    if not pool:
-        raise MissingBaselineError(
-            f"no reference signals at (damage={damage:g}, load={load:g})"
-        )
-    return pool
-
-
-def compute_di_values(
-    signals: list[Signal],
-    di_kind: str = "rmsd",
-    reference_policy: str = "healthy_per_load",
-    n_use: int = DEFAULT_N_USE,
-    mode: str = "projection",
-    fixed_reference: tuple[float, float] | None = None,
-) -> list[DiValue]:
-    """DI values for every test signal under a reference policy.
-
-    Policies:
-        healthy_per_load    reference = averaged healthy signal at the test
-                            signal's load (class 1)
-        unloaded_per_damage reference = averaged unloaded signal at the test
-                            signal's damage size (class 2)
-        both_classes        class-1 values for all test signals followed by
-                            class-2 values for all test signals
-        fixed               reference = averaged signals at fixed_reference
-    """
-    if reference_policy == "both_classes":
-        return compute_di_values(
-            signals, di_kind, "healthy_per_load", n_use, mode
-        ) + compute_di_values(signals, di_kind, "unloaded_per_damage", n_use, mode)
-
-    groups = _group_by_state(signals)
-    tests = [s for s in signals if s.state.role == "test"]
-    if not tests:
-        raise InvalidArgumentError("no test signals in input")
-    di = _di_function(di_kind, mode, n_use)
-
-    values = []
-    for sig in tests:
-        if reference_policy == "healthy_per_load":
-            pool = _reference_pool(groups, 0.0, sig.state.load)
-            ref_class = "class1"
-        elif reference_policy == "unloaded_per_damage":
-            pool = _reference_pool(groups, sig.state.damage_size, 0.0)
-            ref_class = "class2"
-        elif reference_policy == "fixed":
-            if fixed_reference is None:
-                raise InvalidArgumentError("fixed policy requires fixed_reference")
-            pool = _reference_pool(groups, *fixed_reference)
-            ref_class = "single"
-        else:
-            raise InvalidArgumentError(f"unknown reference_policy {reference_policy!r}")
-        ref = _mean_reference(pool, sig, n_use)
-        values.append(DiValue(di(ref, sig), sig.state, ref.state, ref_class))
-    return values
+# policy -> its reference classes, each (reference state of a test signal, switch)
+_CLASS1 = (lambda state, fixed: (0.0, state.load), 1.0)
+_CLASS2 = (lambda state, fixed: (state.damage_size, 0.0), 2.0)
+_POLICIES = {
+    "healthy_per_load": [_CLASS1],
+    "unloaded_per_damage": [_CLASS2],
+    "both_classes": [_CLASS1, _CLASS2],
+    "fixed": [(lambda state, fixed: tuple(fixed), None)],
+}
 
 
 def build_di_dataset(
@@ -258,33 +162,70 @@ def build_di_dataset(
     mode: str = "projection",
     fixed_reference: tuple[float, float] | None = None,
 ) -> DiDataset:
-    """Assemble the training/test DI dataset for a reference policy.
+    """The DI dataset of every test signal under a reference policy.
 
-    D = 3 for both_classes (damage, load, switch per the block layout),
-    otherwise D = 1 when all test signals share one load and D = 2 when they
-    span several.
+    Policies:
+        healthy_per_load    reference = averaged healthy signals at the test
+                            signal's load (class 1)
+        unloaded_per_damage reference = averaged unloaded signals at the test
+                            signal's damage size (class 2)
+        both_classes        class-1 rows for all test signals followed by
+                            class-2 rows for all test signals
+        fixed               reference = averaged signals at fixed_reference
+
+    A reference is the mean of the first ``n_use`` samples of every signal
+    (test or baseline) of its state, computed once per state. A test signal
+    of the reference state itself is left out of its own mean, unless it is
+    the only signal of that state. Rows follow the signal order within each
+    class. D = 3 for both_classes (damage, load, switch), otherwise D = 1
+    when all test signals share one load and D = 2 when they span several.
     """
-    values = compute_di_values(
-        signals, di_kind, reference_policy, n_use, mode, fixed_reference
-    )
-    loads = {v.state.load for v in values}
-    if reference_policy == "both_classes":
-        rows = [
-            (v.state.damage_size, v.state.load, 1.0 if v.reference_class == "class1" else 2.0)
-            for v in values
-        ]
-        names = list(COLUMN_NAMES)
-    elif len(loads) > 1:
-        rows = [(v.state.damage_size, v.state.load) for v in values]
-        names = list(COLUMN_NAMES[:2])
-    else:
-        rows = [(v.state.damage_size,) for v in values]
-        names = list(COLUMN_NAMES[:1])
-    return DiDataset(
-        np.array(rows, dtype=float),
-        np.array([v.value for v in values]),
-        names,
-    )
+    tests = [s for s in signals if s.state.role == "test"]
+    if not tests:
+        raise InvalidArgumentError("no test signals in input")
+    if di_kind not in ("rmsd", "normalized"):
+        raise InvalidArgumentError(f"unknown di_kind {di_kind!r}")
+    if reference_policy not in _POLICIES:
+        raise InvalidArgumentError(f"unknown reference_policy {reference_policy!r}")
+    if reference_policy == "fixed" and fixed_reference is None:
+        raise InvalidArgumentError("fixed policy requires fixed_reference")
+
+    pools: dict[tuple[float, float], list[Signal]] = {}
+    for sig in signals:
+        pools.setdefault((sig.state.damage_size, sig.state.load), []).append(sig)
+    pool_means: dict[tuple[float, float], Signal] = {}
+
+    def mean_signal(members: list[Signal]) -> Signal:
+        stack = np.stack([s.samples[:n_use] for s in members])
+        return Signal(stack.mean(axis=0), members[0].sample_rate)
+
+    loads = {s.state.load for s in tests}
+    d = 3 if reference_policy == "both_classes" else 2 if len(loads) > 1 else 1
+    rows, targets = [], []
+    for reference_state, switch in _POLICIES[reference_policy]:
+        for sig in tests:
+            key = reference_state(sig.state, fixed_reference)
+            pool = pools.get(key)
+            if not pool:
+                raise MissingBaselineError(
+                    f"no reference signals at (damage={key[0]:g}, load={key[1]:g})"
+                )
+            own = (sig.state.damage_size, sig.state.load)
+            if key == own:
+                ref = mean_signal([s for s in pool if s is not sig] or pool)
+            else:
+                if key not in pool_means:
+                    pool_means[key] = mean_signal(pool)
+                ref = pool_means[key]
+            if di_kind == "rmsd":
+                value = rmsd_di(ref, sig, n_use)
+            else:
+                value = normalized_di(ref, sig, n_use, mode)
+            if not np.isfinite(value):
+                raise InvalidArgumentError("DI value must be finite")
+            rows.append((*own, switch)[:d])
+            targets.append(value)
+    return DiDataset(np.array(rows, dtype=float), np.array(targets), list(COLUMN_NAMES[:d]))
 
 
 def di_to_csv_text(dataset: DiDataset, comment: str | None = None) -> str:

@@ -243,16 +243,16 @@ def _format_header(sig: Signal) -> str:
     )
 
 
-def _parse_header(line: str, lineno: int) -> tuple[StateLabel, float]:
+def _parse_header(line: str, lineno: int, path) -> tuple[StateLabel, float]:
     fields = {}
     for token in line[len(_HEADER_PREFIX) :].split():
         if "=" not in token:
-            raise SignalParseError(f"malformed header token {token!r}", lineno)
+            raise SignalParseError(f"malformed header token {token!r}", lineno, path)
         key, value = token.split("=", 1)
         fields[key] = value
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
-        raise SignalParseError(f"header missing keys {missing}", lineno)
+        raise SignalParseError(f"header missing keys {missing}", lineno, path)
     try:
         state = StateLabel(
             float(fields["damage"]),
@@ -262,7 +262,7 @@ def _parse_header(line: str, lineno: int) -> tuple[StateLabel, float]:
         )
         rate = float(fields["sample_rate"])
     except (ValueError, InvalidArgumentError) as exc:
-        raise SignalParseError(str(exc), lineno) from exc
+        raise SignalParseError(str(exc), lineno, path) from exc
     return state, rate
 
 
@@ -285,7 +285,13 @@ def write_signals_csv(path, signals: list[Signal], comment: str | None = None) -
 
 
 def read_signals_csv(path) -> list[Signal]:
-    """Parse a signal CSV file; raises SignalParseError with a line number."""
+    """Parse a signal CSV file.
+
+    Every error is a SignalParseError that names the file and a line: the
+    offending line (a bad sample, header or byte), or the section's header
+    line when the section as a whole is bad (no samples, a non-finite
+    sample, a bad sample rate).
+    """
     signals = []
     header = None
     header_line = 0
@@ -298,30 +304,44 @@ def read_signals_csv(path) -> list[Signal]:
             return
         if not values:
             raise SignalParseError(
-                f"signal section {_format_state(header)} has no samples", header_line
+                f"signal section {_format_state(header)} has no samples", header_line, path
             )
-        signals.append(Signal(np.array(values), rate, header))
+        try:
+            signals.append(Signal(np.array(values), rate, header))
+        except InvalidArgumentError as exc:
+            raise SignalParseError(
+                f"signal section {_format_state(header)}: {exc}", header_line, path
+            ) from None
         header = None
         values.clear()
 
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith(_HEADER_PREFIX):
-                flush()
-                header, rate = _parse_header(line, lineno)
-                header_line = lineno
-            elif not line or line.startswith("#"):
-                continue
-            else:
-                if header is None:
-                    raise SignalParseError("sample value before any header", lineno)
-                try:
-                    values.append(float(line))
-                except ValueError as exc:
-                    raise SignalParseError(f"bad amplitude {line!r}", lineno) from exc
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line.startswith(_HEADER_PREFIX):
+                    flush()
+                    header, rate = _parse_header(line, lineno, path)
+                    header_line = lineno
+                elif not line or line.startswith("#"):
+                    continue
+                else:
+                    if header is None:
+                        raise SignalParseError("sample value before any header", lineno, path)
+                    try:
+                        values.append(float(line))
+                    except ValueError as exc:
+                        raise SignalParseError(f"bad amplitude {line!r}", lineno, path) from exc
+        except UnicodeDecodeError:
+            raise SignalParseError("not ASCII text", _first_non_ascii_line(path), path) from None
         flush()
     return signals
+
+
+def _first_non_ascii_line(path) -> int:
+    # text mode decodes whole blocks, so the failing line is found afresh
+    with open(path, "rb") as fh:
+        return next(n for n, raw in enumerate(fh, start=1) if not raw.isascii())
 
 
 def _format_state(state: StateLabel) -> str:

@@ -145,6 +145,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error:" in err and "blocker" in err
 
+    def test_grid_values_equal_to_six_digits_get_their_own_files(self, tmp_path):
+        config = tmp_path / "close.cfg"
+        config.write_text(
+            BASE_CONFIG.replace("damage_grid = 0 1 2 3 4", "damage_grid = 0 1.0000001 1.0000002")
+            .replace("load_grid = 0 5", "load_grid = 0")
+            .replace("n_replicates = 6", "n_replicates = 2")
+        )
+        workdir = tmp_path / "out"
+        assert run("simulate", "--config", config, "--workdir", workdir) == 0
+        lines = (workdir / "manifest.csv").read_text().strip().splitlines()
+        names = [ln.split(",")[3] for ln in lines if not ln.startswith(("#", "damage,"))]
+        assert len(set(names)) == 3
+        assert all((workdir / name).exists() for name in names)
+        out = tmp_path / "di.csv"
+        assert run("di", "--config", config, "--workdir", workdir, "--out", out) == 0
+        damages = read_di_csv(out).inputs[:, 0].tolist()
+        assert [damages.count(d) for d in (0.0, 1.0000001, 1.0000002)] == [2, 2, 2]
+
     def test_env_seed_overrides_config(self, tmp_path, config_file, monkeypatch):
         w1, w2, w3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         run("simulate", "--config", config_file, "--workdir", w1)
@@ -484,6 +502,19 @@ def _di_argv_with(pipeline, tmp_path, line):
     ]
 
 
+def _cell_di_argv(tmp_path, samples, *flags):
+    """di argv on a one-cell workdir: one healthy signal per samples text."""
+    workdir = tmp_path / "cell"
+    workdir.mkdir()
+    _write(workdir, "manifest.csv", f"damage,load,n_signals,file\n0,0,{len(samples)},cell.csv\n")
+    sections = [
+        f"# signal damage=0 load=0 replicate={rep} role=test sample_rate=1e6\n{text}"
+        for rep, text in enumerate(samples)
+    ]
+    _write(workdir, "cell.csv", "\n".join(sections))
+    return ["di", "--workdir", workdir, "--out", tmp_path / "di.csv", *flags]
+
+
 def _report_argv(tmp_path, preds, truth):
     return [
         "report", "--pred-file", _write(tmp_path, "preds.json", preds),
@@ -551,6 +582,24 @@ BAD_INPUTS = {
             "--workdir", t / "out",
         ],
         f"config line {EXTRA_LINE}: n_samples must be >= 1",
+    ),
+    "config-unknown-key": (
+        lambda p, t: _di_argv_with(p, t, "simulation.bogus = 1"),
+        f"config line {EXTRA_LINE}: section 'simulation' has unknown keys ['bogus']",
+    ),
+    "config-unknown-section": (
+        lambda p, t: _di_argv_with(p, t, "nosuch.key = 3"),
+        f"config line {EXTRA_LINE}: unknown sections ['nosuch']",
+    ),
+    "as-written-zero-baseline-sample": (
+        lambda p, t: _cell_di_argv(
+            t, ["0\n1\n2\n", "0\n2\n1\n"], "--kind", "normalized", "--mode", "as-written"
+        ),
+        "DegenerateSignalError: as_written mode divides by the baseline per index",
+    ),
+    "signal-file-nan-sample": (
+        lambda p, t: _cell_di_argv(t, ["1\n2\n", "1\nnan\n"]),
+        "cell.csv: line 5: signal section (damage=0, load=0, replicate=1): samples must be finite",
     ),
     "config-n-use-not-integer": (
         lambda p, t: _di_argv_with(p, t, "di.n_use = abc"),

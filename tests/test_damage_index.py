@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwquant.damage_index import (
+    COLUMN_NAMES,
     DiDataset,
     build_di_dataset,
-    compute_di_values,
     normalized_di,
     read_di_csv,
     rmsd_di,
@@ -76,7 +78,7 @@ class TestNormalizedDi:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_as_written_zero_baseline_sample_raises(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DegenerateSignalError, match="zero samples"):
             normalized_di(sig([1.0, 0.0, 2.0]), sig([1.0, 1.0, 1.0]), 3, mode="as_written")
 
     def test_degenerate_signals_rejected(self):
@@ -168,15 +170,116 @@ class TestBuildDiDataset:
             build_di_dataset(signals, "rmsd", "healthy_per_load", n_use=300)
 
     def test_class_metadata_on_di_values(self):
-        signals = simulate_dataset(simulated(), [0.0, 1.0], [0.0, 5.0])
-        values = compute_di_values(signals, "rmsd", "both_classes", n_use=300)
-        for v in values:
-            if v.reference_class == "class1":
-                assert v.reference_state.damage_size == 0.0
-                assert v.reference_state.load == v.state.load
+        # class 1 pairs a signal with the healthy mean at its load, class 2
+        # with the unloaded mean at its damage; rows keep the signal order
+        signals = simulate_dataset(simulated(noise=0.002), [0.0, 1.0], [0.0, 5.0])
+        dataset = build_di_dataset(signals, "rmsd", "both_classes", n_use=300)
+        n = len(signals)
+
+        def pool_mean(damage, load):
+            pool = [s.samples for s in signals if (s.state.damage_size, s.state.load) == (damage, load)]
+            return sig(np.stack(pool).mean(axis=0))
+
+        for i, s in enumerate(signals):
+            damage, load = s.state.damage_size, s.state.load
+            assert list(dataset.inputs[i]) == [damage, load, 1.0]
+            assert list(dataset.inputs[n + i]) == [damage, load, 2.0]
+            if damage > 0:
+                assert dataset.targets[i] == rmsd_di(pool_mean(0.0, load), s, 300)
+            if load > 0:
+                assert dataset.targets[n + i] == rmsd_di(pool_mean(damage, 0.0), s, 300)
+
+
+def oracle_dataset(signals, di_kind, policy, n_use, mode, fixed_reference):
+    """The DI dataset computed one test signal at a time, each reference mean
+    taken afresh over the pool without that signal (or the whole pool when
+    nothing is left)."""
+    classes = {
+        "healthy_per_load": [1.0],
+        "unloaded_per_damage": [2.0],
+        "both_classes": [1.0, 2.0],
+        "fixed": [None],
+    }[policy]
+    tests = [s for s in signals if s.state.role == "test"]
+    if not tests:
+        raise InvalidArgumentError("no test signals in input")
+    rows, targets = [], []
+    for switch in classes:
+        for s in tests:
+            damage, load = s.state.damage_size, s.state.load
+            ref_state = {1.0: (0.0, load), 2.0: (damage, 0.0), None: fixed_reference}[switch]
+            pool = [p for p in signals if (p.state.damage_size, p.state.load) == ref_state]
+            if not pool:
+                raise MissingBaselineError(
+                    f"no reference signals at (damage={ref_state[0]:g}, load={ref_state[1]:g})"
+                )
+            members = [p for p in pool if p is not s] or pool
+            mean = np.stack([p.samples[:n_use] for p in members]).mean(axis=0)
+            ref = Signal(mean, members[0].sample_rate)
+            if di_kind == "rmsd":
+                value = rmsd_di(ref, s, n_use)
             else:
-                assert v.reference_state.load == 0.0
-                assert v.reference_state.damage_size == v.state.damage_size
+                value = normalized_di(ref, s, n_use, mode)
+            if not np.isfinite(value):
+                raise InvalidArgumentError("DI value must be finite")
+            rows.append([damage, load, switch])
+            targets.append(value)
+    loads = {s.state.load for s in tests}
+    d = 3 if policy == "both_classes" else 2 if len(loads) > 1 else 1
+    return DiDataset(
+        np.array([row[:d] for row in rows], dtype=float), np.array(targets), list(COLUMN_NAMES[:d])
+    )
+
+
+@st.composite
+def di_layouts(draw):
+    """Signals on a damage x load grid with replicates, some relabelled
+    baseline and shuffled, plus a policy, a DI kind and a DI length."""
+
+    def grid(values):
+        # 1-3 values; 0 (the class references) is left out a quarter of the time
+        zero = [0.0] if draw(st.sampled_from([True, True, True, False])) else []
+        size = {"min_size": 1 - len(zero), "max_size": 3 - len(zero)}
+        return zero + draw(st.lists(st.sampled_from(values), unique=True, **size))
+
+    damages, loads = grid([0.5, 1.0, 2.5]), grid([5.0, 10.0, 15.0])
+    n_samples = draw(st.integers(1, 6))
+    # zeros give zero-energy and zero-sample baselines, which must raise alike
+    number = st.floats(-10.0, 10.0, allow_nan=False)
+    sample = st.one_of(st.just(0.0), number, number, number)
+    signals = []
+    for damage in damages:
+        for load in loads:
+            for rep in range(draw(st.integers(1, 4))):
+                role = draw(st.sampled_from(["test", "test", "baseline"]))
+                samples = draw(st.lists(sample, min_size=n_samples, max_size=n_samples))
+                signals.append(Signal(np.array(samples), 1e6, StateLabel(damage, load, rep, role)))
+    signals = draw(st.permutations(signals))
+    policy = draw(st.sampled_from(["healthy_per_load", "unloaded_per_damage", "both_classes", "fixed"]))
+    present = sorted({(s.state.damage_size, s.state.load) for s in signals})
+    fixed = draw(st.sampled_from([*present, (7.0, 0.0)])) if policy == "fixed" else None
+    di_kind = draw(st.sampled_from(["rmsd", "normalized"]))
+    mode = draw(st.sampled_from(["projection", "as_written"]))
+    return signals, di_kind, policy, draw(st.integers(1, n_samples)), mode, fixed
+
+
+# tiny samples can overflow a DI to inf or nan, which both sides must reject alike
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(layout=di_layouts())
+def test_builder_matches_per_signal_oracle(layout):
+    try:
+        expected = oracle_dataset(*layout)
+    except (InvalidArgumentError, MissingBaselineError, DegenerateSignalError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            build_di_dataset(*layout)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    got = build_di_dataset(*layout)
+    assert got.column_names == expected.column_names
+    assert got.inputs.shape == expected.inputs.shape
+    assert np.array_equal(got.inputs, expected.inputs)
+    assert np.array_equal(got.targets, expected.targets)
 
 
 class TestDiDatasetValidation:

@@ -196,6 +196,44 @@ class TestSignalCsv:
         with pytest.raises(SignalParseError, match="line 3"):
             read_signals_csv(path)
 
+    def test_bad_amplitude_error_starts_with_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "# signal damage=1 load=0 replicate=0 role=test sample_rate=1e6\n"
+            "0.5\nabc\n"
+        )
+        with pytest.raises(SignalParseError) as excinfo:
+            read_signals_csv(path)
+        assert str(excinfo.value) == f"{path}: line 3: bad amplitude 'abc'"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_names_file_and_section_header(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            "# signal damage=1 load=0 replicate=0 role=test sample_rate=1e6\n"
+            "0.5\n"
+            "\n"
+            "# signal damage=2 load=5 replicate=1 role=test sample_rate=1e6\n"
+            f"0.5\n{bad}\n0.25\n"
+        )
+        with pytest.raises(SignalParseError) as excinfo:
+            read_signals_csv(path)
+        assert excinfo.value.line == 4
+        assert str(excinfo.value) == (
+            f"{path}: line 4: signal section (damage=2, load=5, replicate=1): "
+            "samples must be finite"
+        )
+
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(
+            b"# signal damage=1 load=0 replicate=0 role=test sample_rate=1e6\n"
+            b"0.5\n0.25\n\xe9\n"
+        )
+        with pytest.raises(SignalParseError) as excinfo:
+            read_signals_csv(path)
+        assert str(excinfo.value) == f"{path}: line 4: not ASCII text"
+
     def test_missing_header_key_is_schema_error(self, tmp_path):
         path = tmp_path / "schema.csv"
         path.write_text("# signal damage=1 load=0 replicate=0 role=test\n1.0\n")
