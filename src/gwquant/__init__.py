@@ -6,7 +6,6 @@ from .damage_index import (
     normalized_di,
     read_di_csv,
     rmsd_di,
-    write_di_csv,
 )
 from .errors import (
     CovariateMismatchError,
@@ -51,7 +50,6 @@ from .signals import (
     read_signals_csv,
     simulate_dataset,
     tone_burst,
-    write_signals_csv,
 )
 from .vhgpr import VhgprModel, VhgprState, mv_bound, train_vhgpr, vhgpr_predict
 

@@ -22,7 +22,8 @@ line replaces the key of the same name, and both pass the same checks.
 
 The environment variable ``GWQUANT_SEED`` overrides any configured or
 flag-provided seed. Every subcommand is deterministic given identical
-inputs and seed; output files are written atomically (temp file + rename).
+inputs and seed. Files pass through ``persist``: every input file must be
+ASCII text, and output files are written atomically (temp file + rename).
 
 Exit codes: 0 success, 1 domain error (single-line ``error: ...`` message on
 stderr), 2 usage error.
@@ -49,7 +50,7 @@ from .damage_index import (
     read_di_csv,
 )
 from .errors import GwquantError, InvalidArgumentError
-from .persist import atomic_write_text, load_model, save_model
+from .persist import atomic_write_text, csv_text, load_model, open_ascii, read_json, save_model
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
@@ -207,7 +208,7 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         return parse_config(fh.read())
 
 
@@ -262,6 +263,9 @@ def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
     return subset(train_idx), subset(test_idx)
 
 
+MANIFEST_HEADER = "damage,load,n_signals,file"
+
+
 def _signal_file_name(damage: float, load: float) -> str:
     """Cell file name: each value in ``:g`` form, or its repr when ``:g`` rounds it."""
     text = [f"{v:g}" if float(f"{v:g}") == v else repr(v) for v in (damage, load)]
@@ -275,7 +279,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(workdir, exist_ok=True)
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
-    manifest = ["damage,load,n_signals,file"]
+    manifest = []
     for damage in config.damage_grid:
         for load in config.load_grid:
             cell = [
@@ -286,27 +290,58 @@ def cmd_simulate(args) -> int:
             name = _signal_file_name(damage, load)
             text = signals_to_csv_text(cell, comment=f"seed={sim.rng_seed}")
             atomic_write_text(os.path.join(workdir, name), text)
-            manifest.append(f"{damage:.17g},{load:.17g},{len(cell)},{name}")
-    atomic_write_text(
-        os.path.join(workdir, "manifest.csv"),
-        f"# seed={sim.rng_seed}\n" + "\n".join(manifest) + "\n",
-    )
+            manifest.append((damage, load, len(cell), name))
+    text = csv_text(MANIFEST_HEADER, manifest, comment=f"seed={sim.rng_seed}")
+    atomic_write_text(os.path.join(workdir, "manifest.csv"), text)
     print(f"wrote {len(signals)} signals to {workdir}")
     return 0
 
 
 def _read_workdir_signals(workdir: str):
+    """The signals of every file manifest.csv lists, each checked against its row.
+
+    After ``#`` and blank lines, the first line must be MANIFEST_HEADER. A
+    row names a distinct file that holds exactly n_signals signals, all at
+    the row's (damage, load). Errors name manifest.csv and the line.
+    """
     manifest = os.path.join(workdir, "manifest.csv")
     if not os.path.exists(manifest):
         raise InvalidArgumentError(f"no manifest.csv in {workdir}")
-    signals = []
-    with open(manifest, "r", encoding="ascii") as fh:
-        for line in fh:
+
+    def bad(message):
+        return InvalidArgumentError(message, lineno, manifest)
+
+    signals, header, first_lines = [], None, {}
+    with open_ascii(manifest) as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line.startswith("#") or line.startswith("damage,"):
+            if not line or line.startswith("#"):
                 continue
-            name = line.split(",")[-1]
-            signals.extend(read_signals_csv(os.path.join(workdir, name)))
+            if header is None:
+                header = line
+                if line != MANIFEST_HEADER:
+                    raise bad(f"expected header {MANIFEST_HEADER!r}, got {line!r}")
+                continue
+            try:
+                damage, load, count, name = line.split(",")
+                damage, load, count = float(damage), float(load), int(count)
+            except ValueError:
+                raise bad(f"bad row {line!r}") from None
+            if name in first_lines:
+                raise bad(f"{name} is listed again (first on line {first_lines[name]})")
+            first_lines[name] = lineno
+            held = read_signals_csv(os.path.join(workdir, name))
+            if len(held) != count:
+                raise bad(f"{name} holds {len(held)} signals, the row lists {count}")
+            for state in (s.state for s in held):
+                if (state.damage_size, state.load) != (damage, load):
+                    raise bad(
+                        f"{name} holds a signal at (damage={state.damage_size!r}, "
+                        f"load={state.load!r}), the row lists ({damage!r}, {load!r})"
+                    )
+            signals.extend(held)
+    if not signals:
+        raise InvalidArgumentError("lists no signals", path=manifest)
     return signals
 
 
@@ -465,11 +500,7 @@ def _read_two_state_dis(path):
 
 
 def cmd_report(args) -> int:
-    with open(args.pred_file, "r", encoding="ascii") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidArgumentError(f"{args.pred_file}: not a predictions file ({exc})")
+    payload = read_json(args.pred_file, "predictions")
     predictions = payload if isinstance(payload, list) else [payload]
 
     _, rows = read_csv_table(args.true_file, [("damage",), ("damage", "load")])
@@ -484,34 +515,27 @@ def cmd_report(args) -> int:
         try:
             damage, load = float(pred["argmax"]["damage"]), pred["argmax"].get("load")
             predicted_states.append((damage,) if load is None else (damage, float(load)))
-        except (AttributeError, KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
             raise InvalidArgumentError(
                 f"{args.pred_file}: prediction {i} has no numeric argmax damage"
             ) from None
     report = summarize_predictions(true_states, predicted_states)
 
-    box_lines = ["state,median,q25,q75,lo_whisk,hi_whisk,outliers"]
-    for box in report.boxes:
-        state = "damage=" + ":".join(f"{v:g}" for v in box.state)
-        outliers = ";".join(f"{v:.17g}" for v in box.outliers)
-        box_lines.append(
-            f"{state},{box.median:.17g},{box.q25:.17g},{box.q75:.17g},"
-            f"{box.lo_whisker:.17g},{box.hi_whisker:.17g},{outliers}"
+    boxes = [
+        (
+            "damage=" + ":".join(f"{v:g}" for v in b.state),
+            b.median, b.q25, b.q75, b.lo_whisker, b.hi_whisker, b.outliers,
         )
-    atomic_write_text(args.box_out, "\n".join(box_lines) + "\n")
-
-    err_lines = ["true_damage,true_load,pred_damage,pred_load,err_damage,err_load"]
-    for rec in report.errors:
-        cells = [
-            f"{rec.true_damage:.17g}",
-            "" if rec.true_load is None else f"{rec.true_load:.17g}",
-            f"{rec.pred_damage:.17g}",
-            "" if rec.pred_load is None else f"{rec.pred_load:.17g}",
-            f"{rec.err_damage:.17g}",
-            "" if rec.err_load is None else f"{rec.err_load:.17g}",
-        ]
-        err_lines.append(",".join(cells))
-    atomic_write_text(args.errors_out, "\n".join(err_lines) + "\n")
+        for b in report.boxes
+    ]
+    header = "state,median,q25,q75,lo_whisk,hi_whisk,outliers"
+    atomic_write_text(args.box_out, csv_text(header, boxes))
+    errors = [
+        (r.true_damage, r.true_load, r.pred_damage, r.pred_load, r.err_damage, r.err_load)
+        for r in report.errors
+    ]
+    header = "true_damage,true_load,pred_damage,pred_load,err_damage,err_load"
+    atomic_write_text(args.errors_out, csv_text(header, errors))
     print(f"wrote {args.box_out} and {args.errors_out}")
     return 0
 

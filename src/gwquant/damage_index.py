@@ -34,6 +34,7 @@ from .errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
+from .persist import csv_text, open_ascii
 from .signals import Signal
 
 DEFAULT_N_USE = 2500
@@ -131,16 +132,16 @@ def normalized_di(
         raise DegenerateSignalError("baseline signal has zero energy")
     yu_n = yu / np.sqrt(eu)
     cross = float(np.sum(y0 * yu_n))
-    if mode == "projection":
-        y0_n = y0 * (cross / e0)
-    else:
-        if np.any(y0 == 0.0):
-            raise DegenerateSignalError(
-                "as_written mode divides by the baseline per index and the "
-                "baseline contains zero samples"
-            )
-        y0_n = cross / (y0 * e0)
-    return float(np.sum(yu_n - y0_n))
+    if mode == "as_written" and np.any(y0 == 0.0):
+        raise DegenerateSignalError(
+            "as_written mode divides by the baseline per index and the "
+            "baseline contains zero samples"
+        )
+    # a tiny baseline overflows the quotient; build_di_dataset's finiteness
+    # check reports that, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        y0_n = y0 * (cross / e0) if mode == "projection" else cross / (y0 * e0)
+        return float(np.sum(yu_n - y0_n))
 
 
 # policy -> its reference classes, each (reference state of a test signal, switch)
@@ -230,47 +231,38 @@ def build_di_dataset(
 
 def di_to_csv_text(dataset: DiDataset, comment: str | None = None) -> str:
     """Render header ``damage[,load[,switch]],di`` plus one row per DI value."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join([*dataset.column_names, "di"]))
-    for row, target in zip(dataset.inputs, dataset.targets):
-        lines.append(",".join([f"{v:.17g}" for v in row] + [f"{target:.17g}"]))
-    return "\n".join(lines) + "\n"
-
-
-def write_di_csv(path, dataset: DiDataset, comment: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(di_to_csv_text(dataset, comment))
+    rows = np.column_stack([dataset.inputs, dataset.targets])
+    return csv_text(",".join([*dataset.column_names, "di"]), rows, comment)
 
 
 def read_csv_table(path, headers) -> tuple[list[str], list[list[float]]]:
     """Column names and float rows of a comma-separated table.
 
-    Blank lines and lines starting with ``#`` are skipped. The first line
-    left must be one of ``headers`` (sequences of column names); every later
-    line must have one number per column. Errors name the file and, for a
-    bad row, its 1-based line number.
+    The file must be ASCII text. Blank lines and lines starting with ``#``
+    are skipped. The first line left must be one of ``headers`` (sequences
+    of column names); every later line must have one number per column.
+    Errors name the file and, for a bad row or byte, its 1-based line
+    number.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)]
     lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
     names = lines[0][1].split(",") if lines else []
     if names not in [list(h) for h in headers]:
         expected = " or ".join(repr(",".join(h)) for h in headers)
         found = repr(lines[0][1]) if lines else "no rows"
-        raise InvalidArgumentError(f"{path}: expected header {expected}, got {found}")
+        raise InvalidArgumentError(f"expected header {expected}, got {found}", path=path)
     rows = []
     for lineno, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(names):
             raise InvalidArgumentError(
-                f"{path} line {lineno}: row has {len(cells)} cells, expected {len(names)}"
+                f"row has {len(cells)} cells, expected {len(names)}", lineno, path
             )
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
-            raise InvalidArgumentError(f"{path} line {lineno}: bad value in row {ln!r}") from None
+            raise InvalidArgumentError(f"bad value in row {ln!r}", lineno, path) from None
     return names, rows
 
 

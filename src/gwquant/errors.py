@@ -6,7 +6,21 @@ any of them to a single-line message and exit code 1.
 
 
 class GwquantError(Exception):
-    """Base class for all gwquant domain errors."""
+    """Base class for all gwquant domain errors.
+
+    The message starts with the file, when given, then the line.
+
+    Attributes:
+        line: 1-based line number of the offending content, when known.
+    """
+
+    def __init__(self, message, line=None, path=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class InvalidArgumentError(GwquantError, ValueError):
@@ -34,21 +48,7 @@ class MissingBaselineError(GwquantError, LookupError):
 
 
 class SignalParseError(GwquantError, ValueError):
-    """A signal CSV file is malformed.
-
-    The message starts with the file, when given, then the line.
-
-    Attributes:
-        line: 1-based line number of the offending content, when known.
-    """
-
-    def __init__(self, message, line=None, path=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
-        self.line = line
+    """A signal CSV file is malformed."""
 
 
 class SchemaMismatchError(GwquantError, ValueError):

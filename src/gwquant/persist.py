@@ -1,6 +1,10 @@
-"""Versioned text (JSON) serialization of trained models.
+"""The program's file boundary and the versioned model files.
 
-The schema id distinguishes the payloads:
+gwquant reads every file through ``open_ascii`` (JSON through ``read_json``
+on top of it), renders its DI, manifest and report CSVs with ``csv_text``
+and writes every file with ``atomic_write_text``.
+
+Models are JSON text; the schema id distinguishes the payloads:
 
     gwquant.sgpr.v1   kernel + noise hyperparameters in log space
     gwquant.vhgpr.v1  both kernels, mu0 and the variational lambda vector
@@ -15,10 +19,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import SchemaMismatchError
+from .errors import InvalidArgumentError, SchemaMismatchError
 from .kernels import KernelParams
 from .sgpr import SgprModel
 from .vhgpr import VhgprModel
@@ -56,6 +61,65 @@ _SCHEMAS = {
     ),
 }
 _COMMON = {"target_offset": _scalar, "train_inputs": _matrix, "train_targets": _vector}
+
+
+@contextmanager
+def open_ascii(path, error=InvalidArgumentError):
+    """The text file at path, opened to be read as ASCII and streamed like open.
+
+    A non-ASCII byte raises ``error("not ASCII text", line, path)``, which
+    reads ``<path>: line N: not ASCII text``, in place of a UnicodeDecodeError;
+    a path that holds a NUL byte raises ``error`` too.
+    """
+    try:
+        fh = open(path, "r", encoding="ascii")
+    except ValueError as exc:  # a NUL byte in the path
+        raise error(f"cannot open ({exc})", path=path) from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # text mode decodes whole blocks, so the line is found afresh;
+            # latin-1 decodes any byte and splits lines as the ASCII reader does
+            with open(path, "r", encoding="latin-1") as text:
+                line = next((n for n, ln in enumerate(text, start=1) if not ln.isascii()), None)
+            raise error("not ASCII text", line, path) from None
+
+
+def read_json(path, kind: str, error=InvalidArgumentError):
+    """The JSON value of the ASCII file at path, a kind file ("model", ...).
+
+    Malformed or too deeply nested text raises ``error`` naming the file.
+    """
+    with open_ascii(path, error) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"not a {kind} file ({exc})", path=path) from None
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):
+        return ";".join(map(_csv_cell, value))
+    return f"{value:.17g}"
+
+
+def csv_text(header: str, rows, comment: str | None = None) -> str:
+    """An optional ``# comment`` line, the header line, then one line per row.
+
+    A number cell is written with 17 significant digits, which round-trips
+    a double; text is written as is, None as an empty cell and a list as
+    its items joined by ``;``.
+    """
+    lines = [f"# {comment}"] if comment else []
+    lines.append(header)
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -112,7 +176,7 @@ def model_from_dict(payload):
             raise SchemaMismatchError(f"{schema} model lacks key {key!r}")
         try:
             values.append(decode(payload[key]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaMismatchError(f"{schema} model has a malformed {key!r} ({exc})") from exc
     *hyperparams, offset, x, y = values
     if x.shape[0] != y.size:
@@ -125,9 +189,4 @@ def save_model(path, model, seed: int | None = None) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatchError(f"{path}: not a model file ({exc})") from exc
-    return model_from_dict(payload)
+    return model_from_dict(read_json(path, "model", SchemaMismatchError))

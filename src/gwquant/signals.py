@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SignalParseError
+from .persist import open_ascii
 
 ROLES = ("baseline", "test")
 
@@ -279,18 +280,13 @@ def signals_to_csv_text(signals: list[Signal], comment: str | None = None) -> st
     return "".join(parts)
 
 
-def write_signals_csv(path, signals: list[Signal], comment: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(signals_to_csv_text(signals, comment))
-
-
 def read_signals_csv(path) -> list[Signal]:
     """Parse a signal CSV file.
 
     Every error is a SignalParseError that names the file and a line: the
-    offending line (a bad sample, header or byte), or the section's header
-    line when the section as a whole is bad (no samples, a non-finite
-    sample, a bad sample rate).
+    offending line (a bad sample, header or non-ASCII byte), or the
+    section's header line when the section as a whole is bad (no samples, a
+    non-finite sample, a bad sample rate).
     """
     signals = []
     header = None
@@ -315,33 +311,24 @@ def read_signals_csv(path) -> list[Signal]:
         header = None
         values.clear()
 
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line.startswith(_HEADER_PREFIX):
-                    flush()
-                    header, rate = _parse_header(line, lineno, path)
-                    header_line = lineno
-                elif not line or line.startswith("#"):
-                    continue
-                else:
-                    if header is None:
-                        raise SignalParseError("sample value before any header", lineno, path)
-                    try:
-                        values.append(float(line))
-                    except ValueError as exc:
-                        raise SignalParseError(f"bad amplitude {line!r}", lineno, path) from exc
-        except UnicodeDecodeError:
-            raise SignalParseError("not ASCII text", _first_non_ascii_line(path), path) from None
+    with open_ascii(path, SignalParseError) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith(_HEADER_PREFIX):
+                flush()
+                header, rate = _parse_header(line, lineno, path)
+                header_line = lineno
+            elif not line or line.startswith("#"):
+                continue
+            else:
+                if header is None:
+                    raise SignalParseError("sample value before any header", lineno, path)
+                try:
+                    values.append(float(line))
+                except ValueError as exc:
+                    raise SignalParseError(f"bad amplitude {line!r}", lineno, path) from exc
         flush()
     return signals
-
-
-def _first_non_ascii_line(path) -> int:
-    # text mode decodes whole blocks, so the failing line is found afresh
-    with open(path, "rb") as fh:
-        return next(n for n, raw in enumerate(fh, start=1) if not raw.isascii())
 
 
 def _format_state(state: StateLabel) -> str:

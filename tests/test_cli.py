@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -481,9 +482,13 @@ def _vhgpr_model_file(tmp_path):
     return path
 
 
-def _write(tmp_path, name, text):
+def _write(tmp_path, name, content):
+    """tmp_path / name holding content, a str or the exact bytes."""
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     return path
 
 
@@ -502,11 +507,16 @@ def _di_argv_with(pipeline, tmp_path, line):
     ]
 
 
-def _cell_di_argv(tmp_path, samples, *flags):
-    """di argv on a one-cell workdir: one healthy signal per samples text."""
+def _cell_di_argv(tmp_path, samples, *flags, manifest=None):
+    """di argv on a one-cell workdir: one healthy signal per samples text.
+
+    manifest, when given, replaces the manifest, which lists cell.csv once.
+    """
     workdir = tmp_path / "cell"
     workdir.mkdir()
-    _write(workdir, "manifest.csv", f"damage,load,n_signals,file\n0,0,{len(samples)},cell.csv\n")
+    if manifest is None:
+        manifest = f"damage,load,n_signals,file\n0,0,{len(samples)},cell.csv\n"
+    _write(workdir, "manifest.csv", manifest)
     sections = [
         f"# signal damage=0 load=0 replicate={rep} role=test sample_rate=1e6\n{text}"
         for rep, text in enumerate(samples)
@@ -522,6 +532,9 @@ def _report_argv(tmp_path, preds, truth):
         "--box-out", tmp_path / "box.csv", "--errors-out", tmp_path / "errors.csv",
     ]
 
+
+# JSON nested deeper than the decoder's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 # case -> (argv builder, fragment the single error line must contain)
 BAD_INPUTS = {
@@ -673,6 +686,89 @@ BAD_INPUTS = {
     "model-targets-fewer-than-inputs": (
         lambda p, t: _edited_model(p["model_file"], t, train_targets=[0.1]), "but 1 targets"
     ),
+    "di-file-not-ascii": (
+        lambda p, t: [
+            "evaluate", "--model-file", p["model_file"],
+            "--di-file", _write(t, "di.csv", b"damage,load,di\n0,0,0.1\n1,0,\xc3\xa9\n"),
+        ],
+        "di.csv: line 3: not ASCII text",
+    ),
+    "two-state-file-not-ascii": (
+        lambda p, t: [
+            "predict", "--model-file", p["model_file"], "--two-state", "--test-di-file",
+            _write(t, "two.csv", b"class,ref_load,ref_damage,di\n1,0,0,0.1 # \xe9\n"),
+        ],
+        "two.csv: line 2: not ASCII text",
+    ),
+    "truth-file-not-ascii": (
+        lambda p, t: _report_argv(t, "[]", b"# \xc3\xa9\ndamage\n"),
+        "truth.csv: line 1: not ASCII text",
+    ),
+    "config-comment-not-ascii": (
+        lambda p, t: [
+            "di", "--workdir", p["workdir"], "--out", t / "di.csv", "--config",
+            _write(t, "extra.cfg", (BASE_CONFIG + "di.kind = rmsd # ").encode() + b"\xc3\xa9\n"),
+        ],
+        f"extra.cfg: line {EXTRA_LINE}: not ASCII text",
+    ),
+    "model-not-ascii": (
+        lambda p, t: [
+            "predict", "--test-di", 0.0, "--model-file",
+            _write(t, "model.json", b'{\n "schema":\n  "\xc3\xa9"\n}\n'),
+        ],
+        "model.json: line 3: not ASCII text",
+    ),
+    "prediction-not-ascii": (
+        lambda p, t: _report_argv(t, b'[\n {"argmax": "\xc3\xa9"}\n]\n', "damage\n1\n"),
+        "preds.json: line 2: not ASCII text",
+    ),
+    "manifest-not-ascii": (
+        lambda p, t: _cell_di_argv(
+            t, ["1\n", "2\n"], manifest=b"# \xc3\xa9\ndamage,load,n_signals,file\n0,0,2,cell.csv\n"
+        ),
+        "manifest.csv: line 1: not ASCII text",
+    ),
+    "model-nested-too-deeply": (
+        lambda p, t: ["predict", "--test-di", 0.0, "--model-file", _write(t, "m.json", DEEP_JSON)],
+        "m.json: not a model file",
+    ),
+    "prediction-nested-too-deeply": (
+        lambda p, t: _report_argv(t, DEEP_JSON, "damage\n1\n"),
+        "preds.json: not a predictions file",
+    ),
+    "manifest-lists-a-file-twice": (
+        lambda p, t: _cell_di_argv(
+            t, ["1\n", "2\n"],
+            manifest="damage,load,n_signals,file\n0,0,2,cell.csv\n0,0,2,cell.csv\n",
+        ),
+        "manifest.csv: line 3: cell.csv is listed again (first on line 2)",
+    ),
+    "manifest-count-differs-from-file": (
+        lambda p, t: _cell_di_argv(
+            t, ["1\n", "2\n"], manifest="damage,load,n_signals,file\n0,0,3,cell.csv\n"
+        ),
+        "manifest.csv: line 2: cell.csv holds 2 signals, the row lists 3",
+    ),
+    "manifest-state-differs-from-file": (
+        lambda p, t: _cell_di_argv(
+            t, ["1\n", "2\n"], manifest="damage,load,n_signals,file\n1,0,2,cell.csv\n"
+        ),
+        "manifest.csv: line 2: cell.csv holds a signal at (damage=0.0, load=0.0)",
+    ),
+    "model-number-too-large-for-a-double": (
+        lambda p, t: _edited_model(p["model_file"], t, log_noise_variance=10**400),
+        "malformed 'log_noise_variance'",
+    ),
+    "prediction-number-too-large-for-a-double": (
+        lambda p, t: _report_argv(t, '[{"argmax": {"damage": 1%s}}]' % ("0" * 400), "damage\n1\n"),
+        "prediction 0 has no numeric argmax damage",
+    ),
+    "as-written-subnormal-baseline-sample": (
+        lambda p, t: _cell_di_argv(
+            t, ["1e-320\n1\n2\n", "1\n2\n1\n"], "--kind", "normalized", "--mode", "as-written"
+        ),
+        "DI value must be finite",
+    ),
 }
 
 # case -> environment variables set while the case runs
@@ -686,7 +782,10 @@ def test_bad_input_exits_one_with_one_error_line(case, pipeline, tmp_path, capsy
     for name, value in BAD_ENV.get(case, {}).items():
         monkeypatch.setenv(name, value)
     capsys.readouterr()
-    assert run(*argv) == 1
+    # a warning would print lines of its own before the error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and fragment in err[0]

@@ -11,10 +11,10 @@ from gwquant.damage_index import (
     COLUMN_NAMES,
     DiDataset,
     build_di_dataset,
+    di_to_csv_text,
     normalized_di,
     read_di_csv,
     rmsd_di,
-    write_di_csv,
 )
 from gwquant.errors import (
     DegenerateSignalError,
@@ -313,7 +313,7 @@ class TestDiDatasetValidation:
         ).astype(float)
         dataset = DiDataset(inputs, rng.normal(size=8), ["damage", "load", "switch"])
         path = tmp_path / "di.csv"
-        write_di_csv(path, dataset, comment="seed=0")
+        path.write_text(di_to_csv_text(dataset, comment="seed=0"))
         back = read_di_csv(path)
         assert back.column_names == dataset.column_names
         assert np.array_equal(back.inputs, dataset.inputs)

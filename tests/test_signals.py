@@ -11,9 +11,9 @@ from gwquant.signals import (
     SimulationConfig,
     StateLabel,
     read_signals_csv,
+    signals_to_csv_text,
     simulate_dataset,
     tone_burst,
-    write_signals_csv,
 )
 
 
@@ -149,7 +149,7 @@ class TestSignalCsv:
             for k in range(3)
         ]
         path = tmp_path / "signals.csv"
-        write_signals_csv(path, signals)
+        path.write_text(signals_to_csv_text(signals))
         loaded = read_signals_csv(path)
         assert len(loaded) == 3
         for orig, back in zip(signals, loaded):
