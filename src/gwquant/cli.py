@@ -13,20 +13,24 @@ space-separated numbers. Example::
     train.train_fraction = 0.5
     paths.workdir = out
 
-Each value takes the type of its key's default: an integer, a number,
-``true``/``false`` or text. ``di.kind`` (rmsd, normalized), ``di.mode``
-(projection, as-written), ``di.policy`` (class1, class2, both, fixed) and
-``train.model_kind`` (sgpr, vhgpr) take only the listed choices;
+Each value takes the type of its key's default: an integer, a finite
+number, ``true``/``false`` or text. ``di.kind`` (rmsd, normalized),
+``di.mode`` (projection, as-written), ``di.policy`` (class1, class2, both,
+fixed) and ``train.model_kind`` (sgpr, vhgpr) take only the listed choices;
 ``paths.workdir`` is the only ``paths`` key. A flag given on the command
-line replaces the key of the same name, and both pass the same checks.
+line (``--model`` for ``train.model_kind``) replaces the key of the same
+name; its text is typed and checked as the key's would be, one value at a
+time, and an error names the config line, the flag or ``GWQUANT_SEED``.
 
 The environment variable ``GWQUANT_SEED`` overrides any configured or
 flag-provided seed. Every subcommand is deterministic given identical
 inputs and seed. Files pass through ``persist``: every input file must be
-ASCII text, and output files are written atomically (temp file + rename).
+ASCII text, every number read must be finite, and output files are written
+atomically (temp file + rename).
 
 Exit codes: 0 success, 1 domain error (single-line ``error: ...`` message on
-stderr), 2 usage error.
+stderr), including a bad flag value and a numpy overflow, invalid or
+divide-by-zero error, 2 usage error (a missing or unknown flag).
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from .damage_index import (
     read_di_csv,
 )
 from .errors import GwquantError, InvalidArgumentError
-from .persist import atomic_write_text, csv_text, load_model, open_ascii, read_json, save_model
+from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, open_ascii
+from .persist import read_json, save_model
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
@@ -112,6 +117,8 @@ class TrainConfig:
         _check_choice("train.model_kind", self.model_kind, ("sgpr", "vhgpr"))
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidArgumentError("train_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be >= 0")
 
 
 @dataclass
@@ -119,10 +126,20 @@ class QuantifyConfig:
     grid_refine: int = 0
     low_confidence_threshold: float = DEFAULT_LOW_CONFIDENCE_THRESHOLD
 
+    def __post_init__(self):
+        if self.grid_refine < 0:
+            raise InvalidArgumentError("grid_refine must be >= 0")
+        if not 0.0 <= self.low_confidence_threshold <= 1.0:
+            raise InvalidArgumentError("low_confidence_threshold must be in [0, 1]")
+
 
 @dataclass
 class PathsConfig:
     workdir: str = "gwquant-out"
+
+    def __post_init__(self):
+        if "\0" in self.workdir:
+            raise InvalidArgumentError("workdir must not hold a NUL byte")
 
 
 @dataclass
@@ -143,25 +160,48 @@ _SECTIONS = {
     "quantify": QuantifyConfig,
     "paths": PathsConfig,
 }
+# field -> its flag, where the flag is not the field name in dashes
+_FLAG_NAMES = {"model_kind": "--model", "rng_seed": "--seed"}
 
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number"}
+_TYPE_NAMES = {
+    bool: "true or false", int: "an integer", float: "a finite number",
+    list: "space-separated numbers",
+}
 
 
-def _typed(text: str, default, where: str):
-    """text converted to the type of default; where names the value in errors."""
-    kind = type(default)
+def _typed(text: str, kind, where: str):
+    """text as a kind (bool, int, float, a list of floats or str); where names it in errors."""
     try:
         if kind is bool:
             return {"true": True, "false": False}[text.lower()]
-        return kind(text)
+        if kind is list:
+            return [_text_number(v) for v in text.split()]
+        return text if kind is str else _text_number(text, kind)
     except (KeyError, ValueError):
         raise InvalidArgumentError(f"{where} must be {_TYPE_NAMES[kind]}, got {text!r}") from None
 
 
+def _overlay(config: PipelineConfig, section: str, name: str, source: str, text: str) -> None:
+    """Lay the text of one value over field name of the config's section.
+
+    The text takes the field's type, then the section's __post_init__ checks
+    it. The source ("config line N", a flag or GWQUANT_SEED) starts errors.
+    """
+    settings = getattr(config, section)
+    kinds = {f.name: type(f.default) for f in fields(settings)}
+    if name not in kinds:
+        raise InvalidArgumentError(f"{source}: section {section!r} has unknown keys {[name]}")
+    where = f"{source}: {section}.{name}" if source.startswith("config") else source
+    value = _typed(text, kinds[name], where)
+    try:
+        setattr(config, section, replace(settings, **{name: value}))
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{source}: {exc}") from None
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Parse the flat key/value grammar into a validated PipelineConfig."""
-    given: dict[str, dict[str, tuple[int, str]]] = {}
-    grids: dict[str, list[float]] = {}
+    config = PipelineConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -172,39 +212,14 @@ def parse_config(text: str) -> PipelineConfig:
         if "." not in key:
             raise InvalidArgumentError(f"config line {lineno}: key must be section.name")
         section, name = key.split(".", 1)
+        source = f"config line {lineno}"
         if key in ("simulation.damage_grid", "simulation.load_grid"):
-            try:
-                grids[name] = [float(v) for v in value.split()]
-            except ValueError as exc:
-                raise InvalidArgumentError(
-                    f"config line {lineno}: {key} must be space-separated numbers"
-                ) from exc
-            continue
-        given.setdefault(section, {})[name] = (lineno, value)
-
-    sections = {}
-    for section, values in given.items():
-        cls = _SECTIONS.get(section)
-        if cls is None:
-            first = min(lineno for lineno, _ in values.values())
-            raise InvalidArgumentError(f"config line {first}: unknown sections {[section]}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(values) - set(defaults)
-        if unknown:
-            first = min(values[name][0] for name in unknown)
-            raise InvalidArgumentError(
-                f"config line {first}: section {section!r} has unknown keys {sorted(unknown)}"
-            )
-        # one key at a time, so the section's own checks name the line too
-        settings = cls()
-        for name, (lineno, text) in values.items():
-            try:
-                value = _typed(text, defaults[name], f"{section}.{name}")
-                settings = replace(settings, **{name: value})
-            except InvalidArgumentError as exc:
-                raise InvalidArgumentError(f"config line {lineno}: {exc}") from None
-        sections[section] = settings
-    return PipelineConfig(**sections, **grids)
+            setattr(config, name, _typed(value, list, f"{source}: {key}"))
+        elif section in _SECTIONS:
+            _overlay(config, section, name, source, value)
+        else:
+            raise InvalidArgumentError(f"{source}: unknown sections {[section]}")
+    return config
 
 
 def load_config(path) -> PipelineConfig:
@@ -212,18 +227,21 @@ def load_config(path) -> PipelineConfig:
         return parse_config(fh.read())
 
 
-def _settings(args, section, seed_field: str | None = None):
-    """The config section with the flags the user set laid over it.
+def _settings(args, config: PipelineConfig, section: str, seed_field: str | None = None):
+    """The config section with the flags the user set, then GWQUANT_SEED, laid over it.
 
     A flag's dest names the field it replaces; unset flags are None. The
     seed field, when given, takes GWQUANT_SEED over both flag and config.
     """
-    names = {f.name for f in fields(section)}
-    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    for f in fields(getattr(config, section)):
+        text = getattr(args, f.name, None)
+        if text is not None:
+            flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+            _overlay(config, section, f.name, flag, text)
     env = os.environ.get(SEED_ENV_VAR)
     if seed_field is not None and env is not None:
-        flags[seed_field] = _typed(env, 0, SEED_ENV_VAR)
-    return replace(section, **flags)
+        _overlay(config, section, seed_field, SEED_ENV_VAR, env)
+    return getattr(config, section)
 
 
 def _config(args) -> PipelineConfig:
@@ -274,8 +292,8 @@ def _signal_file_name(damage: float, load: float) -> str:
 
 def cmd_simulate(args) -> int:
     config = _config(args)
-    sim = _settings(args, config.simulation, seed_field="rng_seed")
-    workdir = _settings(args, config.paths).workdir
+    sim = _settings(args, config, "simulation", seed_field="rng_seed")
+    workdir = _settings(args, config, "paths").workdir
     os.makedirs(workdir, exist_ok=True)
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
@@ -324,7 +342,8 @@ def _read_workdir_signals(workdir: str):
                 continue
             try:
                 damage, load, count, name = line.split(",")
-                damage, load, count = float(damage), float(load), int(count)
+                damage, load = _text_number(damage), _text_number(load)
+                count = _text_number(count, int)
             except ValueError:
                 raise bad(f"bad row {line!r}") from None
             if name in first_lines:
@@ -347,9 +366,9 @@ def _read_workdir_signals(workdir: str):
 
 def cmd_di(args) -> int:
     config = _config(args)
-    di = _settings(args, config.di)
+    di = _settings(args, config, "di")
     policy = _POLICY_NAMES[di.policy]
-    signals = _read_workdir_signals(_settings(args, config.paths).workdir)
+    signals = _read_workdir_signals(_settings(args, config, "paths").workdir)
     n_use = min(di.n_use, min(len(s) for s in signals))
     fixed = (di.fixed_damage, di.fixed_load) if policy == "fixed" else None
     dataset = build_di_dataset(signals, di.kind, policy, n_use, di.mode, fixed)
@@ -364,7 +383,7 @@ def _format_metric(value: float) -> str:
 
 
 def cmd_train(args) -> int:
-    train = _settings(args, _config(args).train, seed_field="seed")
+    train = _settings(args, _config(args), "train", seed_field="seed")
     dataset = read_di_csv(args.di_file)
     train_set, test_set = split_dataset(dataset, train.train_fraction, train.seed)
     optimizer = OptimizerConfig(n_restarts=train.restarts, seed=train.seed)
@@ -423,7 +442,11 @@ def _table_to_json(table, two_state_argmax=None) -> dict:
 
 
 def cmd_predict(args) -> int:
-    quantify = _settings(args, _config(args).quantify)
+    quantify = _settings(args, _config(args), "quantify")
+    test_di, known_load = (
+        None if text is None else _typed(text, float, flag)
+        for flag, text in (("--test-di", args.test_di), ("--known-load", args.known_load))
+    )
     threshold = quantify.low_confidence_threshold
     model = load_model(args.model_file)
 
@@ -444,16 +467,14 @@ def cmd_predict(args) -> int:
         payload["test_di"] = prediction.step1_table.test_di
         results.append(payload)
     else:
-        test_dis = (
-            [args.test_di] if args.test_di is not None else _read_di_column(args.test_di_file)
-        )
+        test_dis = [test_di] if test_di is not None else _read_di_column(args.test_di_file)
         grid = StateGrid.from_training_inputs(model.train_inputs, include_load=False)
         grid = grid.refine(quantify.grid_refine)
         # no name keeps the tables, so they are freed before the JSON is built
         results.extend(
             _table_to_json(table)
             for table in predict_single_state(
-                model, grid, test_dis, known_load=args.known_load,
+                model, grid, test_dis, known_load=known_load,
                 low_confidence_threshold=threshold,
             )
         )
@@ -513,9 +534,10 @@ def cmd_report(args) -> int:
     predicted_states = []
     for i, pred in enumerate(predictions):
         try:
-            damage, load = float(pred["argmax"]["damage"]), pred["argmax"].get("load")
-            predicted_states.append((damage,) if load is None else (damage, float(load)))
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+            argmax = pred["argmax"]
+            damage, load = _scalar(argmax["damage"]), argmax.get("load")
+            predicted_states.append((damage,) if load is None else (damage, _scalar(load)))
+        except (KeyError, TypeError, ValueError):
             raise InvalidArgumentError(
                 f"{args.pred_file}: prediction {i} has no numeric argmax damage"
             ) from None
@@ -541,6 +563,8 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag that sets a config key keeps its text untyped: _settings types
+    # and checks it as parse_config does the key's value
     parser = argparse.ArgumentParser(
         prog="gwquant",
         description="Guided-wave damage quantification with DI-trained GP models.",
@@ -550,64 +574,68 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize signal files for a state grid")
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--workdir", help="output directory (default from config)")
-    p.add_argument("--seed", type=int, dest="rng_seed", help="simulation RNG seed")
+    p.add_argument("--seed", dest="rng_seed", help="simulation RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("di", help="compute a DI dataset from simulated signals")
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--workdir", help="directory holding manifest.csv")
-    p.add_argument("--kind", choices=["rmsd", "normalized"])
-    p.add_argument("--mode", choices=["projection", "as-written"])
-    p.add_argument("--policy", choices=["class1", "class2", "both", "fixed"])
-    p.add_argument("--n-use", type=int, dest="n_use")
-    p.add_argument("--fixed-damage", type=float, dest="fixed_damage")
-    p.add_argument("--fixed-load", type=float, dest="fixed_load")
+    p.add_argument("--kind")
+    p.add_argument("--mode")
+    p.add_argument("--policy")
+    p.add_argument("--n-use")
+    p.add_argument("--fixed-damage")
+    p.add_argument("--fixed-load")
     p.add_argument("--out", required=True, help="output DI CSV path")
     p.set_defaults(func=cmd_di)
 
     p = sub.add_parser("train", help="train a model on a DI dataset")
     p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--di-file", required=True, dest="di_file")
-    p.add_argument("--model", choices=["sgpr", "vhgpr"], dest="model_kind")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--center-targets", action="store_true", default=None, dest="center_targets")
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--model-file", required=True, dest="model_file")
-    p.add_argument("--heldout-file", dest="heldout_file")
+    p.add_argument("--di-file", required=True)
+    p.add_argument("--model", dest="model_kind")
+    p.add_argument("--restarts")
+    p.add_argument("--seed")
+    p.add_argument("--center-targets", nargs="?", const="true", help="true when given alone")
+    p.add_argument("--train-fraction")
+    p.add_argument("--model-file", required=True)
+    p.add_argument("--heldout-file")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="state probabilities for test DI values")
     p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--model-file", required=True, dest="model_file")
-    p.add_argument("--test-di", type=float, dest="test_di")
-    p.add_argument("--test-di-file", dest="test_di_file")
-    p.add_argument("--known-load", type=float, dest="known_load")
-    p.add_argument("--two-state", action="store_true", dest="two_state")
-    p.add_argument("--grid-refine", type=int, dest="grid_refine")
+    p.add_argument("--model-file", required=True)
+    p.add_argument("--test-di")
+    p.add_argument("--test-di-file")
+    p.add_argument("--known-load")
+    p.add_argument("--two-state", action="store_true")
+    p.add_argument("--grid-refine")
     p.add_argument("--out", help="output JSON path (default stdout)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="recompute fit metrics for a model file")
-    p.add_argument("--model-file", required=True, dest="model_file")
-    p.add_argument("--di-file", required=True, dest="di_file")
+    p.add_argument("--model-file", required=True)
+    p.add_argument("--di-file", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="box-plot and prediction-error CSVs")
-    p.add_argument("--pred-file", required=True, dest="pred_file")
-    p.add_argument("--true-file", required=True, dest="true_file")
-    p.add_argument("--box-out", required=True, dest="box_out")
-    p.add_argument("--errors-out", required=True, dest="errors_out")
+    p.add_argument("--pred-file", required=True)
+    p.add_argument("--true-file", required=True)
+    p.add_argument("--box-out", required=True)
+    p.add_argument("--errors-out", required=True)
     p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # argparse turns a flag's value "--" (as in --out=--) into []; take it as written
+    vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
     try:
-        return args.func(args)
-    except GwquantError as exc:
+        # numpy raises on overflow, invalid and divide in place of a warning
+        # line, and the error becomes the one error line like any other
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (GwquantError, FloatingPointError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

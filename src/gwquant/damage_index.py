@@ -34,7 +34,7 @@ from .errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
-from .persist import csv_text, open_ascii
+from .persist import _text_number, csv_text, open_ascii
 from .signals import Signal
 
 DEFAULT_N_USE = 2500
@@ -240,9 +240,9 @@ def read_csv_table(path, headers) -> tuple[list[str], list[list[float]]]:
 
     The file must be ASCII text. Blank lines and lines starting with ``#``
     are skipped. The first line left must be one of ``headers`` (sequences
-    of column names); every later line must have one number per column.
-    Errors name the file and, for a bad row or byte, its 1-based line
-    number.
+    of column names); every later line must have one finite number per
+    column. Errors name the file and, for a bad row or byte, its 1-based
+    line number.
     """
     with open_ascii(path) as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)]
@@ -260,7 +260,7 @@ def read_csv_table(path, headers) -> tuple[list[str], list[list[float]]]:
                 f"row has {len(cells)} cells, expected {len(names)}", lineno, path
             )
         try:
-            rows.append([float(c) for c in cells])
+            rows.append([_text_number(c) for c in cells])
         except ValueError:
             raise InvalidArgumentError(f"bad value in row {ln!r}", lineno, path) from None
     return names, rows

@@ -1,8 +1,12 @@
-"""The program's file boundary and the versioned model files.
+"""The program's outside boundary: files, the numbers read from them, and
+the versioned model files.
 
 gwquant reads every file through ``open_ascii`` (JSON through ``read_json``
 on top of it), renders its DI, manifest and report CSVs with ``csv_text``
-and writes every file with ``atomic_write_text``.
+and writes every file with ``atomic_write_text``. Every number read from
+outside must be finite: ``_text_number`` decodes one written as text (a
+cell, a header field, a config value, a flag, ``GWQUANT_SEED``; signal
+samples are checked per section by ``Signal``), ``_numbers`` one in JSON.
 
 Models are JSON text; the schema id distinguishes the payloads:
 
@@ -17,6 +21,7 @@ factorizations deterministically.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -29,13 +34,27 @@ from .sgpr import SgprModel
 from .vhgpr import VhgprModel
 
 
+def _text_number(text: str, kind=float):
+    """The finite float (or int, for kind int) that text spells; ValueError otherwise."""
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _numbers(ndim: int):
-    """Decoder of a finite number (ndim 0) or an ndim-deep list of them."""
+    """Decoder of a finite JSON number (ndim 0) or an ndim-deep list of them, not a bool."""
 
     def decode(value):
-        array = np.array(value, dtype=float)
-        if array.ndim != ndim or not np.all(np.isfinite(array)):
-            raise ValueError(f"expected {ndim}-D finite numbers")
+        array = np.array(value, dtype=object)
+        if array.ndim != ndim or not {type(v) for v in array.flat} <= {int, float}:
+            raise ValueError(f"expected {ndim}-D numbers")
+        try:
+            array = array.astype(float)
+        except OverflowError:
+            raise ValueError("an integer beyond a double") from None
+        if not np.all(np.isfinite(array)):
+            raise ValueError("expected finite numbers")
         return float(array) if ndim == 0 else array
 
     return decode
@@ -176,7 +195,7 @@ def model_from_dict(payload):
             raise SchemaMismatchError(f"{schema} model lacks key {key!r}")
         try:
             values.append(decode(payload[key]))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaMismatchError(f"{schema} model has a malformed {key!r} ({exc})") from exc
     *hyperparams, offset, x, y = values
     if x.shape[0] != y.size:

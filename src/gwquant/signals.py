@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SignalParseError
-from .persist import open_ascii
+from .persist import _text_number, open_ascii
 
 ROLES = ("baseline", "test")
 
@@ -106,6 +106,8 @@ class SimulationConfig:
             raise InvalidArgumentError("heteroscedastic_noise_slope must be >= 0")
         if self.crosstalk_blank_samples < 0:
             raise InvalidArgumentError("crosstalk_blank_samples must be >= 0")
+        if self.rng_seed < 0:
+            raise InvalidArgumentError("rng_seed must be >= 0")
         for name in (
             "center_frequency",
             "burst_amplitude",
@@ -166,7 +168,10 @@ def _received_samples(config: SimulationConfig, burst: np.ndarray, damage: float
         + config.damage_delay_coeff * damage
         + config.load_delay_coeff * load
     )
-    shift = int(round(delay * config.sample_rate))
+    delay_samples = delay * config.sample_rate
+    if not math.isfinite(delay_samples):
+        raise InvalidArgumentError(f"propagation delay {delay!r} overflows in samples")
+    shift = int(round(delay_samples))
     if shift < 0:
         raise InvalidArgumentError(f"negative propagation delay {delay!r}")
     out = np.zeros(config.n_samples)
@@ -188,8 +193,8 @@ def simulate_dataset(config: SimulationConfig, damage_grid, load_grid) -> list[S
     for name, grid in (("damage_grid", damage_grid), ("load_grid", load_grid)):
         if not grid:
             raise InvalidArgumentError(f"{name} must be non-empty")
-        if any(g < 0 for g in grid):
-            raise InvalidArgumentError(f"{name} values must be >= 0")
+        if not all(0 <= g < math.inf for g in grid):
+            raise InvalidArgumentError(f"{name} values must be finite and >= 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidArgumentError(f"{name} must be strictly increasing")
 
@@ -256,12 +261,12 @@ def _parse_header(line: str, lineno: int, path) -> tuple[StateLabel, float]:
         raise SignalParseError(f"header missing keys {missing}", lineno, path)
     try:
         state = StateLabel(
-            float(fields["damage"]),
-            float(fields["load"]),
-            int(fields["replicate"]),
+            _text_number(fields["damage"]),
+            _text_number(fields["load"]),
+            _text_number(fields["replicate"], int),
             fields["role"],
         )
-        rate = float(fields["sample_rate"])
+        rate = _text_number(fields["sample_rate"])
     except (ValueError, InvalidArgumentError) as exc:
         raise SignalParseError(str(exc), lineno, path) from exc
     return state, rate

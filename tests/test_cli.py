@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gwquant.cli import main, parse_config, split_dataset
+from gwquant.cli import build_parser, main, parse_config, split_dataset
 from gwquant.damage_index import DiDataset, read_di_csv
 from gwquant.errors import InvalidArgumentError
 from gwquant.kernels import KernelParams
@@ -224,6 +224,15 @@ class TestDiAndTrain:
         nmse = float(out.split("nmse=")[1].split()[0])
         assert nmse < 0.05
 
+    def test_mode_flag_takes_both_spellings(self, pipeline, tmp_path):
+        outputs = []
+        for mode in ("as-written", "as_written"):
+            out = tmp_path / f"{mode}.csv"
+            argv = ["di", "--workdir", pipeline["workdir"], "--kind", "normalized", "--out", out]
+            assert run(*argv, "--config", pipeline["config"], "--mode", mode) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_both_classes_policy_emits_switch_column(self, pipeline, tmp_path):
         out = tmp_path / "both.csv"
         assert (
@@ -295,6 +304,10 @@ class TestPredict:
         with pytest.raises(SystemExit) as excinfo:
             main(["predict"])  # missing --model-file
         assert excinfo.value.code == 2
+
+    def test_center_targets_flag_alone_means_true(self):
+        argv = ["train", "--di-file", "d.csv", "--model-file", "m.json", "--center-targets"]
+        assert build_parser().parse_args(argv).center_targets == "true"
 
     def test_non_json_model_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
@@ -771,8 +784,159 @@ BAD_INPUTS = {
     ),
 }
 
+
+def _predict_argv(p, *flags, model=None):
+    return ["predict", "--model-file", model or p["model_file"], *flags]
+
+
+def _simulate_argv(t, line):
+    return ["simulate", "--config", _config_with(t, line), "--workdir", t / "out"]
+
+
+def _two_state_argv(p, t, rows):
+    path = _write(t, "two.csv", "class,ref_load,ref_damage,di\n" + rows)
+    return _predict_argv(p, "--two-state", "--test-di-file", path)
+
+
+def _length_scale_model(p, t):
+    """predict argv on a copy of the model whose first log length scale is 1e300."""
+    with open(p["model_file"]) as fh:
+        kernel = json.load(fh)["kernel"]
+    kernel["log_length_scales"][0] = 1e300
+    return _edited_model(p["model_file"], t, kernel=kernel)
+
+
+# each value from outside must be a finite number of the right type and pass
+# its setting's checks, whether written as a flag, a config key or
+# GWQUANT_SEED; and numpy's floating-point errors end in one line
+BAD_INPUTS.update({
+    "known-load-nan": (
+        lambda p, t: _predict_argv(p, "--test-di", 0.1, "--known-load", "nan"),
+        "--known-load must be a finite number, got 'nan'",
+    ),
+    "known-load-1e400": (
+        lambda p, t: _predict_argv(p, "--test-di", 0.1, "--known-load", "1e400"),
+        "--known-load must be a finite number, got '1e400'",
+    ),
+    "config-damage-grid-nan": (
+        lambda p, t: _simulate_argv(t, "simulation.damage_grid = 0 nan"),
+        f"config line {EXTRA_LINE}: simulation.damage_grid must be space-separated numbers",
+    ),
+    "config-damage-grid-1e400": (
+        lambda p, t: _simulate_argv(t, "simulation.damage_grid = 0 1e400"),
+        f"config line {EXTRA_LINE}: simulation.damage_grid must be space-separated numbers",
+    ),
+    "config-low-confidence-threshold-nan": (
+        lambda p, t: [
+            "predict", "--config", _config_with(t, "quantify.low_confidence_threshold = nan"),
+            "--model-file", p["model_file"], "--test-di", 0.0,
+        ],
+        "quantify.low_confidence_threshold must be a finite number",
+    ),
+    "config-low-confidence-threshold-inf": (
+        lambda p, t: [
+            "predict", "--config", _config_with(t, "quantify.low_confidence_threshold = inf"),
+            "--model-file", p["model_file"], "--test-di", 0.0,
+        ],
+        "quantify.low_confidence_threshold must be a finite number",
+    ),
+    "config-low-confidence-threshold-above-1": (
+        lambda p, t: [
+            "predict", "--config", _config_with(t, "quantify.low_confidence_threshold = 2"),
+            "--model-file", p["model_file"], "--test-di", 0.0,
+        ],
+        f"config line {EXTRA_LINE}: low_confidence_threshold must be in [0, 1]",
+    ),
+    "config-grid-refine-negative": (
+        lambda p, t: [
+            "predict", "--config", _config_with(t, "quantify.grid_refine = -3"),
+            "--model-file", p["model_file"], "--test-di", 0.0,
+        ],
+        f"config line {EXTRA_LINE}: grid_refine must be >= 0",
+    ),
+    "two-state-nan-ref-load": (
+        lambda p, t: _two_state_argv(p, t, "1,nan,0,0.1\n2,0,0,0.2\n"),
+        "two.csv: line 2: bad value in row '1,nan,0,0.1'",
+    ),
+    "prediction-argmax-is-text": (
+        lambda p, t: _report_argv(t, json.dumps([{"argmax": {"damage": "1.5"}}]), "damage\n1\n"),
+        "prediction 0 has no numeric argmax damage",
+    ),
+    "prediction-argmax-1e400": (
+        lambda p, t: _report_argv(t, '[{"argmax": {"damage": 1e400}}]', "damage\n1\n"),
+        "prediction 0 has no numeric argmax damage",
+    ),
+    "prediction-load-is-true": (
+        lambda p, t: _report_argv(
+            t, json.dumps([{"argmax": {"damage": 1, "load": True}}]), "damage,load\n1,0\n"
+        ),
+        "prediction 0 has no numeric argmax damage",
+    ),
+    "truth-nan-cell": (
+        lambda p, t: _report_argv(
+            t, json.dumps([{"argmax": {"damage": 1.0}}]), "damage\nnan\n"
+        ),
+        "truth.csv: line 2: bad value in row 'nan'",
+    ),
+    "model-noise-is-text": (
+        lambda p, t: _edited_model(p["model_file"], t, log_noise_variance="-3.2"),
+        "malformed 'log_noise_variance'",
+    ),
+    "model-target-offset-is-false": (
+        lambda p, t: _edited_model(p["model_file"], t, target_offset=False),
+        "malformed 'target_offset'",
+    ),
+    "flag-kind-bogus": (
+        lambda p, t: ["di", "--workdir", p["workdir"], "--out", t / "di.csv", "--kind", "bogus"],
+        "--kind: di.kind must be one of rmsd, normalized; got 'bogus'",
+    ),
+    "flag-fixed-damage-nan": (
+        lambda p, t: [
+            "di", "--workdir", p["workdir"], "--out", t / "di.csv", "--policy", "fixed",
+            "--fixed-damage", "nan",
+        ],
+        "--fixed-damage must be a finite number, got 'nan'",
+    ),
+    "flag-n-use-not-integer": (
+        lambda p, t: ["di", "--workdir", p["workdir"], "--out", t / "di.csv", "--n-use", "abc"],
+        "--n-use must be an integer, got 'abc'",
+    ),
+    "flag-seed-negative": (
+        lambda p, t: ["simulate", "--workdir", t / "out", "--seed=-1"],
+        "--seed: rng_seed must be >= 0",
+    ),
+    "seed-env-nan": (lambda p, t: _train_argv(p, t), "GWQUANT_SEED must be an integer, got 'nan'"),
+    "config-path-delay-overflows": (
+        lambda p, t: _simulate_argv(t, "simulation.path_delay = 1e308"),
+        "propagation delay 1e+308 overflows in samples",
+    ),
+    "config-workdir-nul": (
+        lambda p, t: [
+            "simulate", "--config", _write(t, "nul.cfg", "paths.workdir = a\0b\n"),
+        ],
+        "config line 1: workdir must not hold a NUL byte",
+    ),
+    "model-length-scale-1e300": (
+        _length_scale_model, "FloatingPointError: overflow encountered in exp"
+    ),
+    "test-di-1e308": (
+        lambda p, t: _predict_argv(p, "--test-di", "1e308", "--known-load", 0),
+        "FloatingPointError: overflow",
+    ),
+    "evaluate-di-1e308": (
+        lambda p, t: [
+            "evaluate", "--model-file", p["model_file"],
+            "--di-file", _write(t, "di.csv", "damage,load,di\n0,0,1e308\n1,0,0.1\n"),
+        ],
+        "FloatingPointError: overflow",
+    ),
+})
+
 # case -> environment variables set while the case runs
-BAD_ENV = {"seed-env-not-integer": {"GWQUANT_SEED": "abc"}}
+BAD_ENV = {
+    "seed-env-not-integer": {"GWQUANT_SEED": "abc"},
+    "seed-env-nan": {"GWQUANT_SEED": "nan"},
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -1,23 +1,28 @@
-"""The file boundary: fuzzed input files and the one place that opens files.
+"""The outside boundary: fuzzed input files and values, and the one place
+that opens files.
 
 Every kind of file the CLI reads is fuzzed by splicing random bytes into a
-valid example, or by replacing it with random bytes. The CLI must exit 0,
-or exit 1 with one ``error:`` line, and must never raise.
+valid example, or by replacing it with random bytes; every settings flag,
+config key, ``--test-di`` and ``--known-load`` is fuzzed with random text.
+The CLI must exit 0, or exit 1 with one ``error:`` line, and must never
+raise.
 """
 
 import ast
 import contextlib
 import io
 import json
+import os
 import pathlib
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gwquant.cli import main
+from gwquant.cli import _SECTIONS, build_parser, main
 from gwquant.kernels import KernelParams
 from gwquant.persist import save_model
 from gwquant.sgpr import SgprModel
@@ -150,6 +155,104 @@ def test_fuzzed_file_exits_zero_or_one_with_one_error_line(kind, valid_files, ed
     if code != 0:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+# a tiny simulation, and a cheap training run
+VALUE_CONFIG = (
+    "simulation.center_frequency = 250e3\nsimulation.sample_rate = 1e6\n"
+    "simulation.n_cycles = 1\nsimulation.n_samples = 8\n"
+    "simulation.damage_grid = 0 1\nsimulation.load_grid = 0\ntrain.restarts = 1\n"
+)
+
+# command -> its argv, run in the values directory with --config value.cfg
+COMMAND_ARGV = {
+    "simulate": ["simulate"],
+    "di": ["di", "--workdir", "work", "--out", "di.csv"],
+    "train": ["train", "--di-file", "train.csv", "--model-file", "trained.json"],
+    "predict": ["predict", "--model-file", "model2.json", "--test-di", "0.15", "--known-load", "0"],
+}
+SECTION_COMMANDS = {
+    "simulation": "simulate", "paths": "simulate", "di": "di", "train": "train",
+    "quantify": "predict",
+}
+SETTINGS_FIELDS = {f.name for cls in _SECTIONS.values() for f in fields(cls)}
+
+
+def _settings_flags():
+    """(command, flag, argparse action) of every flag whose dest is a settings field."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return [
+        (command, action.option_strings[0], action)
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        if action.dest in SETTINGS_FIELDS
+    ]
+
+
+# (command, flag or config key) of each value the user can write
+VALUE_TARGETS = sorted(
+    [
+        (SECTION_COMMANDS[section], f"{section}.{f.name}")
+        for section, cls in _SECTIONS.items()
+        for f in fields(cls)
+    ]
+    + [("simulate", f"simulation.{grid}") for grid in ("damage_grid", "load_grid")]
+    + [(command, flag) for command, flag, _ in _settings_flags()]
+    + [("predict", "--test-di"), ("predict", "--known-load")]
+)
+
+# random text stays within two characters, so a count (n_samples, restarts,
+# grid_refine) keeps every run small, and holds no "/", so a fuzzed workdir
+# stays in the test directory; the longer forms are listed here
+SPECIAL_TEXTS = [
+    "nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e308", "1e-320", "1_0",
+    "-0", "-1", "0.5", " 3 ", "true", "false", "rmsd", "as-written", "both", "vhgpr",
+]
+VALUE_TEXTS = st.one_of(
+    st.sampled_from(SPECIAL_TEXTS), st.text(alphabet="0123456789.eE+-_ naifx#=", max_size=2)
+)
+
+
+@pytest.fixture(scope="module")
+def values_dir(valid_files):
+    """A directory holding what each command of COMMAND_ARGV reads."""
+    root, texts = valid_files
+    values = root / "values"
+    (values / "work").mkdir(parents=True)
+    (values / "work" / "manifest.csv").write_bytes(texts["manifest"])
+    (values / "work" / "cell.csv").write_bytes(texts["signal"])
+    (values / "train.csv").write_text("damage,di\n0,0.1\n0,0.12\n1,0.2\n1,0.23\n")
+    save_model(values / "model2.json", _model([(d, w) for d in (0, 1, 2) for w in (0, 5)]))
+    return values
+
+
+@pytest.mark.parametrize("target", VALUE_TARGETS, ids=":".join)
+@settings(
+    max_examples=12, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(text=VALUE_TEXTS)
+def test_fuzzed_value_exits_zero_or_one_with_one_error_line(target, values_dir, text):
+    command, where = target
+    is_flag = where.startswith("--")
+    (values_dir / "value.cfg").write_text(VALUE_CONFIG + ("" if is_flag else f"{where} = {text}\n"))
+    argv = [command, "--config", "value.cfg", *COMMAND_ARGV[command][1:]]
+    if is_flag:
+        argv.append(f"{where}={text}")  # the = form passes text that starts with "-"
+    cwd = os.getcwd()
+    os.chdir(values_dir)  # a fuzzed workdir is made here
+    try:
+        code, err = _run(argv)
+    finally:
+        os.chdir(cwd)
+    if code != 0:
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_settings_flags_pass_their_text_untyped():
+    assert len(_settings_flags()) == 15
+    typed = [flag for _, flag, action in _settings_flags() if action.type or action.choices]
+    assert typed == []
 
 
 # the functions that may open a file, and the calls no other function makes

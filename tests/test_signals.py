@@ -136,6 +136,11 @@ class TestSimulateDataset:
             simulate_dataset(config, [1.0, 1.0], [0.0])
         with pytest.raises(InvalidArgumentError):
             simulate_dataset(config, [-1.0, 0.0], [0.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                simulate_dataset(config, [0.0, bad], [0.0])
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                simulate_dataset(config, [0.0], [bad])
 
 
 class TestSignalCsv:
