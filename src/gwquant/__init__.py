@@ -25,7 +25,6 @@ from .persist import load_model, save_model
 from .quantify import (
     StateGrid,
     StateProbabilityTable,
-    SummaryReport,
     TwoStepPrediction,
     gaussian_cdf,
     predict_single_state,

@@ -29,8 +29,9 @@ ASCII text, every number read must be finite, and output files are written
 atomically (temp file + rename).
 
 Exit codes: 0 success, 1 domain error (single-line ``error: ...`` message on
-stderr), including a bad flag value and a numpy overflow, invalid or
-divide-by-zero error, 2 usage error (a missing or unknown flag).
+stderr), including a bad flag value, a numpy overflow, invalid or
+divide-by-zero error and a ``UserWarning``, 2 usage error (a missing or
+unknown flag).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -421,8 +423,8 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _table_to_json(table, two_state_argmax=None) -> dict:
-    argmax = table.argmax_state if two_state_argmax is None else two_state_argmax
+def _table_to_json(table) -> dict:
+    argmax = table.argmax_state
     return {
         "test_di": table.test_di,
         "argmax": {
@@ -456,10 +458,7 @@ def cmd_predict(args) -> int:
         prediction = predict_two_states(
             model, class1, lambda d: class2[d], low_confidence_threshold=threshold
         )
-        payload = _table_to_json(
-            prediction.step2_table,
-            (prediction.predicted_damage, prediction.predicted_load),
-        )
+        payload = _table_to_json(prediction.step2_table)
         payload["low_confidence"] = (
             prediction.step1_table.low_confidence or prediction.step2_table.low_confidence
         )
@@ -541,21 +540,11 @@ def cmd_report(args) -> int:
             raise InvalidArgumentError(
                 f"{args.pred_file}: prediction {i} has no numeric argmax damage"
             ) from None
-    report = summarize_predictions(true_states, predicted_states)
+    boxes, errors = summarize_predictions(true_states, predicted_states)
 
-    boxes = [
-        (
-            "damage=" + ":".join(f"{v:g}" for v in b.state),
-            b.median, b.q25, b.q75, b.lo_whisker, b.hi_whisker, b.outliers,
-        )
-        for b in report.boxes
-    ]
+    boxes = [("damage=" + ":".join(f"{v:g}" for v in state), *stats) for state, *stats in boxes]
     header = "state,median,q25,q75,lo_whisk,hi_whisk,outliers"
     atomic_write_text(args.box_out, csv_text(header, boxes))
-    errors = [
-        (r.true_damage, r.true_load, r.pred_damage, r.pred_load, r.err_damage, r.err_load)
-        for r in report.errors
-    ]
     header = "true_damage,true_load,pred_damage,pred_load,err_damage,err_load"
     atomic_write_text(args.errors_out, csv_text(header, errors))
     print(f"wrote {args.box_out} and {args.errors_out}")
@@ -631,11 +620,16 @@ def main(argv=None) -> int:
     # argparse turns a flag's value "--" (as in --out=--) into []; take it as written
     vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
     try:
-        # numpy raises on overflow, invalid and divide in place of a warning
-        # line, and the error becomes the one error line like any other
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # numpy raises on overflow, invalid and divide, and a UserWarning
+        # (constant training targets) is raised, in place of a warning line;
+        # the error becomes the one error line like any other
+        with (
+            np.errstate(over="raise", invalid="raise", divide="raise"),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("error", UserWarning)
             return args.func(args)
-    except (GwquantError, FloatingPointError) as exc:
+    except (GwquantError, FloatingPointError, UserWarning) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -127,12 +127,8 @@ def kernel_matrix_grads(x, params: KernelParams):
         dK/dlog l_d = K * (x_d - x'_d)^2 / l_d^2
     """
     x = _as_2d(x)
-    if x.shape[1] != params.ndim:
-        raise DimensionMismatchError(
-            f"inputs have {x.shape[1]} columns but kernel has {params.ndim} length scales"
-        )
+    k = kernel_matrix(x, x, params)
     ls = params.length_scales
-    k = params.output_variance * np.exp(-0.5 * _scaled_sqdist(x, x, ls))
     grads = [k]
     for d in range(params.ndim):
         diff = (x[:, d][:, None] - x[:, d][None, :]) / ls[d]

@@ -27,7 +27,7 @@ load with switch ``2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -122,35 +122,6 @@ class TwoStepPrediction:
     step1_table: StateProbabilityTable
     step2_table: StateProbabilityTable
     step1_reference_load: float
-
-
-@dataclass
-class BoxStats:
-    """Tukey box-plot summary of the argmax predictions at one true state."""
-
-    state: tuple
-    median: float
-    q25: float
-    q75: float
-    lo_whisker: float
-    hi_whisker: float
-    outliers: list[float] = field(default_factory=list)
-
-
-@dataclass
-class ErrorRecord:
-    true_damage: float
-    true_load: float | None
-    pred_damage: float
-    pred_load: float | None
-    err_damage: float
-    err_load: float | None
-
-
-@dataclass
-class SummaryReport:
-    boxes: list[BoxStats]
-    errors: list[ErrorRecord]
 
 
 def gaussian_cdf(s, mean, variance):
@@ -346,45 +317,42 @@ def predict_two_states(
     )
 
 
-def _quartiles(values: np.ndarray):
-    q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-    return float(q25), float(med), float(q75)
+def summarize_predictions(true_states: list[tuple], predicted_states: list[tuple]):
+    """Box-plot rows of predicted damage per true state plus signed error rows.
 
-
-def summarize_predictions(true_states: list[tuple], predicted_states: list[tuple]) -> SummaryReport:
-    """Box-plot stats of predicted damage per true state plus signed errors.
-
-    Whiskers follow the Tukey convention: the most extreme data points
-    within 1.5 IQR of the box edges; everything beyond is an outlier.
+    Returns (boxes, errors). boxes holds one (state, median, q25, q75,
+    lo_whisker, hi_whisker, outliers) tuple per true state, in sorted order;
+    whiskers follow the Tukey convention: the most extreme data points within
+    1.5 IQR of the box edges, everything beyond is an outlier. errors holds
+    one (true_damage, true_load, pred_damage, pred_load, err_damage,
+    err_load) tuple per prediction; a damage-only state has None loads.
+    Each predicted state must have as many values as its true state.
     """
     if len(true_states) != len(predicted_states):
         raise DimensionMismatchError("true_states and predicted_states lengths differ")
     groups: dict[tuple, list[float]] = {}
     errors = []
-    for true_state, pred in zip(true_states, predicted_states):
+    for i, (true_state, pred) in enumerate(zip(true_states, predicted_states)):
         true_state = tuple(float(v) for v in true_state)
-        groups.setdefault(true_state, []).append(pred[0])
-        has_load = len(true_state) > 1 and len(pred) > 1
-        errors.append(
-            ErrorRecord(
-                true_damage=true_state[0],
-                true_load=true_state[1] if has_load else None,
-                pred_damage=pred[0],
-                pred_load=pred[1] if has_load else None,
-                err_damage=pred[0] - true_state[0],
-                err_load=(pred[1] - true_state[1]) if has_load else None,
+        if len(pred) != len(true_state):
+            raise DimensionMismatchError(
+                f"prediction {i} has {len(pred)} values, its true state {len(true_state)}"
             )
+        groups.setdefault(true_state, []).append(pred[0])
+        true_damage, true_load = (*true_state, None)[:2]
+        pred_damage, pred_load = (*pred, None)[:2]
+        err_load = None if pred_load is None else pred_load - true_load
+        errors.append(
+            (true_damage, true_load, pred_damage, pred_load, pred_damage - true_damage, err_load)
         )
 
     boxes = []
     for state in sorted(groups):
         values = np.array(groups[state])
-        q25, med, q75 = _quartiles(values)
+        q25, med, q75 = (float(q) for q in np.percentile(values, [25.0, 50.0, 75.0]))
         iqr = q75 - q25
-        in_lo = values[values >= q25 - 1.5 * iqr]
-        in_hi = values[values <= q75 + 1.5 * iqr]
-        lo_whisker = float(in_lo.min()) if in_lo.size else q25
-        hi_whisker = float(in_hi.max()) if in_hi.size else q75
+        lo_whisker = float(values[values >= q25 - 1.5 * iqr].min())
+        hi_whisker = float(values[values <= q75 + 1.5 * iqr].max())
         outliers = sorted(float(v) for v in values[(values < lo_whisker) | (values > hi_whisker)])
-        boxes.append(BoxStats(state, med, q25, q75, lo_whisker, hi_whisker, outliers))
-    return SummaryReport(boxes, errors)
+        boxes.append((state, med, q25, q75, lo_whisker, hi_whisker, outliers))
+    return boxes, errors

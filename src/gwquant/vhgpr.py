@@ -114,7 +114,7 @@ class VhgprModel(GpPosterior):
     def from_state(cls, state: VhgprState, x, y, target_offset: float = 0.0) -> "VhgprModel":
         x = _as_2d(x)
         y = np.asarray(y, dtype=float).ravel()
-        post = _posterior(state, x)
+        post = _posterior(state, kernel_matrix(x, x, state.kernel_g))
         return cls._conditioned(
             state.kernel_f, x, y, post["r"], target_offset,
             kernel_g=state.kernel_g, mu0=state.mu0, variational_lambda=state.variational_lambda,
@@ -141,15 +141,14 @@ class VhgprModel(GpPosterior):
         return np.exp(np.clip(mu_star + 0.5 * sig2_star, -_EXP_CLIP, _EXP_CLIP))
 
 
-def _posterior(state: VhgprState, x: np.ndarray) -> dict:
-    """mu, diag(Sigma), R and the S-factor for fixed parameters."""
-    n = x.shape[0]
+def _posterior(state: VhgprState, kg: np.ndarray) -> dict:
+    """mu, diag(Sigma), R and the S-factor for fixed parameters and K_g."""
+    n = kg.shape[0]
     lam = state.variational_lambda
     if lam.size != n:
         raise DimensionMismatchError(
             f"variational_lambda has {lam.size} entries for n={n} rows"
         )
-    kg = kernel_matrix(x, x, state.kernel_g)
     sqrt_lam = np.sqrt(lam)
     a = np.eye(n) + sqrt_lam[:, None] * kg * sqrt_lam[None, :]
     chol_a, _ = robust_cholesky(a)
@@ -160,7 +159,6 @@ def _posterior(state: VhgprState, x: np.ndarray) -> dict:
     mu = kg @ v + state.mu0
     r = np.exp(np.clip(mu - 0.5 * sigma_diag, -_EXP_CLIP, _EXP_CLIP))
     return {
-        "kg": kg,
         "chol_a": chol_a,
         "u_g": u_g,
         "sigma_diag": sigma_diag,
@@ -186,13 +184,13 @@ def mv_bound(state: VhgprState, x, y):
         raise DimensionMismatchError("inputs and targets row counts differ")
 
     lam = state.variational_lambda
-    post = _posterior(state, x)
-    kg, u_g, v = post["kg"], post["u_g"], post["v"]
-    sigma_diag, mu, r = post["sigma_diag"], post["mu"], post["r"]
+    kg, kg_grads = kernel_matrix_grads(x, state.kernel_g)
+    post = _posterior(state, kg)
+    u_g, v = post["u_g"], post["v"]
+    sigma_diag, r = post["sigma_diag"], post["r"]
     s = u_g.T @ u_g  # (K_g + Lambda^-1)^-1, valid at Lambda = 0
 
     kf, kf_grads = kernel_matrix_grads(x, state.kernel_f)
-    _, kg_grads = kernel_matrix_grads(x, state.kernel_g)
     nll, m = gaussian_nll(kf, r, y)
 
     # Sigma = K_g - K_g S K_g; only the trace terms need more than its diag

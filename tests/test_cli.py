@@ -2,7 +2,10 @@
 
 import json
 import os
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,22 @@ class TestParseConfig:
     def test_mistyped_value_names_its_line(self):
         with pytest.raises(InvalidArgumentError, match="line 3: train.restarts must be an integer"):
             parse_config("# header\ntrain.seed = 4\ntrain.restarts = 2.5\n")
+
+
+def test_readme_walkthrough_matches_config_keys_and_flags():
+    # a README that names a key or flag the program no longer has fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = readme.split("\n## Pipeline walkthrough\n", 1)[1].split("\n## ", 1)[0]
+    blocks = dict(re.findall(r"```(\w*)\n(.*?)```", walkthrough, re.S))
+    parse_config(blocks[""])
+    lines = blocks["sh"].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip()]
+    assert [argv[:2] for argv in commands] == [
+        ["gwquant", name] for name in ("simulate", "di", "train", "predict", "evaluate", "report")
+    ]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 class TestSplitDataset:
@@ -929,6 +948,21 @@ BAD_INPUTS.update({
             "--di-file", _write(t, "di.csv", "damage,load,di\n0,0,1e308\n1,0,0.1\n"),
         ],
         "FloatingPointError: overflow",
+    ),
+    "report-prediction-lacks-load": (
+        lambda p, t: _report_argv(t, '[{"argmax": {"damage": 1}}]', "damage,load\n1,0\n"),
+        "prediction 0 has 1 values, its true state 2",
+    ),
+    "report-truth-lacks-load": (
+        lambda p, t: _report_argv(t, '[{"argmax": {"damage": 1, "load": 5}}]', "damage\n1\n"),
+        "prediction 0 has 2 values, its true state 1",
+    ),
+    "train-constant-targets": (
+        lambda p, t: [
+            "train", "--di-file", _write(t, "di.csv", "damage,di\n0,0.1\n0,0.1\n1,0.1\n1,0.1\n"),
+            "--model-file", t / "model.json",
+        ],
+        "UserWarning: training targets are constant",
     ),
 })
 

@@ -513,21 +513,21 @@ class TestPredictTwoStates:
 class TestSummarizePredictions:
     def test_exact_predictions_give_degenerate_boxes(self):
         true_states = [(0.0,), (0.0,), (2.0,), (2.0,)]
-        report = summarize_predictions(true_states, true_states)
-        for box in report.boxes:
-            assert box.median == box.q25 == box.q75 == box.state[0]
-            assert box.outliers == []
-        assert all(r.err_damage == 0.0 for r in report.errors)
+        boxes, errors = summarize_predictions(true_states, true_states)
+        for state, median, q25, q75, _, _, outliers in boxes:
+            assert median == q25 == q75 == state[0]
+            assert outliers == []
+        assert all(err_damage == 0.0 for *_, err_damage, _ in errors)
 
     def test_symmetric_errors_keep_median_on_truth(self):
         true_states = [(2.0,)] * 3
-        report = summarize_predictions(true_states, [(1.0,), (2.0,), (3.0,)])
-        assert report.boxes[0].median == 2.0
+        boxes, _ = summarize_predictions(true_states, [(1.0,), (2.0,), (3.0,)])
+        assert boxes[0][1] == 2.0
 
     def test_quartiles_match_sorting_oracle(self, rng):
         preds = rng.normal(2.0, 1.0, 12)
         true_states = [(2.0,)] * 12
-        report = summarize_predictions(true_states, [(float(p),) for p in preds])
+        boxes, _ = summarize_predictions(true_states, [(float(p),) for p in preds])
 
         def quantile(sorted_values, q):
             # linear interpolation between closest ranks
@@ -537,21 +537,20 @@ class TestSummarizePredictions:
             return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
         ordered = sorted(preds)
-        box = report.boxes[0]
-        assert box.q25 == pytest.approx(quantile(ordered, 0.25), rel=1e-12)
-        assert box.median == pytest.approx(quantile(ordered, 0.50), rel=1e-12)
-        assert box.q75 == pytest.approx(quantile(ordered, 0.75), rel=1e-12)
+        _, median, q25, q75, *_ = boxes[0]
+        assert q25 == pytest.approx(quantile(ordered, 0.25), rel=1e-12)
+        assert median == pytest.approx(quantile(ordered, 0.50), rel=1e-12)
+        assert q75 == pytest.approx(quantile(ordered, 0.75), rel=1e-12)
 
     def test_two_state_error_records(self):
         true_states = [(1.0, 5.0)]
-        report = summarize_predictions(true_states, [(2.0, 10.0)])
-        rec = report.errors[0]
-        assert rec.err_damage == 1.0
-        assert rec.err_load == 5.0
+        _, errors = summarize_predictions(true_states, [(2.0, 10.0)])
+        assert errors[0] == (1.0, 5.0, 2.0, 10.0, 1.0, 5.0)
 
     def test_whiskers_and_outliers(self):
         values = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0]
         true_states = [(0.0,)] * len(values)
-        box = summarize_predictions(true_states, [(v,) for v in values]).boxes[0]
-        assert box.outliers == [10.0]
-        assert box.hi_whisker == 0.0
+        boxes, _ = summarize_predictions(true_states, [(v,) for v in values])
+        *_, hi_whisker, outliers = boxes[0]
+        assert outliers == [10.0]
+        assert hi_whisker == 0.0

@@ -211,7 +211,7 @@ class TestTrainVhgpr:
             kg = kernel_matrix(x, x, state.kernel_g)
             from gwquant.vhgpr import _posterior
 
-            r = _posterior(state, x)["r"]
+            r = _posterior(state, kg)["r"]
             assert np.all(r > 0.0)
             trace.append(value)
 
