@@ -37,6 +37,7 @@ unknown flag).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -322,7 +323,8 @@ def _read_workdir_signals(workdir: str):
 
     After ``#`` and blank lines, the first line must be MANIFEST_HEADER. A
     row names a distinct file that holds exactly n_signals signals, all at
-    the row's (damage, load). Errors name manifest.csv and the line.
+    the row's (damage, load); no (damage, load, replicate, role) comes twice,
+    in one file or across rows. Errors name manifest.csv and the line.
     """
     manifest = os.path.join(workdir, "manifest.csv")
     if not os.path.exists(manifest):
@@ -331,7 +333,7 @@ def _read_workdir_signals(workdir: str):
     def bad(message):
         return InvalidArgumentError(message, lineno, manifest)
 
-    signals, header, first_lines = [], None, {}
+    signals, header, first_lines, first_files = [], None, {}, {}
     with open_ascii(manifest) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -360,6 +362,13 @@ def _read_workdir_signals(workdir: str):
                         f"{name} holds a signal at (damage={state.damage_size!r}, "
                         f"load={state.load!r}), the row lists ({damage!r}, {load!r})"
                     )
+                if state in first_files:
+                    raise bad(
+                        f"{name} holds the signal (damage={state.damage_size!r}, "
+                        f"load={state.load!r}, replicate={state.replicate}, role={state.role}) "
+                        f"again (first in {first_files[state]})"
+                    )
+                first_files[state] = name
             signals.extend(held)
     if not signals:
         raise InvalidArgumentError("lists no signals", path=manifest)
@@ -551,6 +560,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # a flag that sets a config key keeps its text untyped: _settings types
     # and checks it as parse_config does the key's value

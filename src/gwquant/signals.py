@@ -235,7 +235,8 @@ def simulate_dataset(config: SimulationConfig, damage_grid, load_grid) -> list[S
 #     # signal damage=<real> load=<real> replicate=<int> role=<baseline|test> sample_rate=<real>
 #     <amplitude>
 #     ...
-# Sections are separated by blank lines. Other '#' lines are comments.
+# Sections are separated by blank lines. Other '#' lines are comments. A
+# header names each of its five keys once.
 
 _HEADER_PREFIX = "# signal "
 _HEADER_KEYS = ("damage", "load", "replicate", "role", "sample_rate")
@@ -255,6 +256,10 @@ def _parse_header(line: str, lineno: int, path) -> tuple[StateLabel, float]:
         if "=" not in token:
             raise SignalParseError(f"malformed header token {token!r}", lineno, path)
         key, value = token.split("=", 1)
+        if key not in _HEADER_KEYS:
+            raise SignalParseError(f"header has unknown key {key!r}", lineno, path)
+        if key in fields:
+            raise SignalParseError(f"header repeats key {key!r}", lineno, path)
         fields[key] = value
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
@@ -281,17 +286,65 @@ def signals_to_csv_text(signals: list[Signal], comment: str | None = None) -> st
         if i:
             parts.append("\n")
         parts.append(_format_header(sig) + "\n")
-        parts.extend(f"{value:.17g}\n" for value in sig.samples)
+        # one %-format per section; the same bytes as f"{value:.17g}\n" per value
+        parts.append(("%.17g\n" * len(sig)) % tuple(sig.samples.tolist()))
     return "".join(parts)
 
 
 def read_signals_csv(path) -> list[Signal]:
     """Parse a signal CSV file.
 
+    The file is read whole, then a section at a time; where that fails, the
+    line loop, the format's one grammar, reads the text instead.
+
     Every error is a SignalParseError that names the file and a line: the
     offending line (a bad sample, header or non-ASCII byte), or the
     section's header line when the section as a whole is bad (no samples, a
     non-finite sample, a bad sample rate).
+    """
+    with open_ascii(path, SignalParseError) as fh:
+        text = fh.read()
+    signals = _read_sections(text)
+    if signals is None:
+        signals = _read_lines(text.split("\n"), path)
+    return signals
+
+
+def _read_sections(text: str) -> list[Signal] | None:
+    """The signals of text read a section at a time, or None where that fails.
+
+    Each column-0 ``# signal`` line starts a section whose other lines,
+    but for the blank lines that end it, are each one sample ``float``
+    takes. The lines before the first section must be blank or comments.
+    Anything else (a comment or blank line inside a section, an indented
+    header, a bad token, header or section) returns None, and
+    ``_read_lines``, the file's one grammar, reads the file instead.
+    """
+    preamble, *sections = ("\n" + text).split("\n" + _HEADER_PREFIX)
+    for line in preamble.split("\n"):
+        line = line.strip()
+        if line and (not line.startswith("#") or line.startswith(_HEADER_PREFIX)):
+            return None
+    signals = []
+    try:
+        for section in sections:
+            header, _, body = section.partition("\n")
+            lines = body.split("\n")
+            while lines and not lines[-1]:
+                lines.pop()
+            state, rate = _parse_header(_HEADER_PREFIX + header, 0, None)
+            signals.append(Signal(np.array(list(map(float, lines))), rate, state))
+    except ValueError:  # float's, and SignalParseError and InvalidArgumentError
+        return None
+    return signals
+
+
+def _read_lines(lines, path) -> list[Signal]:
+    """The signals of an iterable of a file's lines, read one line at a time.
+
+    This is the file's grammar: blank lines and ``#`` comments may stand
+    anywhere, surrounding whitespace is dropped, and every SignalParseError
+    but the non-ASCII one is raised here or in ``_parse_header``.
     """
     signals = []
     header = None
@@ -316,23 +369,22 @@ def read_signals_csv(path) -> list[Signal]:
         header = None
         values.clear()
 
-    with open_ascii(path, SignalParseError) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith(_HEADER_PREFIX):
-                flush()
-                header, rate = _parse_header(line, lineno, path)
-                header_line = lineno
-            elif not line or line.startswith("#"):
-                continue
-            else:
-                if header is None:
-                    raise SignalParseError("sample value before any header", lineno, path)
-                try:
-                    values.append(float(line))
-                except ValueError as exc:
-                    raise SignalParseError(f"bad amplitude {line!r}", lineno, path) from exc
-        flush()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith(_HEADER_PREFIX):
+            flush()
+            header, rate = _parse_header(line, lineno, path)
+            header_line = lineno
+        elif not line or line.startswith("#"):
+            continue
+        else:
+            if header is None:
+                raise SignalParseError("sample value before any header", lineno, path)
+            try:
+                values.append(float(line))
+            except ValueError as exc:
+                raise SignalParseError(f"bad amplitude {line!r}", lineno, path) from exc
+    flush()
     return signals
 
 

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gwquant import cli
 from gwquant.cli import build_parser, main, parse_config, split_dataset
 from gwquant.damage_index import DiDataset, read_di_csv
 from gwquant.errors import InvalidArgumentError
 from gwquant.kernels import KernelParams
-from gwquant.persist import save_model
+from gwquant.persist import load_model, save_model
 from gwquant.vhgpr import VhgprModel, VhgprState
 
 BASE_CONFIG = """
@@ -438,6 +439,56 @@ class TestReport:
         assert np.mean(np.abs(errors) < 0.5) >= 0.8
 
 
+class TestOneParserPerProcess:
+    """main builds its parser once; no call may see a flag of an earlier call."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_successive_calls_keep_no_flags(self, pipeline, tmp_path, monkeypatch, capsys):
+        seen = []
+        settings = cli._settings
+
+        def spy(args, *rest, **kwargs):
+            seen.append(dict(vars(args)))
+            return settings(args, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "_settings", spy)
+        centered, plain = tmp_path / "centered.json", tmp_path / "plain.json"
+        for model_file, flags in ((centered, ["--center-targets"]), (plain, [])):
+            argv = [
+                "train", "--config", pipeline["config"], "--di-file", pipeline["di_csv"],
+                "--model-file", model_file, *flags,
+            ]
+            assert run(*argv) == 0
+        assert [a["center_targets"] for a in seen] == ["true", None]
+        assert load_model(centered).target_offset != 0.0
+        assert load_model(plain).target_offset == 0.0
+
+        # a two-state request on a (damage, load, switch) model, then a single DI
+        x = np.array([[d, w, s] for d in (0.0, 1.0, 2.0) for w in (0.0, 5.0) for s in (1.0, 2.0)])
+        y = 0.1 * x[:, 0] + 0.01 * x[:, 1] + 0.05 * x[:, 2]
+        state = VhgprState(
+            KernelParams(0.0, [0.0, 1.5, 0.0]), KernelParams(0.0, [0.0] * 3), -5.0,
+            np.full(y.size, 0.5),
+        )
+        switch_model = tmp_path / "switch.json"
+        save_model(switch_model, VhgprModel.from_state(state, x, y))
+        two = _write(
+            tmp_path, "two.csv",
+            "class,ref_load,ref_damage,di\n1,0,0,0.15\n1,5,0,0.2\n2,0,0,0.3\n2,0,1,0.2\n",
+        )
+        capsys.readouterr()
+        two_state = ["--two-state", "--test-di-file", two]
+        assert run("predict", "--model-file", switch_model, *two_state) == 0
+        assert "step1_reference_load" in json.loads(capsys.readouterr().out)
+        single = ["--test-di", 0.05, "--known-load", 0]
+        assert run("predict", "--model-file", pipeline["model_file"], *single) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"test_di", "argmax", "low_confidence", "probabilities"}
+        assert [a["two_state"] for a in seen[2:]] == [True, False]
+
+
 class TestTwoStateCli:
     def test_two_state_prediction_flow(self, tmp_path):
         config = tmp_path / "cfg"
@@ -539,22 +590,36 @@ def _di_argv_with(pipeline, tmp_path, line):
     ]
 
 
+def _workdir_di_argv(tmp_path, files, *flags):
+    """di argv on a workdir holding files, a dict of name -> text with manifest.csv."""
+    workdir = tmp_path / "cell"
+    workdir.mkdir()
+    for name, text in files.items():
+        _write(workdir, name, text)
+    return ["di", "--workdir", workdir, "--out", tmp_path / "di.csv", *flags]
+
+
 def _cell_di_argv(tmp_path, samples, *flags, manifest=None):
     """di argv on a one-cell workdir: one healthy signal per samples text.
 
     manifest, when given, replaces the manifest, which lists cell.csv once.
     """
-    workdir = tmp_path / "cell"
-    workdir.mkdir()
     if manifest is None:
         manifest = f"damage,load,n_signals,file\n0,0,{len(samples)},cell.csv\n"
-    _write(workdir, "manifest.csv", manifest)
     sections = [
         f"# signal damage=0 load=0 replicate={rep} role=test sample_rate=1e6\n{text}"
         for rep, text in enumerate(samples)
     ]
-    _write(workdir, "cell.csv", "\n".join(sections))
-    return ["di", "--workdir", workdir, "--out", tmp_path / "di.csv", *flags]
+    files = {"manifest.csv": manifest, "cell.csv": "\n".join(sections)}
+    return _workdir_di_argv(tmp_path, files, *flags)
+
+
+# a section at state (0, 0), with extra text at the end of its header
+def _section(replicate=0, extra=""):
+    return (
+        f"# signal damage=0 load=0 replicate={replicate} role=test sample_rate=1e6{extra}\n"
+        f"1\n{2 + replicate}\n"
+    )
 
 
 def _report_argv(tmp_path, preds, truth):
@@ -794,6 +859,36 @@ BAD_INPUTS = {
     "prediction-number-too-large-for-a-double": (
         lambda p, t: _report_argv(t, '[{"argmax": {"damage": 1%s}}]' % ("0" * 400), "damage\n1\n"),
         "prediction 0 has no numeric argmax damage",
+    ),
+    "signal-header-repeats-key": (
+        lambda p, t: _workdir_di_argv(
+            t, {"manifest.csv": "damage,load,n_signals,file\n0,0,2,cell.csv\n",
+                "cell.csv": _section(0, " replicate=7") + "\n" + _section(1)},
+        ),
+        "cell.csv: line 1: header repeats key 'replicate'",
+    ),
+    "signal-header-unknown-key": (
+        lambda p, t: _workdir_di_argv(
+            t, {"manifest.csv": "damage,load,n_signals,file\n0,0,2,cell.csv\n",
+                "cell.csv": _section(0, " bogus=1") + "\n" + _section(1)},
+        ),
+        "cell.csv: line 1: header has unknown key 'bogus'",
+    ),
+    "workdir-repeats-a-signal": (
+        lambda p, t: _workdir_di_argv(
+            t, {"manifest.csv": "damage,load,n_signals,file\n0,0,2,cell.csv\n",
+                "cell.csv": _section() + "\n" + _section()},
+        ),
+        "manifest.csv: line 2: cell.csv holds the signal (damage=0.0, load=0.0, replicate=0, "
+        "role=test) again (first in cell.csv)",
+    ),
+    "workdir-repeats-a-signal-across-rows": (
+        lambda p, t: _workdir_di_argv(
+            t, {"manifest.csv": "damage,load,n_signals,file\n0,0,1,a.csv\n0,0,1,b.csv\n",
+                "a.csv": _section(), "b.csv": _section()},
+        ),
+        "manifest.csv: line 3: b.csv holds the signal (damage=0.0, load=0.0, replicate=0, "
+        "role=test) again (first in a.csv)",
     ),
     "as-written-subnormal-baseline-sample": (
         lambda p, t: _cell_di_argv(

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from gwquant import signals as signals_module
 from gwquant.errors import InvalidArgumentError, SignalParseError
+from gwquant.persist import open_ascii
 from gwquant.signals import (
     Signal,
     SimulationConfig,
@@ -250,6 +254,180 @@ class TestSignalCsv:
         path.write_text("0.5\n")
         with pytest.raises(SignalParseError, match="line 1"):
             read_signals_csv(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ("damage=1 load=0 replicate=0 role=test replicate=7 sample_rate=1e6",
+             "header repeats key 'replicate'"),
+            ("damage=1 load=0 replicate=0 role=test sample_rate=1e6 bogus=1",
+             "header has unknown key 'bogus'"),
+        ],
+    )
+    def test_header_names_each_key_once(self, tmp_path, fields, message):
+        path = tmp_path / "keys.csv"
+        path.write_text(f"# run\n# signal {fields}\n1.0\n")
+        with pytest.raises(SignalParseError) as excinfo:
+            read_signals_csv(path)
+        assert str(excinfo.value) == f"{path}: line 2: {message}"
+
+    def test_the_writers_layout_never_reaches_the_line_loop(self, tmp_path, rng, monkeypatch):
+        signals = [
+            Signal(rng.normal(size=n), 1e6, StateLabel(1.0, 5.0, n, "test")) for n in (1, 2, 30)
+        ]
+        path = tmp_path / "written.csv"
+        path.write_text(signals_to_csv_text(signals, comment="seed=3"))
+
+        def no_line_loop(lines, path):
+            raise AssertionError("the line loop read a file in the writer's layout")
+
+        monkeypatch.setattr(signals_module, "_read_lines", no_line_loop)
+        back = read_signals_csv(path)
+        assert [s.state for s in back] == [s.state for s in signals]
+        assert all(np.array_equal(a.samples, b.samples) for a, b in zip(back, signals))
+
+
+class TestSignalCsvWriter:
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [0.0],
+            [-0.0],
+            [5e-324],
+            [1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0],
+            [2.2250738585072014e-308, -4.9e-324, 1e-310, 0.1, 1 / 3, 1e16, 123456789.0],
+        ],
+    )
+    def test_render_equals_one_format_per_value(self, samples):
+        signals = [
+            Signal(samples, 1e6, StateLabel(0.5, 2.0, 0, "baseline")),
+            Signal(samples[::-1], 2e6, StateLabel(0.5, 2.0, 1, "test")),
+        ]
+        expected = "# a comment\n" + "\n".join(
+            signals_module._format_header(sig) + "\n"
+            + "".join(f"{value:.17g}\n" for value in sig.samples)
+            for sig in signals
+        )
+        assert signals_to_csv_text(signals, "a comment") == expected
+
+    def test_render_equals_one_format_per_value_on_random_doubles(self, rng):
+        bits = rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True)
+        samples = bits.view(np.float64)
+        samples = samples[np.isfinite(samples)]
+        text = signals_to_csv_text([Signal(samples, 1e6)])
+        assert text.split("\n", 1)[1] == "".join(f"{value:.17g}\n" for value in samples)
+
+
+# --- the section reader against the line loop -------------------------------
+
+_VALID_FIELDS = {
+    "damage": "2.5", "load": "5", "replicate": "1", "role": "test", "sample_rate": "1e6"
+}
+_FIELD_EDITS = st.integers(0, 9).flatmap(
+    lambda k: st.just("none")
+    if k < 7
+    else st.sampled_from(["drop", "repeat", "unknown", "bad-value", "token", "shuffle"])
+)
+_PADS = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"])
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:.17g}"),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_ODD_TOKENS = st.sampled_from(
+    ["1_0", "1 2", "0x1p3", "nan", "inf", "-inf", "1e400", "-0", "5e-324", "1e+308", "x",
+     "1\x0b2", "1\x0c2", "1\x1c2", "1\x1e2", "1\x1f2"]
+)
+_TOKENS = st.integers(0, 9).flatmap(lambda k: _NUMBERS if k < 9 else _ODD_TOKENS)
+
+
+@st.composite
+def _headers(draw):
+    items = list(_VALID_FIELDS.items())
+    edit = draw(_FIELD_EDITS)
+    if edit == "drop":
+        items.pop(draw(st.integers(0, 4)))
+    elif edit == "repeat":
+        items.append(draw(st.sampled_from(items)))
+    elif edit == "unknown":
+        items.append(("bogus", "1"))
+    elif edit == "bad-value":
+        at = draw(st.integers(0, 4))
+        items[at] = (items[at][0], draw(st.sampled_from(["nan", "-1", "0", "1.5", "probe", ""])))
+    elif edit == "shuffle":
+        items = draw(st.permutations(items))
+    tokens = [f"{key}={value}" for key, value in items]
+    if edit == "token":
+        tokens.insert(draw(st.integers(0, 5)), "damage")
+    indent = draw(st.sampled_from(["", "", "", " ", "\t", "\x1c"]))
+    return indent + "# signal " + draw(_PADS) + " ".join(tokens) + draw(_PADS)
+
+
+_NOISE = st.sampled_from(
+    ["", "", " ", "\x0c", "\x1f", "# a comment", "  # indented comment", "# signal",
+     "# signal  ", "# signal\t\x1c", "#"]
+)
+_NOISE_OR_NOT_ASCII = st.integers(0, 9).flatmap(
+    lambda k: _NOISE if k < 9 else st.sampled_from(["\u00e9", "1.5 \u00e9", "\x85"])
+)
+_SAMPLE_LINES = st.builds(lambda a, t, b: a + t + b, _PADS, _TOKENS, _PADS)
+_BODY_LINES = st.integers(0, 19).flatmap(
+    lambda k: _SAMPLE_LINES if k < 18 else _NOISE_OR_NOT_ASCII
+)
+
+
+@st.composite
+def _signal_files(draw):
+    """Bytes of a random signal file: mostly sections, with every oddity mixed in."""
+    lines = draw(st.lists(_NOISE_OR_NOT_ASCII, max_size=2))
+    if draw(st.integers(0, 9)) == 9:
+        lines.append(draw(_headers()))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(draw(_headers()))
+        empty_allowed = draw(st.integers(0, 9)) == 9
+        lines.extend(draw(st.lists(_BODY_LINES, min_size=0 if empty_allowed else 1, max_size=6)))
+        lines.extend(draw(st.lists(st.just(""), max_size=2)))
+    ends = draw(
+        st.lists(
+            st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+            min_size=len(lines),
+            max_size=len(lines),
+        )
+    )
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its signals as plain values, or its error."""
+    try:
+        return [
+            (s.state, s.sample_rate, s.samples.dtype, s.samples.tobytes()) for s in read(path)
+        ]
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return (type(exc), str(exc))
+
+
+def _line_loop(path):
+    """The oracle: the line loop alone, over the file streamed line by line."""
+    with open_ascii(path, SignalParseError) as fh:
+        return signals_module._read_lines(fh, path)
+
+
+@settings(
+    max_examples=400, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(data=_signal_files())
+# str.splitlines would also break at \x0c; an indented header is a header
+@example(data=b"# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1\x0c2\n")
+@example(data=b"  # signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1\n")
+def test_read_signals_csv_equals_the_line_loop(tmp_path, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    assert _outcome(read_signals_csv, path) == _outcome(_line_loop, path)
 
 
 def test_state_label_validation():
