@@ -574,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="pipeline config file")
     p.add_argument("--workdir", help="output directory (default from config)")
     p.add_argument("--seed", dest="rng_seed", help="simulation RNG seed")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("di", help="compute a DI dataset from simulated signals")
     p.add_argument("--config", help="pipeline config file")
@@ -586,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-damage")
     p.add_argument("--fixed-load")
     p.add_argument("--out", required=True, help="output DI CSV path")
-    p.set_defaults(func=cmd_di)
 
     p = sub.add_parser("train", help="train a model on a DI dataset")
     p.add_argument("--config", help="pipeline config file")
@@ -598,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction")
     p.add_argument("--model-file", required=True)
     p.add_argument("--heldout-file")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="state probabilities for test DI values")
     p.add_argument("--config", help="pipeline config file")
@@ -609,19 +606,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-state", action="store_true")
     p.add_argument("--grid-refine")
     p.add_argument("--out", help="output JSON path (default stdout)")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="recompute fit metrics for a model file")
     p.add_argument("--model-file", required=True)
     p.add_argument("--di-file", required=True)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="box-plot and prediction-error CSVs")
     p.add_argument("--pred-file", required=True)
     p.add_argument("--true-file", required=True)
     p.add_argument("--box-out", required=True)
     p.add_argument("--errors-out", required=True)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
@@ -638,7 +632,9 @@ def main(argv=None) -> int:
             warnings.catch_warnings(),
         ):
             warnings.simplefilter("error", UserWarning)
-            return args.func(args)
+            # looked up per call, not kept in the cached parser, so a command
+            # replaced on the module after the first call is the one that runs
+            return globals()[f"cmd_{args.command}"](args)
     except (GwquantError, FloatingPointError, UserWarning) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -302,8 +302,14 @@ def read_signals_csv(path) -> list[Signal]:
     section's header line when the section as a whole is bad (no samples, a
     non-finite sample, a bad sample rate).
     """
-    with open_ascii(path, SignalParseError) as fh:
-        text = fh.read()
+    try:
+        with open_ascii(path, SignalParseError) as fh:
+            text = fh.read()
+    except SignalParseError:
+        # streamed, a bad line ahead of the non-ASCII byte's decode block is
+        # what the error names, as when the file is read line by line
+        with open_ascii(path, SignalParseError) as fh:
+            return _read_lines(fh, path)
     signals = _read_sections(text)
     if signals is None:
         signals = _read_lines(text.split("\n"), path)

@@ -445,6 +445,14 @@ class TestOneParserPerProcess:
     def test_the_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
+    def test_a_command_replaced_after_the_first_call_is_the_one_run(self, tmp_path, monkeypatch):
+        argv = ["evaluate", "--model-file", str(tmp_path / "none.json"), "--di-file", "x.csv"]
+        assert main(argv) == 1  # the parser is built by now, with the real command
+        ran = []
+        monkeypatch.setattr(cli, "cmd_evaluate", lambda args: ran.append(args.model_file) or 0)
+        assert main(argv) == 0
+        assert ran == [str(tmp_path / "none.json")]
+
     def test_successive_calls_keep_no_flags(self, pipeline, tmp_path, monkeypatch, capsys):
         seen = []
         settings = cli._settings

@@ -243,6 +243,17 @@ class TestSignalCsv:
             read_signals_csv(path)
         assert str(excinfo.value) == f"{path}: line 4: not ASCII text"
 
+    def test_a_bad_line_well_ahead_of_a_non_ascii_byte_is_the_error(self, tmp_path):
+        # the byte lies more than one 8 KiB decode block after the bad line
+        path = tmp_path / "late_latin.csv"
+        path.write_bytes(
+            b"# signal damage=1 load=0 replicate=0 role=test sample_rate=1e6\n"
+            b"x\n" + b"0.25\n" * 3000 + b"\xe9\n"
+        )
+        with pytest.raises(SignalParseError) as excinfo:
+            read_signals_csv(path)
+        assert str(excinfo.value) == f"{path}: line 2: bad amplitude 'x'"
+
     def test_missing_header_key_is_schema_error(self, tmp_path):
         path = tmp_path / "schema.csv"
         path.write_text("# signal damage=1 load=0 replicate=0 role=test\n1.0\n")
@@ -424,6 +435,9 @@ def _line_loop(path):
 # str.splitlines would also break at \x0c; an indented header is a header
 @example(data=b"# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1\x0c2\n")
 @example(data=b"  # signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1\n")
+# a bad line, then a non-ASCII byte more than one 8 KiB decode block later
+@example(data=b"# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1 2\n"
+         + b"0.5\n" * 3000 + b"\xff\n")
 def test_read_signals_csv_equals_the_line_loop(tmp_path, data):
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data)

@@ -9,6 +9,7 @@ import would leave such a name matching no span, and the metric would read
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 
@@ -56,3 +57,30 @@ def test_the_optimizer_is_found_through_sgpr():
     import gwquant.sgpr
 
     assert gwquant.sgpr.minimize is scipy.optimize.minimize
+
+
+def test_the_tracer_sees_each_command_only_while_installed(tmp_path):
+    """A traced call records its command; an untraced one, before or after, none."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"gwquant.{layer}")
+    from gwquant import cli
+
+    argv = ["evaluate", "--model-file", str(tmp_path / "none.json"), "--di-file", "x.csv"]
+    tracer = tracing.Tracer()
+
+    def traced_call():
+        tracer.install()
+        try:
+            assert cli.main(argv) == 1
+        finally:
+            tracer.uninstall()
+        return [span[0] for span in tracer.take()]
+
+    assert cli.main(argv) == 1  # an untraced first call builds the parser
+    assert "cli.cmd_evaluate" in traced_call()
+    assert cli.main(argv) == 1
+    assert tracer.take() == []
+    assert "cli.cmd_evaluate" in traced_call()
