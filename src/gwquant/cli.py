@@ -14,13 +14,13 @@ space-separated numbers. Example::
     paths.workdir = out
 
 Each value takes the type of its key's default: an integer, a finite
-number, ``true``/``false`` or text. ``di.kind`` (rmsd, normalized),
-``di.mode`` (projection, as-written), ``di.policy`` (class1, class2, both,
-fixed) and ``train.model_kind`` (sgpr, vhgpr) take only the listed choices;
-``paths.workdir`` is the only ``paths`` key. A flag given on the command
-line (``--model`` for ``train.model_kind``) replaces the key of the same
-name; its text is typed and checked as the key's would be, one value at a
-time, and an error names the config line, the flag or ``GWQUANT_SEED``.
+number, ``true``/``false`` or text, which its section then checks (a choice,
+a range). Every key of the sections a command reads (``_COMMAND_SECTIONS``)
+also has a flag ``--<key with dashes>``; ``--model`` (``train.model_kind``)
+and simulate's ``--seed`` (``simulation.rng_seed``) are the renames, and
+``gwquant <command> --help`` lists them. A flag's text replaces the key's
+value and is typed and checked as the key's would be; an error names the
+config line, the flag or ``GWQUANT_SEED``.
 
 The environment variable ``GWQUANT_SEED`` overrides any configured or
 flag-provided seed. Every subcommand is deterministic given identical
@@ -163,8 +163,20 @@ _SECTIONS = {
     "quantify": QuantifyConfig,
     "paths": PathsConfig,
 }
+# command -> {section it reads: the field GWQUANT_SEED sets, or None}
+_COMMAND_SECTIONS = {
+    "simulate": {"simulation": "rng_seed", "paths": None},
+    "di": {"di": None, "paths": None},
+    "train": {"train": "seed"},
+    "predict": {"quantify": None},
+}
 # field -> its flag, where the flag is not the field name in dashes
 _FLAG_NAMES = {"model_kind": "--model", "rng_seed": "--seed"}
+
+
+def _flag(name: str) -> str:
+    return _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+
 
 _TYPE_NAMES = {
     bool: "true or false", int: "an integer", float: "a finite number",
@@ -230,25 +242,22 @@ def load_config(path) -> PipelineConfig:
         return parse_config(fh.read())
 
 
-def _settings(args, config: PipelineConfig, section: str, seed_field: str | None = None):
-    """The config section with the flags the user set, then GWQUANT_SEED, laid over it.
-
-    A flag's dest names the field it replaces; unset flags are None. The
-    seed field, when given, takes GWQUANT_SEED over both flag and config.
-    """
-    for f in fields(getattr(config, section)):
-        text = getattr(args, f.name, None)
-        if text is not None:
-            flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-            _overlay(config, section, f.name, flag, text)
-    env = os.environ.get(SEED_ENV_VAR)
-    if seed_field is not None and env is not None:
-        _overlay(config, section, seed_field, SEED_ENV_VAR, env)
-    return getattr(config, section)
-
-
 def _config(args) -> PipelineConfig:
-    return load_config(args.config) if args.config else PipelineConfig()
+    """The config file or the defaults, with the command's flags, then GWQUANT_SEED, laid over.
+
+    A flag's dest names the field it replaces; unset flags are None. Each
+    section's seed field takes GWQUANT_SEED over both flag and config.
+    """
+    config = load_config(args.config) if args.config else PipelineConfig()
+    env = os.environ.get(SEED_ENV_VAR)
+    for section, seed_field in _COMMAND_SECTIONS[args.command].items():
+        for f in fields(getattr(config, section)):
+            text = getattr(args, f.name)
+            if text is not None:
+                _overlay(config, section, f.name, _flag(f.name), text)
+        if seed_field is not None and env is not None:
+            _overlay(config, section, seed_field, SEED_ENV_VAR, env)
+    return config
 
 
 def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
@@ -257,8 +266,6 @@ def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
     Each state keeps ceil(train_fraction * k) rows for training, capped at
     k - 1 so that every state with >= 2 rows retains a held-out replicate.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise InvalidArgumentError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     groups: dict[tuple, list[int]] = {}
     for i, row in enumerate(dataset.inputs):
@@ -295,8 +302,7 @@ def _signal_file_name(damage: float, load: float) -> str:
 
 def cmd_simulate(args) -> int:
     config = _config(args)
-    sim = _settings(args, config, "simulation", seed_field="rng_seed")
-    workdir = _settings(args, config, "paths").workdir
+    sim, workdir = config.simulation, config.paths.workdir
     os.makedirs(workdir, exist_ok=True)
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
@@ -377,9 +383,9 @@ def _read_workdir_signals(workdir: str):
 
 def cmd_di(args) -> int:
     config = _config(args)
-    di = _settings(args, config, "di")
+    di = config.di
     policy = _POLICY_NAMES[di.policy]
-    signals = _read_workdir_signals(_settings(args, config, "paths").workdir)
+    signals = _read_workdir_signals(config.paths.workdir)
     n_use = min(di.n_use, min(len(s) for s in signals))
     fixed = (di.fixed_damage, di.fixed_load) if policy == "fixed" else None
     dataset = build_di_dataset(signals, di.kind, policy, n_use, di.mode, fixed)
@@ -394,7 +400,7 @@ def _format_metric(value: float) -> str:
 
 
 def cmd_train(args) -> int:
-    train = _settings(args, _config(args), "train", seed_field="seed")
+    train = _config(args).train
     dataset = read_di_csv(args.di_file)
     train_set, test_set = split_dataset(dataset, train.train_fraction, train.seed)
     optimizer = OptimizerConfig(n_restarts=train.restarts, seed=train.seed)
@@ -453,7 +459,7 @@ def _table_to_json(table) -> dict:
 
 
 def cmd_predict(args) -> int:
-    quantify = _settings(args, _config(args), "quantify")
+    quantify = _config(args).quantify
     test_di, known_load = (
         None if text is None else _typed(text, float, flag)
         for flag, text in (("--test-di", args.test_di), ("--known-load", args.known_load))
@@ -562,60 +568,47 @@ def cmd_report(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # a flag that sets a config key keeps its text untyped: _settings types
-    # and checks it as parse_config does the key's value
+    # a settings flag keeps its text untyped: _config types and checks it as
+    # parse_config does the key's value
     parser = argparse.ArgumentParser(
         prog="gwquant",
         description="Guided-wave damage quantification with DI-trained GP models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {
+        command: sub.add_parser(command, help=help)
+        for command, help in (
+            ("simulate", "synthesize signal files for a state grid"),
+            ("di", "compute a DI dataset from simulated signals"),
+            ("train", "train a model on a DI dataset"),
+            ("predict", "state probabilities for test DI values"),
+            ("evaluate", "recompute fit metrics for a model file"),
+            ("report", "box-plot and prediction-error CSVs"),
+        )
+    }
+    for command, sections in _COMMAND_SECTIONS.items():
+        p[command].add_argument("--config", help="pipeline config file")
+        for section in sections:
+            for f in fields(_SECTIONS[section]):
+                alone = {"nargs": "?", "const": "true"} if type(f.default) is bool else {}
+                p[command].add_argument(
+                    _flag(f.name), dest=f.name, help=f"{section}.{f.name}", **alone
+                )
 
-    p = sub.add_parser("simulate", help="synthesize signal files for a state grid")
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--workdir", help="output directory (default from config)")
-    p.add_argument("--seed", dest="rng_seed", help="simulation RNG seed")
-
-    p = sub.add_parser("di", help="compute a DI dataset from simulated signals")
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--workdir", help="directory holding manifest.csv")
-    p.add_argument("--kind")
-    p.add_argument("--mode")
-    p.add_argument("--policy")
-    p.add_argument("--n-use")
-    p.add_argument("--fixed-damage")
-    p.add_argument("--fixed-load")
-    p.add_argument("--out", required=True, help="output DI CSV path")
-
-    p = sub.add_parser("train", help="train a model on a DI dataset")
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--di-file", required=True)
-    p.add_argument("--model", dest="model_kind")
-    p.add_argument("--restarts")
-    p.add_argument("--seed")
-    p.add_argument("--center-targets", nargs="?", const="true", help="true when given alone")
-    p.add_argument("--train-fraction")
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--heldout-file")
-
-    p = sub.add_parser("predict", help="state probabilities for test DI values")
-    p.add_argument("--config", help="pipeline config file")
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--test-di")
-    p.add_argument("--test-di-file")
-    p.add_argument("--known-load")
-    p.add_argument("--two-state", action="store_true")
-    p.add_argument("--grid-refine")
-    p.add_argument("--out", help="output JSON path (default stdout)")
-
-    p = sub.add_parser("evaluate", help="recompute fit metrics for a model file")
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--di-file", required=True)
-
-    p = sub.add_parser("report", help="box-plot and prediction-error CSVs")
-    p.add_argument("--pred-file", required=True)
-    p.add_argument("--true-file", required=True)
-    p.add_argument("--box-out", required=True)
-    p.add_argument("--errors-out", required=True)
+    p["di"].add_argument("--out", required=True, help="output DI CSV path")
+    p["train"].add_argument("--di-file", required=True)
+    p["train"].add_argument("--model-file", required=True)
+    p["train"].add_argument("--heldout-file")
+    p["predict"].add_argument("--model-file", required=True)
+    p["predict"].add_argument("--test-di")
+    p["predict"].add_argument("--test-di-file")
+    p["predict"].add_argument("--known-load")
+    p["predict"].add_argument("--two-state", action="store_true")
+    p["predict"].add_argument("--out", help="output JSON path (default stdout)")
+    p["evaluate"].add_argument("--model-file", required=True)
+    p["evaluate"].add_argument("--di-file", required=True)
+    for flag in ("--pred-file", "--true-file", "--box-out", "--errors-out"):
+        p["report"].add_argument(flag, required=True)
     return parser
 
 

@@ -264,17 +264,16 @@ def _parse_header(line: str, lineno: int, path) -> tuple[StateLabel, float]:
     missing = [k for k in _HEADER_KEYS if k not in fields]
     if missing:
         raise SignalParseError(f"header missing keys {missing}", lineno, path)
+    for key in ("damage", "load", "replicate", "sample_rate"):
+        try:
+            fields[key] = _text_number(fields[key], int if key == "replicate" else float)
+        except ValueError as exc:
+            raise SignalParseError(f"header key {key!r}: {exc}", lineno, path) from exc
     try:
-        state = StateLabel(
-            _text_number(fields["damage"]),
-            _text_number(fields["load"]),
-            _text_number(fields["replicate"], int),
-            fields["role"],
-        )
-        rate = _text_number(fields["sample_rate"])
-    except (ValueError, InvalidArgumentError) as exc:
+        state = StateLabel(fields["damage"], fields["load"], fields["replicate"], fields["role"])
+    except InvalidArgumentError as exc:
         raise SignalParseError(str(exc), lineno, path) from exc
-    return state, rate
+    return state, fields["sample_rate"]
 
 
 def signals_to_csv_text(signals: list[Signal], comment: str | None = None) -> str:

@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,37 @@ class TestSimulate:
         run("simulate", "--config", config_file, "--workdir", w3, "--seed", "99")
         assert read_bytes_tree(w1) != read_bytes_tree(w2)
         assert read_bytes_tree(w2) == read_bytes_tree(w3)
+
+
+class TestSettingsFlags:
+    """Every key of a command's sections has a flag, which sets it as the key would."""
+
+    def test_simulation_flags_write_what_their_keys_write(self, tmp_path):
+        by_flag, by_key = tmp_path / "flag", tmp_path / "key"
+        base = "simulation.sample_rate = 1e6\nsimulation.n_replicates = 2\n"  # a 20-sample burst
+        (tmp_path / "base.cfg").write_text(base)
+        flags = ["--n-samples", "40", "--noise-floor-std", "0.01"]
+        assert run("simulate", "--config", tmp_path / "base.cfg", "--workdir", by_flag, *flags) == 0
+        keys = "simulation.n_samples = 40\nsimulation.noise_floor_std = 0.01\n"
+        (tmp_path / "keys.cfg").write_text(base + keys)
+        assert run("simulate", "--config", tmp_path / "keys.cfg", "--workdir", by_key) == 0
+        assert read_bytes_tree(by_flag) == read_bytes_tree(by_key)
+        from gwquant.signals import read_signals_csv
+
+        assert {len(s) for s in read_signals_csv(by_flag / "signals_d1_L5.csv")} == {40}
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMAND_SECTIONS))
+    def test_help_names_every_key_of_the_command(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        keys = [
+            f"{section}.{f.name}"
+            for section in cli._COMMAND_SECTIONS[command]
+            for f in fields(cli._SECTIONS[section])
+        ]
+        assert [key for key in keys if key not in out.split()] == []
 
 
 @pytest.fixture(scope="module")
@@ -455,13 +487,13 @@ class TestOneParserPerProcess:
 
     def test_successive_calls_keep_no_flags(self, pipeline, tmp_path, monkeypatch, capsys):
         seen = []
-        settings = cli._settings
+        config = cli._config
 
-        def spy(args, *rest, **kwargs):
+        def spy(args):
             seen.append(dict(vars(args)))
-            return settings(args, *rest, **kwargs)
+            return config(args)
 
-        monkeypatch.setattr(cli, "_settings", spy)
+        monkeypatch.setattr(cli, "_config", spy)
         centered, plain = tmp_path / "centered.json", tmp_path / "plain.json"
         for model_file, flags in ((centered, ["--center-targets"]), (plain, [])):
             argv = [

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gwquant.cli import _SECTIONS, build_parser, main
+from gwquant.cli import _COMMAND_SECTIONS, _SECTIONS, build_parser, main
 from gwquant.kernels import KernelParams
 from gwquant.persist import save_model
 from gwquant.sgpr import SgprModel
@@ -171,9 +171,11 @@ COMMAND_ARGV = {
     "train": ["train", "--di-file", "train.csv", "--model-file", "trained.json"],
     "predict": ["predict", "--model-file", "model2.json", "--test-di", "0.15", "--known-load", "0"],
 }
+# section -> the first command that reads it
 SECTION_COMMANDS = {
-    "simulation": "simulate", "paths": "simulate", "di": "di", "train": "train",
-    "quantify": "predict",
+    section: command
+    for command, sections in reversed(_COMMAND_SECTIONS.items())
+    for section in sections
 }
 SETTINGS_FIELDS = {f.name for cls in _SECTIONS.values() for f in fields(cls)}
 
@@ -249,10 +251,30 @@ def test_fuzzed_value_exits_zero_or_one_with_one_error_line(target, values_dir, 
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
-def test_settings_flags_pass_their_text_untyped():
-    assert len(_settings_flags()) == 15
+def test_each_command_has_one_untyped_flag_per_field_of_its_sections():
+    for command, sections in _COMMAND_SECTIONS.items():
+        dests = sorted(action.dest for c, _, action in _settings_flags() if c == command)
+        assert dests == sorted(f.name for s in sections for f in fields(_SECTIONS[s]))
     typed = [flag for _, flag, action in _settings_flags() if action.type or action.choices]
     assert typed == []
+
+
+# the settings flags the CLI had before every key got one: (command, flag) -> field
+EARLIER_FLAGS = {
+    ("simulate", "--workdir"): "workdir", ("simulate", "--seed"): "rng_seed",
+    ("di", "--workdir"): "workdir", ("di", "--kind"): "kind", ("di", "--mode"): "mode",
+    ("di", "--policy"): "policy", ("di", "--n-use"): "n_use",
+    ("di", "--fixed-damage"): "fixed_damage", ("di", "--fixed-load"): "fixed_load",
+    ("train", "--model"): "model_kind", ("train", "--restarts"): "restarts",
+    ("train", "--seed"): "seed", ("train", "--center-targets"): "center_targets",
+    ("train", "--train-fraction"): "train_fraction", ("predict", "--grid-refine"): "grid_refine",
+}
+
+
+@pytest.mark.parametrize("command, flag", sorted(EARLIER_FLAGS), ids=":".join)
+def test_each_earlier_flag_sets_the_same_field(command, flag):
+    args = build_parser().parse_args([*COMMAND_ARGV[command], f"{flag}=7"])
+    assert getattr(args, EARLIER_FLAGS[command, flag]) == "7"
 
 
 # the functions that may open a file, and the calls no other function makes

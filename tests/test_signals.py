@@ -273,6 +273,12 @@ class TestSignalCsv:
              "header repeats key 'replicate'"),
             ("damage=1 load=0 replicate=0 role=test sample_rate=1e6 bogus=1",
              "header has unknown key 'bogus'"),
+            ("damage=x load=0 replicate=0 role=test sample_rate=1e6",
+             "header key 'damage': could not convert string to float: 'x'"),
+            ("damage=1 load=0 replicate=1.5 role=test sample_rate=1e6",
+             "header key 'replicate': invalid literal for int() with base 10: '1.5'"),
+            ("damage=1 load=nan replicate=0 role=test sample_rate=1e6",
+             "header key 'load': 'nan' is not a finite number"),
         ],
     )
     def test_header_names_each_key_once(self, tmp_path, fields, message):
