@@ -493,7 +493,8 @@ def cmd_predict(args) -> int:
             )
         )
 
-    text = json.dumps(results[0] if len(results) == 1 else results, indent=1, sort_keys=True)
+    # one compact line: without an indent, json's C encoder does the work
+    text = json.dumps(results[0] if len(results) == 1 else results, sort_keys=True)
     if args.out:
         atomic_write_text(args.out, text + "\n")
     else:

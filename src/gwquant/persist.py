@@ -25,6 +25,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 
@@ -42,18 +43,31 @@ def _text_number(text: str, kind=float):
     return value
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _numbers(ndim: int):
-    """Decoder of a finite JSON number (ndim 0) or an ndim-deep list of them, not a bool."""
+    """Decoder of a finite JSON number (ndim 0) or an ndim-deep list of them, not a bool.
+
+    The lists must be rectangular, all lists of one level of one length. An
+    empty list ends the depth, as numpy reads it: [] is 1-D and [[]] 2-D.
+    """
 
     def decode(value):
-        array = np.array(value, dtype=object)
-        if array.ndim != ndim or not {type(v) for v in array.flat} <= {int, float}:
+        shape, items = [], [value]
+        for _ in range(ndim):
+            lengths = set(map(len, items)) if set(map(type, items)) == {list} else set()
+            if len(lengths) != 1:
+                raise ValueError(f"expected {ndim}-D numbers")
+            shape.append(lengths.pop())
+            items = list(chain.from_iterable(items))
+        if not set(map(type, items)) <= _NUMBER_TYPES:
             raise ValueError(f"expected {ndim}-D numbers")
         try:
-            array = array.astype(float)
+            array = np.array(items, dtype=float).reshape(shape)
         except OverflowError:
             raise ValueError("an integer beyond a double") from None
-        if not np.all(np.isfinite(array)):
+        if not np.isfinite(array).all():
             raise ValueError("expected finite numbers")
         return float(array) if ndim == 0 else array
 

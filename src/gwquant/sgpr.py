@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     OptimizerFailureError,
 )
 from .kernels import KernelParams, kernel_matrix, kernel_matrix_grads, _as_2d
-from .linalg import chol_logdet, chol_solve, robust_cholesky
+from .linalg import chol_logdet, chol_solve, robust_cholesky, solve_lower
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -296,7 +295,7 @@ def sgpr_predict(model: GpPosterior, xq) -> PredictiveMoments:
         )
     k_star = kernel_matrix(xq, model.train_inputs, model.kernel)
     mean = k_star @ model.alpha + model.target_offset
-    v = solve_triangular(model.chol_factor, k_star.T, lower=True)
+    v = solve_lower(model.chol_factor, k_star.T)
     latent = model.kernel.output_variance - np.sum(v**2, axis=0)
     variance = np.maximum(latent, 0.0) + model.noise_at(xq)
     return PredictiveMoments(mean, variance, xq)

@@ -240,6 +240,8 @@ def simulate_dataset(config: SimulationConfig, damage_grid, load_grid) -> list[S
 
 _HEADER_PREFIX = "# signal "
 _HEADER_KEYS = ("damage", "load", "replicate", "role", "sample_rate")
+# header key -> the StateLabel field it sets
+_STATE_FIELDS = {"damage": "damage_size", "load": "load", "replicate": "replicate", "role": "role"}
 
 
 def _format_header(sig: Signal) -> str:
@@ -271,8 +273,14 @@ def _parse_header(line: str, lineno: int, path) -> tuple[StateLabel, float]:
             raise SignalParseError(f"header key {key!r}: {exc}", lineno, path) from exc
     try:
         state = StateLabel(fields["damage"], fields["load"], fields["replicate"], fields["role"])
-    except InvalidArgumentError as exc:
-        raise SignalParseError(str(exc), lineno, path) from exc
+    except InvalidArgumentError:
+        # checked alone, the rejected value is named by its key
+        for key, name in _STATE_FIELDS.items():
+            try:
+                StateLabel(**{name: fields[key]})
+            except InvalidArgumentError as exc:
+                raise SignalParseError(f"header key {key!r}: {exc}", lineno, path) from exc
+        raise
     return state, fields["sample_rate"]
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .kernels import KernelParams, kernel_matrix, kernel_matrix_grads, _as_2d
-from .linalg import chol_logdet, robust_cholesky
+from .linalg import chol_logdet, robust_cholesky, solve_lower
 from .sgpr import (
     GpPosterior,
     OptimizerConfig,
@@ -152,7 +151,7 @@ def _posterior(state: VhgprState, kg: np.ndarray) -> dict:
     sqrt_lam = np.sqrt(lam)
     a = np.eye(n) + sqrt_lam[:, None] * kg * sqrt_lam[None, :]
     chol_a, _ = robust_cholesky(a)
-    u_g = solve_triangular(chol_a, np.diag(sqrt_lam), lower=True)
+    u_g = solve_lower(chol_a, np.diag(sqrt_lam))
     ukg = u_g @ kg
     sigma_diag = np.diag(kg) - np.sum(ukg**2, axis=0)
     v = lam - 0.5

@@ -336,6 +336,46 @@ class TestPredict:
         assert not payload["low_confidence"]
         assert all(0.0 <= p["p"] <= 1.0 for p in payload["probabilities"])
 
+    @staticmethod
+    def _payloads(monkeypatch):
+        """The _table_to_json payloads of the next predict, as an indented file held them."""
+        payloads, to_json = [], cli._table_to_json
+
+        def recorded(table):
+            payloads.append(to_json(table))
+            return payloads[-1]
+
+        monkeypatch.setattr(cli, "_table_to_json", recorded)
+        return lambda: [json.loads(json.dumps(p, indent=1, sort_keys=True)) for p in payloads]
+
+    def test_single_di_prints_one_compact_line_with_sorted_keys(
+        self, pipeline, capsys, monkeypatch
+    ):
+        payloads = self._payloads(monkeypatch)
+        argv = ("--model-file", pipeline["model_file"], "--test-di", 0.02, "--known-load", 0)
+        assert run("predict", *argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert [json.loads(out)] == payloads()
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+    def test_batch_file_is_one_compact_line_with_sorted_keys(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        dis = tmp_path / "dis.csv"
+        dis.write_text("damage,di\n0,0.01\n2,0.04\n4,0.09\n")
+        out = tmp_path / "batch.json"
+        payloads = self._payloads(monkeypatch)
+        code = run(
+            "predict", "--model-file", pipeline["model_file"], "--test-di-file", dis,
+            "--known-load", 5, "--out", out,
+        )
+        assert code == 0 and capsys.readouterr().out == ""
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == payloads() and len(payloads()) == 3
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
     def test_grid_refine_adds_candidates(self, pipeline, capsys):
         code = run(
             "predict", "--model-file", pipeline["model_file"],
@@ -913,6 +953,20 @@ BAD_INPUTS = {
                 "cell.csv": _section(0, " bogus=1") + "\n" + _section(1)},
         ),
         "cell.csv: line 1: header has unknown key 'bogus'",
+    ),
+    "signal-header-negative-damage": (
+        lambda p, t: _workdir_di_argv(
+            t, {"manifest.csv": "damage,load,n_signals,file\n0,0,1,cell.csv\n",
+                "cell.csv": _section().replace("damage=0", "damage=-1")},
+        ),
+        "cell.csv: line 1: header key 'damage': damage_size must be finite and >= 0",
+    ),
+    "signal-header-negative-load": (
+        lambda p, t: _workdir_di_argv(
+            t, {"manifest.csv": "damage,load,n_signals,file\n0,0,1,cell.csv\n",
+                "cell.csv": _section().replace("load=0", "load=-5")},
+        ),
+        "cell.csv: line 1: header key 'load': load must be finite and >= 0",
     ),
     "workdir-repeats-a-signal": (
         lambda p, t: _workdir_di_argv(

@@ -279,6 +279,14 @@ class TestSignalCsv:
              "header key 'replicate': invalid literal for int() with base 10: '1.5'"),
             ("damage=1 load=nan replicate=0 role=test sample_rate=1e6",
              "header key 'load': 'nan' is not a finite number"),
+            ("damage=-1 load=0 replicate=0 role=test sample_rate=1e6",
+             "header key 'damage': damage_size must be finite and >= 0"),
+            ("damage=1 load=-5 replicate=0 role=test sample_rate=1e6",
+             "header key 'load': load must be finite and >= 0"),
+            ("damage=1 load=0 replicate=-1 role=test sample_rate=1e6",
+             "header key 'replicate': replicate must be >= 0"),
+            ("damage=1 load=0 replicate=0 role=probe sample_rate=1e6",
+             "header key 'role': role must be one of ('baseline', 'test'), got 'probe'"),
         ],
     )
     def test_header_names_each_key_once(self, tmp_path, fields, message):
