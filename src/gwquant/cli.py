@@ -56,7 +56,7 @@ from .damage_index import (
     read_csv_table,
     read_di_csv,
 )
-from .errors import GwquantError, InvalidArgumentError
+from .errors import DimensionMismatchError, GwquantError, InvalidArgumentError
 from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, open_ascii
 from .persist import read_json, save_model
 from .quantify import (
@@ -428,6 +428,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model_file)
     dataset = read_di_csv(args.di_file)
+    if dataset.ndim != model.ndim:
+        raise DimensionMismatchError(
+            f"holds input columns {','.join(dataset.column_names)}; "
+            f"the model takes {model.ndim}",
+            path=args.di_file,
+        )
     metrics = evaluate_fit(
         model.predict(dataset.inputs), dataset.targets, model.train_targets
     )
@@ -458,7 +464,18 @@ def _table_to_json(table) -> dict:
     }
 
 
+def _check_predict_inputs(args) -> None:
+    """Reject a test-DI input that predict would otherwise leave unread."""
+    if args.two_state:
+        for flag, value in (("--test-di", args.test_di), ("--known-load", args.known_load)):
+            if value is not None:
+                raise InvalidArgumentError(f"--two-state takes no {flag}")
+    elif args.test_di is not None and args.test_di_file is not None:
+        raise InvalidArgumentError("give --test-di or --test-di-file, not both")
+
+
 def cmd_predict(args) -> int:
+    _check_predict_inputs(args)
     quantify = _config(args).quantify
     test_di, known_load = (
         None if text is None else _typed(text, float, flag)

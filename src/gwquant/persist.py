@@ -14,8 +14,11 @@ Models are JSON text; the schema id distinguishes the payloads:
     gwquant.vhgpr.v1  both kernels, mu0 and the variational lambda vector
 
 Hyperparameters and training data are stored inline as JSON numbers, whose
-repr round-trips float64 exactly. Loading rebuilds the cached
-factorizations deterministically.
+repr round-trips float64 exactly. Building a model from its text decodes it
+and factors its matrices, deterministically, so equal text gives an equal
+model: ``load_model`` keeps the last ``_MODEL_MEMO_SIZE`` models it built,
+keyed by the file's text, and returns the kept one, read-only, when a file
+holds the same text again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import json
 import math
 import os
 import tempfile
+import threading
 from contextlib import contextmanager
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -119,13 +124,16 @@ def open_ascii(path, error=InvalidArgumentError):
             raise error("not ASCII text", line, path) from None
 
 
-def read_json(path, kind: str, error=InvalidArgumentError):
+def read_json(path, kind: str, error=InvalidArgumentError, text: str | None = None):
     """The JSON value of the ASCII file at path, a kind file ("model", ...).
 
-    Malformed or too deeply nested text raises ``error`` naming the file.
+    text, when given, is the file's text already read, and the file is not
+    read again. Malformed or too deeply nested text raises ``error`` naming
+    the file.
     """
-    with open_ascii(path, error) as fh:
-        text = fh.read()
+    if text is None:
+        with open_ascii(path, error) as fh:
+            text = fh.read()
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -221,5 +229,42 @@ def save_model(path, model, seed: int | None = None) -> None:
     atomic_write_text(path, json.dumps(model_to_dict(model, seed), indent=1) + "\n")
 
 
+# How many built models load_model keeps, the least recently used dropped first.
+_MODEL_MEMO_SIZE = 4
+# file text -> the read-only model built from it, least recently used first;
+# a lookup, build and update hold the lock, so threads never see it half done
+_model_memo: dict[str, SgprModel | VhgprModel] = {}
+_model_memo_lock = threading.Lock()
+
+
+def _read_only(model):
+    """model, with each of its arrays, its kernels' too, made read-only."""
+    values = [getattr(model, f.name) for f in fields(model)]
+    values += [v.log_length_scales for v in values if isinstance(v, KernelParams)]
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return model
+
+
 def load_model(path):
-    return model_from_dict(read_json(path, "model", SchemaMismatchError))
+    """The model saved at path; malformed JSON raises an error naming the file.
+
+    A model built from text loaded before is returned again: it is shared
+    with every caller that loaded that text, so its arrays are read-only. A
+    model is built under numpy's raising error state, as ``cli.main`` runs
+    commands, so what is kept does not depend on the caller's error state;
+    a failed build keeps nothing.
+    """
+    with open_ascii(path, SchemaMismatchError) as fh:
+        text = fh.read()
+    with _model_memo_lock:
+        model = _model_memo.pop(text, None)
+        if model is None:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                payload = read_json(path, "model", SchemaMismatchError, text)
+                model = _read_only(model_from_dict(payload))
+            if len(_model_memo) >= _MODEL_MEMO_SIZE:
+                del _model_memo[next(iter(_model_memo))]
+        _model_memo[text] = model
+    return model

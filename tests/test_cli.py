@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwquant import cli
+from gwquant import cli, persist
 from gwquant.cli import build_parser, main, parse_config, split_dataset
 from gwquant.damage_index import DiDataset, read_di_csv
 from gwquant.errors import InvalidArgumentError
 from gwquant.kernels import KernelParams
 from gwquant.persist import load_model, save_model
+from gwquant.sgpr import SgprModel
 from gwquant.vhgpr import VhgprModel, VhgprState
 
 BASE_CONFIG = """
@@ -569,6 +570,58 @@ class TestOneParserPerProcess:
         assert [a["two_state"] for a in seen[2:]] == [True, False]
 
 
+class TestModelMemo:
+    """main builds each distinct model text once per process, and is none the worse."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self, monkeypatch):
+        monkeypatch.setattr(persist, "_model_memo", {})
+
+    @pytest.mark.parametrize("kind", ["sgpr", "vhgpr"])
+    def test_predict_writes_the_same_bytes_on_a_cold_and_a_warm_memo(
+        self, kind, pipeline, tmp_path
+    ):
+        if kind == "sgpr":
+            model, known = pipeline["model_file"], ["--known-load", 5]
+        else:
+            model, known = _vhgpr_model_file(tmp_path), []
+        batch = _write(tmp_path, "batch.csv", "damage,di\n0,0.01\n2,0.04\n4,0.09\n")
+        requests = {"single": ["--test-di", 0.05], "batch": ["--test-di-file", batch]}
+        outputs = {}
+        for memo in ("cold", "warm"):
+            for request, flags in requests.items():
+                out = tmp_path / f"{memo}-{request}.json"
+                assert run("predict", "--model-file", model, *flags, *known, "--out", out) == 0
+                outputs[memo, request] = out.read_bytes()
+        assert len(persist._model_memo) == 1
+        for request in requests:
+            assert outputs["cold", request] == outputs["warm", request]
+
+    def test_a_rewritten_model_file_is_read_afresh(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        text = Path(pipeline["model_file"]).read_text()
+        payload = json.loads(text)
+        payload["log_noise_variance"] = 0.0  # noise that spreads the probabilities
+        argv = ("predict", "--model-file", path, "--test-di", 0.05, "--known-load", 0)
+        outputs = []
+        for written in (text, json.dumps(payload), text):
+            path.write_text(written)
+            assert run(*argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1] and outputs[0] == outputs[2]
+
+    def test_a_model_that_overflows_exits_one_after_a_library_load(
+        self, pipeline, tmp_path, capsys
+    ):
+        argv = _length_scale_model(pipeline, tmp_path)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="overflow"):
+            load_model(argv[2])
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FloatingPointError: overflow")
+
+
 class TestTwoStateCli:
     def test_two_state_prediction_flow(self, tmp_path):
         config = tmp_path / "cfg"
@@ -1006,6 +1059,16 @@ def _two_state_argv(p, t, rows):
     return _predict_argv(p, "--two-state", "--test-di-file", path)
 
 
+def _switch_two_state_argv(t, *flags):
+    """A valid --two-state argv on a small (damage, load, switch) model, then flags."""
+    x = np.array([(d, w, c) for c in (1, 2) for d in (0, 1) for w in (0, 5)], dtype=float)
+    y = np.linspace(0.1, 0.4, x.shape[0])
+    model = t / "switch.json"
+    save_model(model, SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(3)), -4.0, x, y))
+    rows = "1,0,0,0.1\n1,5,0,0.2\n2,0,0,0.1\n2,0,1,0.3\n"
+    return [*_two_state_argv({"model_file": model}, t, rows), *flags]
+
+
 def _length_scale_model(p, t):
     """predict argv on a copy of the model whose first log length scale is 1e300."""
     with open(p["model_file"]) as fh:
@@ -1145,6 +1208,27 @@ BAD_INPUTS.update({
     "report-truth-lacks-load": (
         lambda p, t: _report_argv(t, '[{"argmax": {"damage": 1, "load": 5}}]', "damage\n1\n"),
         "prediction 0 has 2 values, its true state 1",
+    ),
+    # predict reads each test-DI input it is given, or exits 1 naming the one it would drop
+    "predict-test-di-and-file": (
+        lambda p, t: _predict_argv(
+            p, "--test-di", 0.1, "--test-di-file", p["di_csv"], "--known-load", 0
+        ),
+        "give --test-di or --test-di-file, not both",
+    ),
+    "two-state-with-test-di": (
+        lambda p, t: _switch_two_state_argv(t, "--test-di", 0.1), "--two-state takes no --test-di"
+    ),
+    "two-state-with-known-load": (
+        lambda p, t: _switch_two_state_argv(t, "--known-load", 99),
+        "--two-state takes no --known-load",
+    ),
+    "evaluate-di-lacks-load": (
+        lambda p, t: [
+            "evaluate", "--model-file", p["model_file"],
+            "--di-file", _write(t, "di.csv", "damage,di\n0,0.1\n1,0.2\n"),
+        ],
+        "di.csv: holds input columns damage; the model takes 2",
     ),
     "train-constant-targets": (
         lambda p, t: [
