@@ -464,19 +464,25 @@ def _table_to_json(table) -> dict:
     }
 
 
-def _check_predict_inputs(args) -> None:
-    """Reject a test-DI input that predict would otherwise leave unread."""
+def _check_predict_inputs(args, quantify: QuantifyConfig) -> None:
+    """Reject an input or setting that predict would otherwise leave unused."""
     if args.two_state:
         for flag, value in (("--test-di", args.test_di), ("--known-load", args.known_load)):
             if value is not None:
                 raise InvalidArgumentError(f"--two-state takes no {flag}")
+        # the two-state grids are the training damages and loads, unrefined
+        if quantify.grid_refine:
+            raise InvalidArgumentError(
+                "--two-state takes no quantify.grid_refine (--grid-refine), "
+                f"got {quantify.grid_refine}"
+            )
     elif args.test_di is not None and args.test_di_file is not None:
         raise InvalidArgumentError("give --test-di or --test-di-file, not both")
 
 
 def cmd_predict(args) -> int:
-    _check_predict_inputs(args)
     quantify = _config(args).quantify
+    _check_predict_inputs(args, quantify)
     test_di, known_load = (
         None if text is None else _typed(text, float, flag)
         for flag, text in (("--test-di", args.test_di), ("--known-load", args.known_load))
@@ -533,7 +539,8 @@ def _read_two_state_dis(path):
     """CSV with header class,ref_load,ref_damage,di.
 
     class=1 rows carry one test DI per class-1 reference load; class=2 rows
-    carry the pre-computed class-2 test DI per candidate damage size.
+    carry the pre-computed class-2 test DI per candidate damage size. A
+    reference load or damage given twice is an error.
     """
     if path is None:
         raise InvalidArgumentError("--two-state requires --test-di-file")
@@ -542,8 +549,12 @@ def _read_two_state_dis(path):
     _, rows = read_csv_table(path, [("class", "ref_load", "ref_damage", "di")])
     for cls, ref_load, ref_damage, di in rows:
         if cls == 1:
+            if any(load == ref_load for load, _ in class1):
+                raise InvalidArgumentError(f"{path}: repeated class-1 ref_load {ref_load:g}")
             class1.append((ref_load, di))
         elif cls == 2:
+            if ref_damage in class2:
+                raise InvalidArgumentError(f"{path}: repeated class-2 ref_damage {ref_damage:g}")
             class2[ref_damage] = di
         else:
             raise InvalidArgumentError(f"{path}: class must be 1 or 2, got {cls:g}")

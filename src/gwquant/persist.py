@@ -29,7 +29,7 @@ import os
 import tempfile
 import threading
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from itertools import chain
 
 import numpy as np
@@ -237,14 +237,33 @@ _model_memo: dict[str, SgprModel | VhgprModel] = {}
 _model_memo_lock = threading.Lock()
 
 
-def _read_only(model):
-    """model, with each of its arrays, its kernels' too, made read-only."""
+# numpy's error state for building a kept model: raising, as cli.main runs commands
+_RAISING = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+
+
+def _arrays(model) -> list[np.ndarray]:
+    """Each array of the dataclass model, its kernels' too."""
     values = [getattr(model, f.name) for f in fields(model)]
     values += [v.log_length_scales for v in values if isinstance(v, KernelParams)]
-    for value in values:
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+def _read_only(model):
+    """model, with each of its arrays, its kernels' too, made read-only."""
+    for array in _arrays(model):
+        array.flags.writeable = False
     return model
+
+
+def _is_read_only(model) -> bool:
+    """Whether model is a dataclass whose arrays, its kernels' too, are all read-only.
+
+    Every model load_model hands out is; a trained model is not.
+    """
+    if not is_dataclass(model):
+        return False
+    arrays = _arrays(model)
+    return bool(arrays) and not any(a.flags.writeable for a in arrays)
 
 
 def load_model(path):
@@ -261,7 +280,7 @@ def load_model(path):
     with _model_memo_lock:
         model = _model_memo.pop(text, None)
         if model is None:
-            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            with np.errstate(**_RAISING):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))
             if len(_model_memo) >= _MODEL_MEMO_SIZE:

@@ -14,8 +14,15 @@ The candidate grid defaults to the unique training states.
 
 state_probabilities scores a whole vector of test DIs at once: one predict
 over the grid, a blocked search for each DI's nearest training target, one
-predict over the distinct nearest rows, and the CDF differences as one
-(n_test x n_grid) array.
+one-row predict per distinct nearest row, and the CDF differences as one
+(n_test x n_grid) array. A DI scored in a batch therefore gets the table it
+gets alone, bit for bit: a row's predicted variance depends in its last
+digits on the other rows of its predict call.
+
+Every predict goes through _moments. A model whose arrays are all read-only,
+as ``persist.load_model`` hands it out, keeps its answers there, keyed by the
+query's exact shape and bytes, so a serving process that is asked about the
+same grid and the same nearest rows again answers from memory.
 
 Simultaneous damage-size + load prediction runs in two steps over a model
 trained with the two reference-signal classes and a switch covariate:
@@ -27,6 +34,7 @@ load with switch ``2``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +47,18 @@ from .errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
+from .persist import _RAISING, _is_read_only
 
 DEFAULT_LOW_CONFIDENCE_THRESHOLD = 0.05
 
 # distances held at once by the nearest-target search (test DIs x rows)
 _SEARCH_BLOCK = 1 << 16
+
+# How many answers _moments keeps per read-only model, the least recently
+# used dropped first.
+_MOMENTS_MEMO_SIZE = 256
+# a lookup, predict and update hold the lock, so threads never see a memo half done
+_moments_lock = threading.Lock()
 
 
 @dataclass
@@ -164,6 +179,34 @@ def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
     return np.column_stack([columns[c] for c in needed])
 
 
+def _moments(model, xq):
+    """model.predict(xq), from memory when model is read-only and was asked xq before.
+
+    A read-only model (``persist._is_read_only``) keeps its last
+    _MOMENTS_MEMO_SIZE answers, keyed by the query's shape and bytes. A miss
+    is predicted under numpy's raising error state, as ``load_model`` builds
+    a model, so what is kept does not depend on the caller's error state; a
+    failed predict keeps nothing, and a kept answer's arrays are read-only.
+    Any other model predicts on every call.
+    """
+    if not _is_read_only(model):
+        return model.predict(xq)
+    xq = np.array(xq, dtype=float)
+    key = (xq.shape, xq.tobytes())
+    with _moments_lock:
+        memo = vars(model).setdefault("_moments_memo", {})
+        moments = memo.pop(key, None)
+        if moments is None:
+            with np.errstate(**_RAISING):
+                moments = model.predict(xq)
+            for array in (moments.mean, moments.variance, moments.query_inputs):
+                array.flags.writeable = False
+            if len(memo) >= _MOMENTS_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        memo[key] = moments
+    return moments
+
+
 def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarray:
     """Row of the training target nearest each test DI, ties to the smaller row.
 
@@ -210,12 +253,16 @@ def state_probabilities(
     queries = _query_matrix(grid, fixed_covariates, model.ndim)
     nearest = _nearest_rows(model, flat, (fixed_covariates or {}).get("switch"))
     y_closest = np.asarray(model.train_targets, dtype=float).ravel()[nearest]
+    # one query per distinct row, as a single-DI request makes it
     rows, inverse = np.unique(nearest, return_inverse=True)
-    v_closest = model.predict(model.train_inputs[rows]).variance[inverse]
+    v_rows = [
+        _moments(model, model.train_inputs[rows[k : k + 1]]).variance[0] for k in range(rows.size)
+    ]
+    v_closest = np.array(v_rows)[inverse]
     half_width = (2.0 * np.sqrt(v_closest))[:, None]
     a, b = flat[:, None] - half_width, flat[:, None] + half_width
 
-    moments = model.predict(queries)
+    moments = _moments(model, queries)
     probs = gaussian_cdf(b, moments.mean, moments.variance) - gaussian_cdf(
         a, moments.mean, moments.variance
     )

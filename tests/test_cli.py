@@ -622,6 +622,41 @@ class TestModelMemo:
         assert len(err) == 1 and err[0].startswith("error: FloatingPointError: overflow")
 
 
+@pytest.fixture(scope="module")
+def pipeline_vhgpr(pipeline):
+    """A VHGPR model trained on the pipeline's DI dataset."""
+    model_file = pipeline["root"] / "vhgpr.json"
+    argv = ["--config", pipeline["config"], "--di-file", pipeline["di_csv"]]
+    assert run("train", *argv, "--model", "vhgpr", "--model-file", model_file) == 0
+    return model_file
+
+
+@pytest.mark.parametrize("kind", ["sgpr", "vhgpr"])
+def test_a_batch_scores_each_di_as_a_single_request_does(
+    kind, pipeline, pipeline_vhgpr, tmp_path, capsys, monkeypatch
+):
+    model = pipeline["model_file"] if kind == "sgpr" else pipeline_vhgpr
+    # every training DI and every held-out one: many distinct nearest rows
+    dis = [
+        float(di)
+        for path in (pipeline["di_csv"], pipeline["model_file"] + ".heldout.csv")
+        for di in read_di_csv(path).targets
+    ]
+    batch = _write(tmp_path, "batch.csv", "damage,di\n" + "".join(f"0,{d!r}\n" for d in dis))
+    for load in (0.0, 5.0):
+        monkeypatch.setattr(persist, "_model_memo", {})  # no answer kept from elsewhere
+        out = tmp_path / "batch.json"
+        argv = ("predict", "--model-file", model, "--known-load", repr(load))
+        assert run(*argv, "--test-di-file", batch, "--out", out) == 0
+        tables = json.loads(out.read_text())
+        assert len(tables) == len(dis)
+        monkeypatch.setattr(persist, "_model_memo", {})  # the singles predict afresh
+        capsys.readouterr()
+        for di, table in zip(dis, tables):
+            assert run(*argv, "--test-di", repr(di)) == 0
+            assert json.loads(capsys.readouterr().out) == table
+
+
 class TestTwoStateCli:
     def test_two_state_prediction_flow(self, tmp_path):
         config = tmp_path / "cfg"
@@ -1059,13 +1094,16 @@ def _two_state_argv(p, t, rows):
     return _predict_argv(p, "--two-state", "--test-di-file", path)
 
 
-def _switch_two_state_argv(t, *flags):
-    """A valid --two-state argv on a small (damage, load, switch) model, then flags."""
+def _switch_two_state_argv(t, *flags, extra_rows=""):
+    """A --two-state argv on a small (damage, load, switch) model, then flags.
+
+    Without extra_rows, rows appended to the two-state file, the argv is valid.
+    """
     x = np.array([(d, w, c) for c in (1, 2) for d in (0, 1) for w in (0, 5)], dtype=float)
     y = np.linspace(0.1, 0.4, x.shape[0])
     model = t / "switch.json"
     save_model(model, SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(3)), -4.0, x, y))
-    rows = "1,0,0,0.1\n1,5,0,0.2\n2,0,0,0.1\n2,0,1,0.3\n"
+    rows = "1,0,0,0.1\n1,5,0,0.2\n2,0,0,0.1\n2,0,1,0.3\n" + extra_rows
     return [*_two_state_argv({"model_file": model}, t, rows), *flags]
 
 
@@ -1222,6 +1260,24 @@ BAD_INPUTS.update({
     "two-state-with-known-load": (
         lambda p, t: _switch_two_state_argv(t, "--known-load", 99),
         "--two-state takes no --known-load",
+    ),
+    "two-state-with-grid-refine": (
+        lambda p, t: _switch_two_state_argv(t, "--grid-refine", 5),
+        "--two-state takes no quantify.grid_refine (--grid-refine), got 5",
+    ),
+    "two-state-with-config-grid-refine": (
+        lambda p, t: _switch_two_state_argv(
+            t, "--config", _config_with(t, "quantify.grid_refine = 2")
+        ),
+        "--two-state takes no quantify.grid_refine (--grid-refine), got 2",
+    ),
+    "two-state-repeated-class2-damage": (
+        lambda p, t: _switch_two_state_argv(t, extra_rows="2,0,1,0.25\n"),
+        "two.csv: repeated class-2 ref_damage 1",
+    ),
+    "two-state-repeated-class1-load": (
+        lambda p, t: _switch_two_state_argv(t, extra_rows="1,5,0,0.3\n"),
+        "two.csv: repeated class-1 ref_load 5",
     ),
     "evaluate-di-lacks-load": (
         lambda p, t: [

@@ -1,7 +1,13 @@
-"""State-quantification tests: CDF oracles, probability tables, two-step flow."""
+"""State-quantification tests: CDF oracles, probability tables, two-step flow,
+and the memo of predictive moments a loaded model keeps."""
 
+import ast
+import copy
 import math
+import pathlib
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import gwquant.sgpr
+from gwquant import persist, quantify
 from gwquant.errors import (
     CovariateMismatchError,
     InvalidArgumentError,
     MissingBaselineError,
 )
+from gwquant.persist import load_model, save_model
 from gwquant.quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
@@ -25,6 +34,8 @@ from gwquant.quantify import (
 )
 from gwquant.sgpr import OptimizerConfig, PredictiveMoments, train_sgpr
 from gwquant.vhgpr import train_vhgpr
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gwquant"
 
 TWO_SIGMA_MASS = math.erf(math.sqrt(2.0))  # Phi(2) - Phi(-2)
 
@@ -254,10 +265,8 @@ def _equidistant_points(targets):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_array_path_matches_per_di_oracle(case, oracle_cases, data):
-    # The array path predicts all nearest rows in one call, which rounds
-    # differently from the oracle's one-row predicts by ~1e-16 in variance.
-    # A probability moves with d(2 sqrt(v)), so the 1e-12 bound holds for
-    # nearest-row variances well above zero, as these models' noise gives.
+    # The array path predicts each distinct nearest row as a one-row query,
+    # as the oracle does, so every number is equal, not merely close.
     model, grid, fixed = oracle_cases[case]
     targets = np.asarray(model.train_targets)
     if fixed:
@@ -284,8 +293,8 @@ def test_array_path_matches_per_di_oracle(case, oracle_cases, data):
         y_closest, v_closest, probs, argmax, low = per_di_oracle(model, grid, di, fixed)
         assert table.test_di == di
         assert table.closest_training_di == y_closest
-        assert table.closest_variance == pytest.approx(v_closest, rel=1e-12)
-        assert max(abs(p - q) for (_, p), q in zip(table.entries, probs)) <= 1e-12
+        assert table.closest_variance == v_closest
+        assert [p for _, p in table.entries] == probs
         assert table.argmax_state == argmax
         assert table.low_confidence == low
 
@@ -492,7 +501,9 @@ class TestPredictTwoStates:
                 self.calls += 1
                 return self._inner.predict(xq)
 
-        calls = []
+        targets = np.asarray(model.train_targets)
+        class1_rows = np.flatnonzero(model.train_inputs[:, 2] == 1.0)
+        calls, expected = [], []
         for n_refs in (1, 4, 12):
             counting = Counting(model)
             class1_dis = [
@@ -500,8 +511,13 @@ class TestPredictTwoStates:
             ]
             predict_two_states(counting, class1_dis, lambda d: class2(d, 10.0), damages, loads)
             calls.append(counting.calls)
-        # step 1: the grid and the nearest training rows; step 2 the same
-        assert calls == [4, 4, 4]
+            nearest = {
+                min(class1_rows, key=lambda i: abs(targets[i] - di)) for _, di in class1_dis
+            }
+            expected.append(1 + len(nearest) + 2)
+        # each step predicts the grid once and each distinct nearest training
+        # row once, as a one-row query: never once per DI
+        assert calls == expected == [4, 4, 5]
 
     def test_requires_three_input_model(self, rng):
         x, y, damages = make_separated_di_data(rng)
@@ -554,3 +570,173 @@ class TestSummarizePredictions:
         *_, hi_whisker, outliers = boxes[0]
         assert outliers == [10.0]
         assert hi_whisker == 0.0
+
+
+# The memo of predictive moments: a read-only model, as load_model hands it
+# out, answers a repeated query from memory; any other model predicts.
+
+
+@pytest.fixture
+def loaded(oracle_cases, tmp_path, monkeypatch):
+    """name -> (the oracle case's model saved and loaded afresh, its grid, fixed covariates)."""
+    monkeypatch.setattr(persist, "_model_memo", {})
+    cases = {}
+    for name, (model, grid, fixed) in oracle_cases.items():
+        path = tmp_path / f"{name}.json"
+        save_model(path, model)
+        cases[name] = (load_model(path), grid, fixed)
+    return cases
+
+
+@pytest.fixture
+def predicts(monkeypatch):
+    """The query shape of each sgpr_predict call made since the fixture was set up."""
+    calls = []
+    inner = gwquant.sgpr.sgpr_predict
+
+    def counting(model, xq):
+        calls.append(np.shape(xq))
+        return inner(model, xq)
+
+    monkeypatch.setattr(gwquant.sgpr, "sgpr_predict", counting)
+    return calls
+
+
+def _test_dis(model, fixed):
+    """DIs whose nearest training rows are several distinct rows."""
+    targets = np.asarray(model.train_targets)
+    if fixed:
+        targets = targets[model.train_inputs[:, 2] == fixed["switch"]]
+    return [float(t) + 0.001 for t in targets[::3]]
+
+
+def _tables(model, grid, fixed):
+    tables = state_probabilities(model, grid, _test_dis(model, fixed), fixed)
+    return [(t.entries, t.closest_variance, t.argmax_state, t.low_confidence) for t in tables]
+
+
+def _memo(model):
+    return vars(model).get("_moments_memo", {})
+
+
+@pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1"])
+def test_a_repeated_request_on_a_loaded_model_predicts_nothing(case, loaded, predicts):
+    model, grid, fixed = loaded[case]
+    first = _tables(model, grid, fixed)
+    # the grid in one query, then the nearest rows one at a time
+    *rows, grid_rows = sorted(shape[0] for shape in predicts)
+    assert grid_rows == len(grid.states) and len(rows) >= 2 and set(rows) == {1}
+    del predicts[:]
+    assert _tables(model, grid, fixed) == first
+    assert predicts == []
+    kept = list(_memo(model).values())
+    assert kept and not any(
+        a.flags.writeable for m in kept for a in (m.mean, m.variance, m.query_inputs)
+    )
+
+
+def test_a_writable_model_predicts_on_every_call(oracle_cases, predicts):
+    model, grid, fixed = oracle_cases["vhgpr"]
+    model = copy.deepcopy(model)
+    first = _tables(model, grid, fixed)
+    calls = len(predicts)
+    model.alpha *= 2.0  # in place: the arrays are the model's own
+    second = _tables(model, grid, fixed)
+    assert len(predicts) == 2 * calls
+    assert second != first
+    assert _memo(model) == {}
+    assert second == _tables(copy.deepcopy(model), grid, fixed)
+
+
+def test_the_memo_keeps_at_most_its_size_dropping_the_least_recently_used(
+    loaded, predicts, monkeypatch
+):
+    size = 3
+    monkeypatch.setattr(quantify, "_MOMENTS_MEMO_SIZE", size)
+    model = loaded["vhgpr"][0]
+    queries = [np.array([[0.5 * k]]) for k in range(size + 2)]
+    for q in queries[:size]:
+        quantify._moments(model, q)
+    quantify._moments(model, queries[0])  # now the most recently used
+    for q in queries[size:]:
+        quantify._moments(model, q)
+        assert len(_memo(model)) == size
+    assert len(predicts) == size + 2
+    quantify._moments(model, queries[0])
+    assert len(predicts) == size + 2
+    quantify._moments(model, queries[1])  # the least recently used, dropped first
+    assert len(predicts) == size + 3
+    assert len(_memo(model)) == size
+
+
+def test_a_miss_that_overflows_raises_in_any_error_state_and_is_not_kept(loaded):
+    model = loaded["vhgpr"][0]
+    quantify._moments(model, np.array([[0.5]]))
+    kept = dict(_memo(model))
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                quantify._moments(model, np.array([[1e200]]))
+    assert _memo(model) == kept
+
+
+def test_threads_sharing_a_loaded_model_get_the_answers_of_one_thread(
+    loaded, oracle_cases, monkeypatch
+):
+    monkeypatch.setattr(quantify, "_MOMENTS_MEMO_SIZE", 4)  # so threads evict
+    model, grid, fixed = loaded["sgpr-switch-1"]
+    requests = [[di] for di in _test_dis(model, fixed)]
+    trained = oracle_cases["sgpr-switch-1"][0]
+    expected = [state_probabilities(trained, grid, r, fixed) for r in requests]
+    errors = []
+
+    def client(k):
+        try:
+            for j in range(60):
+                i = (j + k) % len(requests)
+                assert state_probabilities(model, grid, requests[i], fixed) == expected[i]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(_memo(model)) == 4
+
+
+def _predicts_outside_the_helper(tree):
+    """(function, line) of each .predict( call outside quantify._moments."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "predict"
+            and function != "_moments"
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_moments_helper_predicts():
+    source = (SRC / "quantify.py").read_text()
+    assert _predicts_outside_the_helper(ast.parse(source)) == []
+    # the helper itself predicts, so the scan is not vacuous
+    renamed = source.replace("def _moments(", "def _renamed(")
+    assert {f for f, _ in _predicts_outside_the_helper(ast.parse(renamed))} == {"_renamed"}
