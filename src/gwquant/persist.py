@@ -29,7 +29,7 @@ import os
 import tempfile
 import threading
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -237,33 +237,14 @@ _model_memo: dict[str, SgprModel | VhgprModel] = {}
 _model_memo_lock = threading.Lock()
 
 
-# numpy's error state for building a kept model: raising, as cli.main runs commands
-_RAISING = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
-
-
-def _arrays(model) -> list[np.ndarray]:
-    """Each array of the dataclass model, its kernels' too."""
-    values = [getattr(model, f.name) for f in fields(model)]
-    values += [v.log_length_scales for v in values if isinstance(v, KernelParams)]
-    return [v for v in values if isinstance(v, np.ndarray)]
-
-
 def _read_only(model):
     """model, with each of its arrays, its kernels' too, made read-only."""
-    for array in _arrays(model):
-        array.flags.writeable = False
+    values = [getattr(model, f.name) for f in fields(model)]
+    values += [v.log_length_scales for v in values if isinstance(v, KernelParams)]
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
     return model
-
-
-def _is_read_only(model) -> bool:
-    """Whether model is a dataclass whose arrays, its kernels' too, are all read-only.
-
-    Every model load_model hands out is; a trained model is not.
-    """
-    if not is_dataclass(model):
-        return False
-    arrays = _arrays(model)
-    return bool(arrays) and not any(a.flags.writeable for a in arrays)
 
 
 def load_model(path):
@@ -274,15 +255,20 @@ def load_model(path):
     model is built under numpy's raising error state, as ``cli.main`` runs
     commands, so what is kept does not depend on the caller's error state;
     a failed build keeps nothing.
+
+    The model also carries ``_row_variance``, where ``quantify`` keeps each
+    training row's predicted variance, by row, once it has predicted it; a
+    shared model must not be changed, or what it keeps would go stale.
     """
     with open_ascii(path, SchemaMismatchError) as fh:
         text = fh.read()
     with _model_memo_lock:
         model = _model_memo.pop(text, None)
         if model is None:
-            with np.errstate(**_RAISING):
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))
+            model._row_variance = {}
             if len(_model_memo) >= _MODEL_MEMO_SIZE:
                 del _model_memo[next(iter(_model_memo))]
         _model_memo[text] = model

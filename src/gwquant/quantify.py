@@ -19,10 +19,9 @@ one-row predict per distinct nearest row, and the CDF differences as one
 gets alone, bit for bit: a row's predicted variance depends in its last
 digits on the other rows of its predict call.
 
-Every predict goes through _moments. A model whose arrays are all read-only,
-as ``persist.load_model`` hands it out, keeps its answers there, keyed by the
-query's exact shape and bytes, so a serving process that is asked about the
-same grid and the same nearest rows again answers from memory.
+A model that ``persist.load_model`` hands out keeps each training row's
+variance once predicted (``_row_variance``), so a serving process predicts
+each nearest row at most once; the grid is predicted on every call.
 
 Simultaneous damage-size + load prediction runs in two steps over a model
 trained with the two reference-signal classes and a switch covariate:
@@ -34,7 +33,7 @@ load with switch ``2``.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +46,11 @@ from .errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
-from .persist import _RAISING, _is_read_only
 
 DEFAULT_LOW_CONFIDENCE_THRESHOLD = 0.05
 
 # distances held at once by the nearest-target search (test DIs x rows)
 _SEARCH_BLOCK = 1 << 16
-
-# How many answers _moments keeps per read-only model, the least recently
-# used dropped first.
-_MOMENTS_MEMO_SIZE = 256
-# a lookup, predict and update hold the lock, so threads never see a memo half done
-_moments_lock = threading.Lock()
 
 
 @dataclass
@@ -74,7 +66,7 @@ class StateGrid:
         if len(widths) != 1 or widths.pop() not in (1, 2):
             raise InvalidArgumentError("states must all be 1- or 2-tuples")
         states = [tuple(float(v) for v in s) for s in self.states]
-        if not all(np.isfinite(v) for s in states for v in s):
+        if not all(math.isfinite(v) for s in states for v in s):
             raise InvalidArgumentError("state values must be finite")
         self.states = sorted(set(states))
 
@@ -179,32 +171,24 @@ def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
     return np.column_stack([columns[c] for c in needed])
 
 
-def _moments(model, xq):
-    """model.predict(xq), from memory when model is read-only and was asked xq before.
+def _row_variances(model, rows: np.ndarray) -> np.ndarray:
+    """Predicted variance at each training row in rows, each row a one-row predict.
 
-    A read-only model (``persist._is_read_only``) keeps its last
-    _MOMENTS_MEMO_SIZE answers, keyed by the query's shape and bytes. A miss
-    is predicted under numpy's raising error state, as ``load_model`` builds
-    a model, so what is kept does not depend on the caller's error state; a
-    failed predict keeps nothing, and a kept answer's arrays are read-only.
-    Any other model predicts on every call.
+    A model that ``persist.load_model`` hands out keeps each row's variance
+    in its ``_row_variance`` dict, so a row is predicted at most once. Such a
+    row is predicted under numpy's raising error state, as ``load_model``
+    builds a model, so what is kept does not depend on the caller's error
+    state, and a failed predict keeps nothing. Any other model predicts on
+    every call, under the caller's error state.
     """
-    if not _is_read_only(model):
-        return model.predict(xq)
-    xq = np.array(xq, dtype=float)
-    key = (xq.shape, xq.tobytes())
-    with _moments_lock:
-        memo = vars(model).setdefault("_moments_memo", {})
-        moments = memo.pop(key, None)
-        if moments is None:
-            with np.errstate(**_RAISING):
-                moments = model.predict(xq)
-            for array in (moments.mean, moments.variance, moments.query_inputs):
-                array.flags.writeable = False
-            if len(memo) >= _MOMENTS_MEMO_SIZE:
-                del memo[next(iter(memo))]
-        memo[key] = moments
-    return moments
+    kept = getattr(model, "_row_variance", None)
+    variance = {} if kept is None else kept
+    rows = rows.tolist()
+    raising = dict(over="raise", invalid="raise", divide="raise", under="ignore")
+    with np.errstate(**({} if kept is None else raising)):
+        for row in set(rows).difference(variance):
+            variance[row] = model.predict(model.train_inputs[row : row + 1]).variance[0]
+    return np.array([variance[row] for row in rows])
 
 
 def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarray:
@@ -253,20 +237,13 @@ def state_probabilities(
     queries = _query_matrix(grid, fixed_covariates, model.ndim)
     nearest = _nearest_rows(model, flat, (fixed_covariates or {}).get("switch"))
     y_closest = np.asarray(model.train_targets, dtype=float).ravel()[nearest]
-    # one query per distinct row, as a single-DI request makes it
-    rows, inverse = np.unique(nearest, return_inverse=True)
-    v_rows = [
-        _moments(model, model.train_inputs[rows[k : k + 1]]).variance[0] for k in range(rows.size)
-    ]
-    v_closest = np.array(v_rows)[inverse]
+    v_closest = _row_variances(model, nearest)
     half_width = (2.0 * np.sqrt(v_closest))[:, None]
-    a, b = flat[:, None] - half_width, flat[:, None] + half_width
+    bounds = np.stack((flat[:, None] + half_width, flat[:, None] - half_width))
 
-    moments = _moments(model, queries)
-    probs = gaussian_cdf(b, moments.mean, moments.variance) - gaussian_cdf(
-        a, moments.mean, moments.variance
-    )
-    probs = np.clip(probs, 0.0, 1.0)
+    moments = model.predict(queries)
+    upper, lower = gaussian_cdf(bounds, moments.mean, moments.variance)
+    probs = np.clip(upper - lower, 0.0, 1.0)
 
     # grid states are sorted, so the first maximum is the smallest damage
     # then load among ties

@@ -1,5 +1,5 @@
 """State-quantification tests: CDF oracles, probability tables, two-step flow,
-and the memo of predictive moments a loaded model keeps."""
+and the nearest-row variances a loaded model keeps."""
 
 import ast
 import copy
@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gwquant.sgpr
-from gwquant import persist, quantify
+from gwquant import persist
 from gwquant.errors import (
     CovariateMismatchError,
     InvalidArgumentError,
     MissingBaselineError,
 )
+from gwquant.kernels import KernelParams
 from gwquant.persist import load_model, save_model
 from gwquant.quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
@@ -32,7 +33,7 @@ from gwquant.quantify import (
     state_probabilities,
     summarize_predictions,
 )
-from gwquant.sgpr import OptimizerConfig, PredictiveMoments, train_sgpr
+from gwquant.sgpr import OptimizerConfig, PredictiveMoments, SgprModel, train_sgpr
 from gwquant.vhgpr import train_vhgpr
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gwquant"
@@ -572,8 +573,8 @@ class TestSummarizePredictions:
         assert hi_whisker == 0.0
 
 
-# The memo of predictive moments: a read-only model, as load_model hands it
-# out, answers a repeated query from memory; any other model predicts.
+# The nearest-row variances a loaded model keeps: a model from load_model
+# predicts each training row at most once; any other model on every call.
 
 
 @pytest.fixture
@@ -610,29 +611,27 @@ def _test_dis(model, fixed):
     return [float(t) + 0.001 for t in targets[::3]]
 
 
-def _tables(model, grid, fixed):
-    tables = state_probabilities(model, grid, _test_dis(model, fixed), fixed)
+def _tables(model, grid, fixed, dis=None):
+    dis = _test_dis(model, fixed) if dis is None else dis
+    tables = state_probabilities(model, grid, dis, fixed)
     return [(t.entries, t.closest_variance, t.argmax_state, t.low_confidence) for t in tables]
 
 
-def _memo(model):
-    return vars(model).get("_moments_memo", {})
-
-
 @pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1"])
-def test_a_repeated_request_on_a_loaded_model_predicts_nothing(case, loaded, predicts):
+def test_a_repeated_request_on_a_loaded_model_predicts_only_the_grid(
+    case, loaded, oracle_cases, predicts
+):
     model, grid, fixed = loaded[case]
     first = _tables(model, grid, fixed)
-    # the grid in one query, then the nearest rows one at a time
+    # the grid in one query, and each nearest row in a query of its own
     *rows, grid_rows = sorted(shape[0] for shape in predicts)
     assert grid_rows == len(grid.states) and len(rows) >= 2 and set(rows) == {1}
     del predicts[:]
     assert _tables(model, grid, fixed) == first
-    assert predicts == []
-    kept = list(_memo(model).values())
-    assert kept and not any(
-        a.flags.writeable for m in kept for a in (m.mean, m.variance, m.query_inputs)
-    )
+    assert [shape[0] for shape in predicts] == [len(grid.states)]
+    # what is kept is what a model of this process predicts afresh
+    assert first == _tables(oracle_cases[case][0], grid, fixed)
+    assert len(model._row_variance) == len(rows)
 
 
 def test_a_writable_model_predicts_on_every_call(oracle_cases, predicts):
@@ -644,46 +643,52 @@ def test_a_writable_model_predicts_on_every_call(oracle_cases, predicts):
     second = _tables(model, grid, fixed)
     assert len(predicts) == 2 * calls
     assert second != first
-    assert _memo(model) == {}
+    assert not hasattr(model, "_row_variance")
     assert second == _tables(copy.deepcopy(model), grid, fixed)
 
 
-def test_the_memo_keeps_at_most_its_size_dropping_the_least_recently_used(
+def test_a_loaded_model_keeps_one_variance_per_training_row(tmp_path, monkeypatch, predicts):
+    # more rows than a batch's DIs could evict from any bounded memo of queries
+    monkeypatch.setattr(persist, "_model_memo", {})
+    x = np.linspace(0.0, 4.0, 300)[:, None]
+    y = np.sin(x.ravel())
+    path = tmp_path / "wide.json"
+    save_model(path, SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(1)), -4.0, x, y))
+    model, grid = load_model(path), StateGrid.from_training_inputs(x[::30])
+    dis = [float(t) for t in y] * 2  # every row, each twice
+    first = _tables(model, grid, None, dis)
+    assert sorted(predicts) == [(1, 1)] * len(np.unique(y)) + [(len(grid.states), 1)]
+    del predicts[:]
+    assert _tables(model, grid, None, dis[::-1]) == first[::-1]
+    assert predicts == [(len(grid.states), 1)]
+    assert len(model._row_variance) == len(np.unique(y)) <= 300
+
+
+def test_a_failed_row_predict_raises_in_any_error_state_and_is_not_kept(
     loaded, predicts, monkeypatch
 ):
-    size = 3
-    monkeypatch.setattr(quantify, "_MOMENTS_MEMO_SIZE", size)
-    model = loaded["vhgpr"][0]
-    queries = [np.array([[0.5 * k]]) for k in range(size + 2)]
-    for q in queries[:size]:
-        quantify._moments(model, q)
-    quantify._moments(model, queries[0])  # now the most recently used
-    for q in queries[size:]:
-        quantify._moments(model, q)
-        assert len(_memo(model)) == size
-    assert len(predicts) == size + 2
-    quantify._moments(model, queries[0])
-    assert len(predicts) == size + 2
-    quantify._moments(model, queries[1])  # the least recently used, dropped first
-    assert len(predicts) == size + 3
-    assert len(_memo(model)) == size
+    model, grid, fixed = loaded["vhgpr"]
+    inner = gwquant.sgpr.sgpr_predict
 
+    def overflowing(m, xq):
+        moments = inner(m, xq)
+        if len(xq) == 1:  # a nearest row; the grid predicts as ever
+            moments.variance[:] = np.float64(1e200) * 1e200
+        return moments
 
-def test_a_miss_that_overflows_raises_in_any_error_state_and_is_not_kept(loaded):
-    model = loaded["vhgpr"][0]
-    quantify._moments(model, np.array([[0.5]]))
-    kept = dict(_memo(model))
+    monkeypatch.setattr(gwquant.sgpr, "sgpr_predict", overflowing)
     with np.errstate(all="ignore"):
         for _ in range(2):
             with pytest.raises(FloatingPointError, match="overflow"):
-                quantify._moments(model, np.array([[1e200]]))
-    assert _memo(model) == kept
+                _tables(model, grid, fixed)
+    assert model._row_variance == {}
+    monkeypatch.setattr(gwquant.sgpr, "sgpr_predict", inner)
+    with np.errstate(all="ignore"):
+        assert np.isfinite(_tables(model, grid, fixed)[0][1])
+    assert model._row_variance and all(np.isfinite(list(model._row_variance.values())))
 
 
-def test_threads_sharing_a_loaded_model_get_the_answers_of_one_thread(
-    loaded, oracle_cases, monkeypatch
-):
-    monkeypatch.setattr(quantify, "_MOMENTS_MEMO_SIZE", 4)  # so threads evict
+def test_threads_sharing_a_loaded_model_get_the_answers_of_one_thread(loaded, oracle_cases):
     model, grid, fixed = loaded["sgpr-switch-1"]
     requests = [[di] for di in _test_dis(model, fixed)]
     trained = oracle_cases["sgpr-switch-1"][0]
@@ -710,12 +715,12 @@ def test_threads_sharing_a_loaded_model_get_the_answers_of_one_thread(
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(_memo(model)) == 4
+    assert len(model._row_variance) == len(requests)
 
 
-def _predicts_outside_the_helper(tree):
-    """(function, line) of each .predict( call outside quantify._moments."""
-    found = []
+def _predict_calls(tree):
+    """function name -> how many .predict( calls it makes."""
+    found = {}
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -724,9 +729,8 @@ def _predicts_outside_the_helper(tree):
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "predict"
-            and function != "_moments"
         ):
-            found.append((function, node.lineno))
+            found[function] = found.get(function, 0) + 1
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -734,9 +738,14 @@ def _predicts_outside_the_helper(tree):
     return found
 
 
-def test_only_the_moments_helper_predicts():
+def test_only_the_grid_and_the_row_helper_predict():
+    # a predict anywhere else could bypass the kept variances, or predict
+    # nearest rows together, so a batch DI would no longer equal a single one
     source = (SRC / "quantify.py").read_text()
-    assert _predicts_outside_the_helper(ast.parse(source)) == []
-    # the helper itself predicts, so the scan is not vacuous
-    renamed = source.replace("def _moments(", "def _renamed(")
-    assert {f for f, _ in _predicts_outside_the_helper(ast.parse(renamed))} == {"_renamed"}
+    assert _predict_calls(ast.parse(source)) == {"state_probabilities": 1, "_row_variances": 1}
+    batched = source.replace(
+        "v_closest = _row_variances(model, nearest)",
+        "v_closest = model.predict(model.train_inputs[nearest]).variance",
+    )
+    assert batched != source
+    assert _predict_calls(ast.parse(batched))["state_probabilities"] == 2
