@@ -28,6 +28,11 @@ inputs and seed. Files pass through ``persist``: every input file must be
 ASCII text, every number read must be finite, and output files are written
 atomically (temp file + rename).
 
+``simulate`` writes, and ``di`` reads, its signal files on up to as many
+forked worker processes as the process has usable CPUs (``_fan_out``). There
+is no setting: the output bytes and every error message are those of one
+process working alone.
+
 Exit codes: 0 success, 1 domain error (single-line ``error: ...`` message on
 stderr), including a bad flag value, a numpy overflow, invalid or
 divide-by-zero error and a ``UserWarning``, 2 usage error (a missing or
@@ -300,13 +305,92 @@ def _signal_file_name(damage: float, load: float) -> str:
     return f"signals_d{text[0]}_L{text[1]}.csv"
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _fan_out(fn, items: list):
+    """An iterator of fn(item) for each item, in order, worked out by forked workers.
+
+    There are min(len(items), usable CPUs) workers; worker w takes items w,
+    w + workers, ... and sends each result down its own pipe, which the
+    parent reads in item order in its main thread. A worker never raises
+    across its pipe: an item it raised on, or left unsent by dying, is run
+    again here when the iterator reaches it, so its error is the in-process
+    one. Every worker is ended and joined before this returns. With fewer
+    than 2 workers, or no fork start method, the items run here through map.
+    """
+    workers = min(len(items), _usable_cpus())
+    if workers < 2:
+        return map(fn, items)
+    # imported here, so that importing the CLI does not load multiprocessing
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return map(fn, items)
+    context = multiprocessing.get_context("fork")
+    # a child flushes the buffers it inherits when it exits: empty them first
+    # (multiprocessing's fork start does so too; this does not rest on that)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    receivers, processes, results = [], [], {}
+    try:
+        for w in range(workers):
+            # made just before its worker, so no other worker holds its sending end
+            receiver, sender = context.Pipe(duplex=False)
+            receivers.append(receiver)
+            process = context.Process(target=_fan_out_worker, args=(fn, items[w::workers], sender))
+            try:
+                process.start()
+            except OSError:  # no process to be had: its items run here
+                pass
+            else:
+                processes.append(process)
+            sender.close()
+        for i in range(len(items)):
+            try:
+                done, result = receivers[i % workers].recv()
+            except (EOFError, OSError):  # the worker died, mid-message too, or never started
+                continue
+            if done:
+                results[i] = result
+    finally:
+        # a worker that has sent its last result has nothing left to do
+        for process in processes:
+            process.terminate()
+        for process in processes:
+            process.join()
+        for receiver in receivers:
+            receiver.close()
+    return (results[i] if i in results else fn(item) for i, item in enumerate(items))
+
+
+def _fan_out_worker(fn, items, sender) -> None:
+    """Send (True, fn(item)) for each item in turn, or (False, None) where fn raises."""
+    for item in items:
+        try:
+            message = (True, fn(item))
+        except Exception:
+            message = (False, None)
+        sender.send(message)
+
+
+def _write_signal_file(cell) -> None:
+    path, signals, comment = cell
+    atomic_write_text(path, signals_to_csv_text(signals, comment=comment))
+
+
 def cmd_simulate(args) -> int:
     config = _config(args)
     sim, workdir = config.simulation, config.paths.workdir
     os.makedirs(workdir, exist_ok=True)
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
-    manifest = []
+    cells, manifest = [], []
     for damage in config.damage_grid:
         for load in config.load_grid:
             cell = [
@@ -315,9 +399,10 @@ def cmd_simulate(args) -> int:
                 if s.state.damage_size == damage and s.state.load == load
             ]
             name = _signal_file_name(damage, load)
-            text = signals_to_csv_text(cell, comment=f"seed={sim.rng_seed}")
-            atomic_write_text(os.path.join(workdir, name), text)
+            cells.append((os.path.join(workdir, name), cell, f"seed={sim.rng_seed}"))
             manifest.append((damage, load, len(cell), name))
+    for _ in _fan_out(_write_signal_file, cells):
+        pass
     text = csv_text(MANIFEST_HEADER, manifest, comment=f"seed={sim.rng_seed}")
     atomic_write_text(os.path.join(workdir, "manifest.csv"), text)
     print(f"wrote {len(signals)} signals to {workdir}")
@@ -331,15 +416,62 @@ def _read_workdir_signals(workdir: str):
     row names a distinct file that holds exactly n_signals signals, all at
     the row's (damage, load); no (damage, load, replicate, role) comes twice,
     in one file or across rows. Errors name manifest.csv and the line.
+
+    The files of the rows ahead of the first bad one are read by
+    ``_fan_out``; the rows are then checked in order, and the bad row's error
+    raised after them, as reading one row at a time would.
     """
     manifest = os.path.join(workdir, "manifest.csv")
     if not os.path.exists(manifest):
         raise InvalidArgumentError(f"no manifest.csv in {workdir}")
 
+    rows, error = [], None
+    try:
+        for row in _manifest_rows(manifest):
+            rows.append(row)
+    except InvalidArgumentError as exc:
+        error = exc
+
     def bad(message):
         return InvalidArgumentError(message, lineno, manifest)
 
-    signals, header, first_lines, first_files = [], None, {}, {}
+    files = _fan_out(read_signals_csv, [os.path.join(workdir, row[-1]) for row in rows])
+    signals, first_files = [], {}
+    for (lineno, damage, load, count, name), held in zip(rows, files):
+        if len(held) != count:
+            raise bad(f"{name} holds {len(held)} signals, the row lists {count}")
+        for state in (s.state for s in held):
+            if (state.damage_size, state.load) != (damage, load):
+                raise bad(
+                    f"{name} holds a signal at (damage={state.damage_size!r}, "
+                    f"load={state.load!r}), the row lists ({damage!r}, {load!r})"
+                )
+            if state in first_files:
+                raise bad(
+                    f"{name} holds the signal (damage={state.damage_size!r}, "
+                    f"load={state.load!r}, replicate={state.replicate}, role={state.role}) "
+                    f"again (first in {first_files[state]})"
+                )
+            first_files[state] = name
+        signals.extend(held)
+    if error is not None:
+        raise error
+    if not signals:
+        raise InvalidArgumentError("lists no signals", path=manifest)
+    return signals
+
+
+def _manifest_rows(manifest: str):
+    """The (line number, damage, load, n_signals, file) of each row of manifest, in order.
+
+    A bad header or row, a file listed again or a non-ASCII byte raises
+    once the rows ahead of it are yielded.
+    """
+
+    def bad(message):
+        return InvalidArgumentError(message, lineno, manifest)
+
+    header, first_lines = None, {}
     with open_ascii(manifest) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -359,26 +491,7 @@ def _read_workdir_signals(workdir: str):
             if name in first_lines:
                 raise bad(f"{name} is listed again (first on line {first_lines[name]})")
             first_lines[name] = lineno
-            held = read_signals_csv(os.path.join(workdir, name))
-            if len(held) != count:
-                raise bad(f"{name} holds {len(held)} signals, the row lists {count}")
-            for state in (s.state for s in held):
-                if (state.damage_size, state.load) != (damage, load):
-                    raise bad(
-                        f"{name} holds a signal at (damage={state.damage_size!r}, "
-                        f"load={state.load!r}), the row lists ({damage!r}, {load!r})"
-                    )
-                if state in first_files:
-                    raise bad(
-                        f"{name} holds the signal (damage={state.damage_size!r}, "
-                        f"load={state.load!r}, replicate={state.replicate}, role={state.role}) "
-                        f"again (first in {first_files[state]})"
-                    )
-                first_files[state] = name
-            signals.extend(held)
-    if not signals:
-        raise InvalidArgumentError("lists no signals", path=manifest)
-    return signals
+            yield lineno, damage, load, count, name
 
 
 def cmd_di(args) -> int:
@@ -505,8 +618,12 @@ def cmd_predict(args) -> int:
         results.append(payload)
     else:
         test_dis = [test_di] if test_di is not None else _read_di_column(args.test_di_file)
-        grid = StateGrid.from_training_inputs(model.train_inputs, include_load=False)
-        grid = grid.refine(quantify.grid_refine)
+        # the kept grid, or, for a model with no input column, the grid's own error
+        grid = model._damage_grid or StateGrid.from_training_inputs(
+            model.train_inputs, include_load=False
+        )
+        if quantify.grid_refine:
+            grid = grid.refine(quantify.grid_refine)
         # no name keeps the tables, so they are freed before the JSON is built
         results.extend(
             _table_to_json(table)

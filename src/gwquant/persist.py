@@ -257,9 +257,14 @@ def load_model(path):
     a failed build keeps nothing.
 
     The model also carries ``_row_variance``, where ``quantify`` keeps each
-    training row's predicted variance, by row, once it has predicted it; a
+    training row's predicted variance, by row, once it has predicted it, and
+    ``_damage_grid``, the unrefined StateGrid of its training damages that
+    ``predict`` scores over (None for a model with no input column); a
     shared model must not be changed, or what it keeps would go stale.
     """
+    # imported here: quantify imports this module, through damage_index
+    from .quantify import StateGrid
+
     with open_ascii(path, SchemaMismatchError) as fh:
         text = fh.read()
     with _model_memo_lock:
@@ -269,6 +274,11 @@ def load_model(path):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))
             model._row_variance = {}
+            model._damage_grid = (
+                StateGrid.from_training_inputs(model.train_inputs, include_load=False)
+                if model.ndim
+                else None
+            )
             if len(_model_memo) >= _MODEL_MEMO_SIZE:
                 del _model_memo[next(iter(_model_memo))]
         _model_memo[text] = model

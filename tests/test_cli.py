@@ -1,9 +1,12 @@
 """End-to-end CLI pipeline tests: simulate -> di -> train -> predict -> report."""
 
 import json
+import multiprocessing
 import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +20,7 @@ from gwquant.damage_index import DiDataset, read_di_csv
 from gwquant.errors import InvalidArgumentError
 from gwquant.kernels import KernelParams
 from gwquant.persist import load_model, save_model
+from gwquant.quantify import StateGrid
 from gwquant.sgpr import SgprModel
 from gwquant.vhgpr import VhgprModel, VhgprState
 
@@ -596,6 +600,32 @@ class TestModelMemo:
         assert len(persist._model_memo) == 1
         for request in requests:
             assert outputs["cold", request] == outputs["warm", request]
+
+    def test_a_request_leaves_the_kept_grid_unchanged(self, pipeline, capsys):
+        model = load_model(pipeline["model_file"])
+        kept = model._damage_grid
+        states = list(kept.states)
+        built = StateGrid.from_training_inputs(model.train_inputs, include_load=False)
+        assert states == built.states
+        argv = ("predict", "--model-file", pipeline["model_file"], "--test-di", 0.05)
+        outputs = []
+        for refine in (0, 3, 0):
+            assert run(*argv, "--known-load", 5, "--grid-refine", refine) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert load_model(pipeline["model_file"])._damage_grid is kept
+        assert kept.states == states
+        assert outputs[0] == outputs[2]
+        assert [len(out["probabilities"]) for out in outputs] == [5, 17, 5]
+
+    def test_a_model_with_no_input_column_keeps_no_grid(self, pipeline, tmp_path, capsys):
+        kernel = {"log_output_variance": 0.0, "log_length_scales": []}
+        path = _edited_model(
+            pipeline["model_file"], tmp_path, kernel=kernel, train_inputs=[[]],
+            train_targets=[0.1],
+        )[2]
+        assert load_model(path)._damage_grid is None
+        assert run("predict", "--model-file", path, "--test-di", 0.05) == 1
+        assert "states must all be 1- or 2-tuples" in capsys.readouterr().err
 
     def test_a_rewritten_model_file_is_read_afresh(self, pipeline, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -1316,3 +1346,201 @@ def test_bad_input_exits_one_with_one_error_line(case, pipeline, tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and fragment in err[0]
+
+
+# simulate writes, and di reads, its signal files on forked workers; the
+# tests set the CPU count those see, so the workers run on a 1-CPU machine too
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the number of usable CPUs the fan-out sees; no worker may outlive a test."""
+    yield lambda n: monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+    assert multiprocessing.active_children() == []
+
+
+def _in_workers(monkeypatch, name, act, after=0):
+    """Replace cli.<name> by a function that, in a worker, calls act() after
+    after items, and otherwise calls the original."""
+    original, parent, done = getattr(cli, name), os.getpid(), []
+
+    def replaced(*args):
+        if os.getpid() != parent:
+            if len(done) >= after:
+                act()
+            done.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, replaced)
+
+
+def _log_pids(monkeypatch, name, log):
+    """Replace cli.<name> by a function that appends its process id to log, then
+    calls the original."""
+    original = getattr(cli, name)
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, logged)
+
+
+def _front_outputs(config, root):
+    """The simulate workdir and both DI files of config under root, as bytes by name."""
+    workdir = root / "out"
+    assert run("simulate", "--config", config, "--workdir", workdir) == 0
+    for policy in ("class1", "both"):
+        out = root / f"di_{policy}.csv"
+        argv = ("di", "--config", config, "--workdir", workdir, "--policy", policy, "--out", out)
+        assert run(*argv) == 0
+    tree = read_bytes_tree(workdir)
+    tree.update((f"di_{policy}.csv", (root / f"di_{policy}.csv").read_bytes())
+                for policy in ("class1", "both"))
+    return tree
+
+
+def _raise_in_worker():
+    raise RuntimeError("a worker's own error")
+
+
+def _exit_worker():
+    os._exit(0)
+
+
+class TestFanOut:
+    def test_items_run_on_as_many_workers_as_cpus(self, cpus):
+        cpus(3)
+        pids = list(cli._fan_out(lambda _: os.getpid(), list(range(7))))
+        assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert pids[:3] == pids[3:6] and pids[6] == pids[0]  # worker w takes w, w + 3, ...
+
+    def test_fewer_than_two_workers_run_in_process(self, cpus):
+        cpus(1)
+        assert set(cli._fan_out(lambda _: os.getpid(), list(range(4)))) == {os.getpid()}
+        cpus(8)
+        assert list(cli._fan_out(lambda _: os.getpid(), [0])) == [os.getpid()]
+
+    def test_outputs_are_the_same_bytes_on_any_number_of_workers(
+        self, tmp_path, config_file, cpus, monkeypatch
+    ):
+        outputs = []
+        for n in (1, 2, 3):
+            cpus(n)
+            log = tmp_path / f"pids-{n}.txt"
+            for name in ("_write_signal_file", "read_signals_csv"):
+                _log_pids(monkeypatch, name, log)
+            outputs.append(_front_outputs(config_file, tmp_path / str(n)))
+            monkeypatch.undo()
+            pids = set(map(int, log.read_text().split()))
+            if n == 1:
+                assert pids == {os.getpid()}
+            else:
+                assert os.getpid() not in pids and len(pids) >= n
+        assert len(outputs[0]) == 13  # 10 cell files, the manifest and two DI files
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("after", [0, 1])
+    @pytest.mark.parametrize("act", [_raise_in_worker, _exit_worker])
+    def test_a_worker_that_fails_gives_the_in_process_result(
+        self, act, after, tmp_path, config_file, cpus, monkeypatch
+    ):
+        cpus(1)
+        alone = _front_outputs(config_file, tmp_path / "alone")
+        cpus(3)
+        _in_workers(monkeypatch, "_write_signal_file", act, after)
+        _in_workers(monkeypatch, "read_signals_csv", act, after)
+        assert _front_outputs(config_file, tmp_path / "workers") == alone
+
+    # manifest rows after the header, and the error line the first bad one gives
+    ERROR_ORDER = {
+        "bad-file-last": (
+            "0,0,1,a.csv\n0,0,1,b.csv\n", "b.csv: line 3: bad amplitude 'x'"
+        ),
+        "row-check-before-bad-file": (
+            "0,0,2,a.csv\n0,0,1,b.csv\n", "line 2: a.csv holds 1 signals, the row lists 2"
+        ),
+        "bad-file-before-bad-row": (
+            "0,0,1,b.csv\n0,0,1,a.csv\nx,0,1,c.csv\n", "b.csv: line 3: bad amplitude 'x'"
+        ),
+    }
+
+    @pytest.mark.parametrize("order", sorted(ERROR_ORDER))
+    @pytest.mark.parametrize("act", [None, _raise_in_worker, _exit_worker])
+    def test_a_bad_workdir_gives_the_in_process_error_in_row_order(
+        self, order, act, tmp_path, cpus, monkeypatch, capfd
+    ):
+        rows, fragment = self.ERROR_ORDER[order]
+        files = {
+            "manifest.csv": "damage,load,n_signals,file\n" + rows,
+            "a.csv": _section(0), "b.csv": _section(1).replace("\n3\n", "\nx\n"),
+        }
+        argv = _workdir_di_argv(tmp_path, files)
+        errors = []
+        for n in (1, 3):
+            cpus(n)
+            if n == 3 and act is not None:
+                _in_workers(monkeypatch, "read_signals_csv", act)
+            assert run(*argv) == 1
+            errors.append(capfd.readouterr().err)
+        assert errors[0] == errors[1]
+        assert len(errors[0].splitlines()) == 1 and fragment in errors[0]
+
+    @pytest.mark.parametrize(
+        "case",
+        sorted(
+            c for c in BAD_INPUTS
+            if c.startswith(("signal-", "manifest-", "workdir-", "as-written-"))
+        ),
+    )
+    @pytest.mark.parametrize("extra_row", [False, True])
+    def test_a_bad_workdir_gives_the_same_error_on_workers(
+        self, case, extra_row, pipeline, tmp_path, cpus, capfd
+    ):
+        """Each case's single error line, alone and on workers; with extra_row a
+        good file is listed last, so that the case's own files share the workers."""
+        build_argv, fragment = BAD_INPUTS[case]
+        argv = build_argv(pipeline, tmp_path)
+        assert argv[0] == "di"
+        if extra_row:
+            workdir = Path(argv[argv.index("--workdir") + 1])
+            with open(workdir / "manifest.csv", "a") as fh:
+                fh.write("9,0,1,extra.csv\n")
+            _write(workdir, "extra.csv", _section().replace("damage=0", "damage=9") + "3\n")
+        errors = []
+        for n in (1, 2, 3):
+            cpus(n)
+            assert run(*argv) == 1
+            errors.append(capfd.readouterr().err)
+        assert errors[0] == errors[1] == errors[2]
+        assert len(errors[0].splitlines()) == 1 and fragment in errors[0]
+
+    def test_output_buffered_on_a_pipe_is_printed_once(self, tmp_path, config_file):
+        # a forked worker flushes the stdout buffer it inherits when it exits
+        code = (
+            "import sys\n"
+            "from gwquant import cli\n"
+            "cli._usable_cpus = lambda: 3\n"
+            "for workdir in sys.argv[2:]:\n"
+            "    argv = ['simulate', '--config', sys.argv[1], '--workdir', workdir]\n"
+            "    assert cli.main(argv) == 0\n"
+        )
+        workdirs = [str(tmp_path / "a"), str(tmp_path / "b")]
+        done = subprocess.run(
+            [sys.executable, "-c", code, config_file, *workdirs], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [f"wrote 60 signals to {w}" for w in workdirs]
+
+    def test_importing_the_cli_does_not_load_multiprocessing(self):
+        code = (
+            "import sys, gwquant.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert done.stdout == "[]\n"
