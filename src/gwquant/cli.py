@@ -43,10 +43,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -67,8 +67,8 @@ from .persist import read_json, save_model
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
-    predict_single_state,
-    predict_two_states,
+    _single_state_scores,
+    _two_state_scores,
     summarize_predictions,
 )
 from .sgpr import OptimizerConfig, evaluate_fit, train_sgpr
@@ -391,18 +391,30 @@ def cmd_simulate(args) -> int:
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
     cells, manifest = [], []
-    for damage in config.damage_grid:
-        for load in config.load_grid:
-            cell = [
-                s
-                for s in signals
-                if s.state.damage_size == damage and s.state.load == load
-            ]
-            name = _signal_file_name(damage, load)
-            cells.append((os.path.join(workdir, name), cell, f"seed={sim.rng_seed}"))
-            manifest.append((damage, load, len(cell), name))
-    for _ in _fan_out(_write_signal_file, cells):
-        pass
+    # each cell is written to a staging file, then renamed into place in cell
+    # order: from the first cell that fails, no later cell is left, as when
+    # one process writes the cells in turn
+    renamed = 0
+    try:
+        for damage in config.damage_grid:
+            for load in config.load_grid:
+                cell = [
+                    s
+                    for s in signals
+                    if s.state.damage_size == damage and s.state.load == load
+                ]
+                name = _signal_file_name(damage, load)
+                fd, staging = tempfile.mkstemp(dir=workdir, suffix=".tmp")
+                os.close(fd)
+                cells.append((staging, cell, f"seed={sim.rng_seed}"))
+                manifest.append((damage, load, len(cell), name))
+        for (staging, _, _), row, _ in zip(cells, manifest, _fan_out(_write_signal_file, cells)):
+            os.replace(staging, os.path.join(workdir, row[-1]))
+            renamed += 1
+    finally:
+        for staging, _, _ in cells[renamed:]:
+            if os.path.exists(staging):
+                os.unlink(staging)
     text = csv_text(MANIFEST_HEADER, manifest, comment=f"seed={sim.rng_seed}")
     atomic_write_text(os.path.join(workdir, "manifest.csv"), text)
     print(f"wrote {len(signals)} signals to {workdir}")
@@ -508,8 +520,10 @@ def cmd_di(args) -> int:
     return 0
 
 
-def _format_metric(value: float) -> str:
-    return f"{value:.4g}"
+def _fit_line(metrics) -> str:
+    """The fit metrics as name=value fields; nmse comes first, as scripts take its first match."""
+    names = ("nmse", "rss_sss_percent", "nlpd", "coverage_2sd")
+    return " ".join(f"{name}={getattr(metrics, name):.4g}" for name in names)
 
 
 def cmd_train(args) -> int:
@@ -530,11 +544,7 @@ def cmd_train(args) -> int:
     metrics = evaluate_fit(
         model.predict(test_set.inputs), test_set.targets, train_set.targets
     )
-    print(
-        f"{train.model_kind} trained on {train_set.n}/{dataset.n} rows: "
-        f"nmse={_format_metric(metrics.nmse)} "
-        f"rss_sss_percent={_format_metric(metrics.rss_sss_percent)}"
-    )
+    print(f"{train.model_kind} trained on {train_set.n}/{dataset.n} rows: {_fit_line(metrics)}")
     return 0
 
 
@@ -550,31 +560,60 @@ def cmd_evaluate(args) -> int:
     metrics = evaluate_fit(
         model.predict(dataset.inputs), dataset.targets, model.train_targets
     )
-    print(
-        f"nmse={_format_metric(metrics.nmse)} "
-        f"rss_sss_percent={_format_metric(metrics.rss_sss_percent)}"
-    )
+    print(_fit_line(metrics))
     return 0
 
 
-def _table_to_json(table) -> dict:
-    argmax = table.argmax_state
-    return {
-        "test_di": table.test_di,
-        "argmax": {
-            "damage": argmax[0],
-            "load": argmax[1] if len(argmax) > 1 else None,
-        },
-        "low_confidence": table.low_confidence,
-        "probabilities": [
-            {
-                "damage": state[0],
-                "load": state[1] if len(state) > 1 else None,
-                "p": p,
-            }
-            for state, p in table.entries
-        ],
-    }
+def _predictions_json(scores, step1_reference_load=None) -> str:
+    """json.dumps(tables, sort_keys=True) of the scored tables, written from the arrays.
+
+    A table is {"argmax": {"damage", "load"}, "low_confidence",
+    "probabilities": [{"damage", "load", "p"}, ...], "test_di"}, with
+    "step1_reference_load" before "test_di" when it is given, and a
+    damage-only state's load null. One table is written as one object, more
+    as a list. Every number is a float, written by its repr as json writes
+    it: each grid's text is one %-template, filled with each row's floats.
+    """
+
+    def members(state):
+        load = "null" if len(state) == 1 else repr(state[1])
+        return f'"damage": {state[0]!r}, "load": {load}'
+
+    argmax = ["{" + members(s) + "}" for s in scores.states]
+    entries = ", ".join("{" + members(s) + ', "p": %r}' for s in scores.states)
+    reference = (
+        "" if step1_reference_load is None
+        else f'"step1_reference_load": {float(step1_reference_load)!r}, '
+    )
+    template = (
+        '{"argmax": %s, "low_confidence": %s, "probabilities": ['
+        + entries + "], " + reference + '"test_di": %r}'
+    )
+    flags = ("false", "true")
+    tables = [
+        template % (argmax[k], flags[low], *row, di)
+        for di, k, low, row in zip(
+            scores.test_dis.tolist(),
+            scores.best.tolist(),
+            scores.low_confidence.tolist(),
+            scores.probabilities.tolist(),
+        )
+    ]
+    return tables[0] if len(tables) == 1 else "[" + ", ".join(tables) + "]"
+
+
+def _two_state_json(model, class1, class2, threshold) -> str:
+    """The two-state table: step 2's, with the chosen class-1 DI, its reference load
+    and either step's low-confidence flag."""
+    step1, chosen, step2 = _two_state_scores(
+        model, class1, lambda d: class2[d], None, None, threshold
+    )
+    scores = replace(
+        step2,
+        test_dis=step1.test_dis[chosen : chosen + 1],
+        low_confidence=step1.low_confidence[chosen : chosen + 1] | step2.low_confidence,
+    )
+    return _predictions_json(scores, step1_reference_load=class1[chosen][0])
 
 
 def _check_predict_inputs(args, quantify: QuantifyConfig) -> None:
@@ -603,19 +642,9 @@ def cmd_predict(args) -> int:
     threshold = quantify.low_confidence_threshold
     model = load_model(args.model_file)
 
-    results = []
     if args.two_state:
         class1, class2 = _read_two_state_dis(args.test_di_file)
-        prediction = predict_two_states(
-            model, class1, lambda d: class2[d], low_confidence_threshold=threshold
-        )
-        payload = _table_to_json(prediction.step2_table)
-        payload["low_confidence"] = (
-            prediction.step1_table.low_confidence or prediction.step2_table.low_confidence
-        )
-        payload["step1_reference_load"] = prediction.step1_reference_load
-        payload["test_di"] = prediction.step1_table.test_di
-        results.append(payload)
+        text = _two_state_json(model, class1, class2, threshold)
     else:
         test_dis = [test_di] if test_di is not None else _read_di_column(args.test_di_file)
         # the kept grid, or, for a model with no input column, the grid's own error
@@ -624,17 +653,11 @@ def cmd_predict(args) -> int:
         )
         if quantify.grid_refine:
             grid = grid.refine(quantify.grid_refine)
-        # no name keeps the tables, so they are freed before the JSON is built
-        results.extend(
-            _table_to_json(table)
-            for table in predict_single_state(
-                model, grid, test_dis, known_load=known_load,
-                low_confidence_threshold=threshold,
-            )
+        scores = _single_state_scores(
+            model, grid, np.array(test_dis, dtype=float), known_load, threshold
         )
+        text = _predictions_json(scores)
 
-    # one compact line: without an indent, json's C encoder does the work
-    text = json.dumps(results[0] if len(results) == 1 else results, sort_keys=True)
     if args.out:
         atomic_write_text(args.out, text + "\n")
     else:

@@ -12,12 +12,17 @@ where y_closest is the training target nearest to y* in absolute value and
 V{y_closest} the model's predictive variance at that training row's inputs.
 The candidate grid defaults to the unique training states.
 
-state_probabilities scores a whole vector of test DIs at once: one predict
-over the grid, a blocked search for each DI's nearest training target, one
-one-row predict per distinct nearest row, and the CDF differences as one
-(n_test x n_grid) array. A DI scored in a batch therefore gets the table it
-gets alone, bit for bit: a row's predicted variance depends in its last
-digits on the other rows of its predict call.
+One scoring core, ``_score``, scores a whole vector of test DIs at once:
+one predict over the grid, a blocked search for each DI's nearest training
+target, one one-row predict per distinct nearest row, and the CDF
+differences as one (n_test x n_grid) array. It returns arrays (``_Scores``):
+the test DIs, the nearest targets and their variances, the probability
+matrix, each row's argmax column and low-confidence flag. A DI scored in a
+batch therefore gets the table it gets alone, bit for bit: a row's predicted
+variance depends in its last digits on the other rows of its predict call.
+state_probabilities, predict_single_state and predict_two_states build
+their StateProbabilityTables from those arrays; the CLI writes its JSON text
+straight from them and builds no table.
 
 A model that ``persist.load_model`` hands out keeps each training row's
 variance once predicted (``_row_variance``), so a serving process predicts
@@ -214,6 +219,77 @@ def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarr
     return nearest
 
 
+@dataclass(frozen=True)
+class _Scores:
+    """The scores of n test DIs over the m states of one grid, as arrays.
+
+    test_dis, closest_dis and closest_variances have shape (n,) and
+    probabilities (n, m); best holds each row's argmax column and
+    low_confidence whether that row's best probability fell below the
+    threshold.
+    """
+
+    states: list[tuple]
+    test_dis: np.ndarray
+    closest_dis: np.ndarray
+    closest_variances: np.ndarray
+    probabilities: np.ndarray
+    best: np.ndarray
+    low_confidence: np.ndarray
+
+    def tables(self) -> list[StateProbabilityTable]:
+        """One StateProbabilityTable per test DI, in input order."""
+        states = self.states
+        return [
+            StateProbabilityTable(
+                entries=list(zip(states, row)),
+                test_di=di,
+                closest_training_di=y,
+                closest_variance=v,
+                argmax_state=states[k],
+                low_confidence=low,
+            )
+            for di, y, v, k, low, row in zip(
+                self.test_dis.tolist(),
+                self.closest_dis.tolist(),
+                self.closest_variances.tolist(),
+                self.best.tolist(),
+                self.low_confidence.tolist(),
+                self.probabilities.tolist(),
+            )
+        ]
+
+
+def _score(model, grid: StateGrid, test_dis: np.ndarray, fixed_covariates, threshold) -> _Scores:
+    """Score a 1-D array of test DIs over the grid: the core of every entry point."""
+    if not np.all(np.isfinite(test_dis)):
+        raise InvalidArgumentError("test_di must be finite")
+    queries = _query_matrix(grid, fixed_covariates, model.ndim)
+    nearest = _nearest_rows(model, test_dis, (fixed_covariates or {}).get("switch"))
+    y_closest = np.asarray(model.train_targets, dtype=float).ravel()[nearest]
+    v_closest = _row_variances(model, nearest)
+    half_width = (2.0 * np.sqrt(v_closest))[:, None]
+    bounds = np.stack((test_dis[:, None] + half_width, test_dis[:, None] - half_width))
+
+    moments = model.predict(queries)
+    upper, lower = gaussian_cdf(bounds, moments.mean, moments.variance)
+    probs = np.clip(upper - lower, 0.0, 1.0)
+
+    # grid states are sorted, so the first maximum is the smallest damage
+    # then load among ties
+    best = np.argmax(probs, axis=1)
+    top = probs[np.arange(best.size), best]
+    return _Scores(grid.states, test_dis, y_closest, v_closest, probs, best, top < threshold)
+
+
+def _test_di_array(test_di) -> np.ndarray:
+    """test_di, a number or a 1-D sequence, as an array of that shape."""
+    test_dis = np.asarray(test_di, dtype=float)
+    if test_dis.ndim > 1:
+        raise InvalidArgumentError("test_di must be a number or a 1-D sequence")
+    return test_dis
+
+
 def state_probabilities(
     model,
     grid: StateGrid,
@@ -228,40 +304,18 @@ def state_probabilities(
     toward smaller damage, then smaller load. A table whose best probability
     falls below low_confidence_threshold is flagged.
     """
-    test_dis = np.asarray(test_di, dtype=float)
-    if test_dis.ndim > 1:
-        raise InvalidArgumentError("test_di must be a number or a 1-D sequence")
-    flat = test_dis.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise InvalidArgumentError("test_di must be finite")
-    queries = _query_matrix(grid, fixed_covariates, model.ndim)
-    nearest = _nearest_rows(model, flat, (fixed_covariates or {}).get("switch"))
-    y_closest = np.asarray(model.train_targets, dtype=float).ravel()[nearest]
-    v_closest = _row_variances(model, nearest)
-    half_width = (2.0 * np.sqrt(v_closest))[:, None]
-    bounds = np.stack((flat[:, None] + half_width, flat[:, None] - half_width))
-
-    moments = model.predict(queries)
-    upper, lower = gaussian_cdf(bounds, moments.mean, moments.variance)
-    probs = np.clip(upper - lower, 0.0, 1.0)
-
-    # grid states are sorted, so the first maximum is the smallest damage
-    # then load among ties
-    best = np.argmax(probs, axis=1)
-    tables = [
-        StateProbabilityTable(
-            entries=list(zip(grid.states, row)),
-            test_di=di,
-            closest_training_di=y,
-            closest_variance=v,
-            argmax_state=grid.states[k],
-            low_confidence=row[k] < low_confidence_threshold,
-        )
-        for di, y, v, k, row in zip(
-            flat.tolist(), y_closest.tolist(), v_closest.tolist(), best.tolist(), probs.tolist()
-        )
-    ]
+    test_dis = _test_di_array(test_di)
+    scores = _score(model, grid, test_dis.ravel(), fixed_covariates, low_confidence_threshold)
+    tables = scores.tables()
     return tables[0] if test_dis.ndim == 0 else tables
+
+
+def _single_state_scores(model, grid: StateGrid, test_dis, known_load, threshold) -> _Scores:
+    """The scores of predict_single_state: a damage-only grid, the load fixed if known."""
+    if any(len(s) != 1 for s in grid.states):
+        raise InvalidArgumentError("predict_single_state expects a damage-only grid")
+    fixed = {} if known_load is None else {"load": float(known_load)}
+    return _score(model, grid, test_dis, fixed, threshold)
 
 
 def predict_single_state(
@@ -275,28 +329,20 @@ def predict_single_state(
 
     test_di is a number or a 1-D sequence, as in state_probabilities.
     """
-    if any(len(s) != 1 for s in grid.states):
-        raise InvalidArgumentError("predict_single_state expects a damage-only grid")
-    fixed = {}
-    if known_load is not None:
-        fixed["load"] = float(known_load)
-    return state_probabilities(model, grid, test_di, fixed, low_confidence_threshold)
+    test_dis = _test_di_array(test_di)
+    scores = _single_state_scores(
+        model, grid, test_dis.ravel(), known_load, low_confidence_threshold
+    )
+    tables = scores.tables()
+    return tables[0] if test_dis.ndim == 0 else tables
 
 
-def predict_two_states(
-    model,
-    class1_test_dis: list[tuple[float, float]],
-    class2_di_provider,
-    damage_grid=None,
-    load_grid=None,
-    low_confidence_threshold: float = DEFAULT_LOW_CONFIDENCE_THRESHOLD,
-) -> TwoStepPrediction:
-    """Two-step simultaneous damage-size and load prediction.
+def _two_state_scores(
+    model, class1_test_dis, class2_di_provider, damage_grid, load_grid, threshold
+) -> tuple[_Scores, int, _Scores]:
+    """(step-1 scores, the row of the chosen class-1 DI, step-2 scores), as in predict_two_states.
 
-    class1_test_dis holds (reference_load, di) pairs, one per class-1
-    reference; class2_di_provider(damage) returns the test DI referenced to
-    the unloaded signal at that damage and may raise KeyError when absent.
-    The damage and load grids default to the training states' values.
+    The chosen row is the first with the highest best probability.
     """
     if model.ndim != 3:
         raise CovariateMismatchError(
@@ -314,12 +360,10 @@ def predict_two_states(
         raise InvalidArgumentError("damage and load grids must be non-empty")
 
     grid = StateGrid([(d, w) for d in damage_grid for w in load_grid])
-    tables = state_probabilities(
-        model, grid, [di for _, di in class1_test_dis], {"switch": 1.0}, low_confidence_threshold
-    )
-    best = max(range(len(tables)), key=lambda i: tables[i].max_probability)
-    best_table, best_ref_load = tables[best], float(class1_test_dis[best][0])
-    predicted_damage = best_table.argmax_state[0]
+    class1 = np.array([di for _, di in class1_test_dis], dtype=float)
+    step1 = _score(model, grid, class1, {"switch": 1.0}, threshold)
+    chosen = int(np.argmax(step1.probabilities.max(axis=1)))
+    predicted_damage = grid.states[step1.best[chosen]][0]
 
     try:
         class2_di = float(class2_di_provider(predicted_damage))
@@ -329,15 +373,36 @@ def predict_two_states(
         ) from exc
 
     step2_grid = StateGrid([(predicted_damage, w) for w in load_grid])
-    step2 = state_probabilities(
-        model, step2_grid, class2_di, {"switch": 2.0}, low_confidence_threshold
+    step2 = _score(model, step2_grid, np.array([class2_di]), {"switch": 2.0}, threshold)
+    return step1, chosen, step2
+
+
+def predict_two_states(
+    model,
+    class1_test_dis: list[tuple[float, float]],
+    class2_di_provider,
+    damage_grid=None,
+    load_grid=None,
+    low_confidence_threshold: float = DEFAULT_LOW_CONFIDENCE_THRESHOLD,
+) -> TwoStepPrediction:
+    """Two-step simultaneous damage-size and load prediction.
+
+    class1_test_dis holds (reference_load, di) pairs, one per class-1
+    reference; class2_di_provider(damage) returns the test DI referenced to
+    the unloaded signal at that damage and may raise KeyError when absent.
+    The damage and load grids default to the training states' values.
+    """
+    step1, chosen, step2 = _two_state_scores(
+        model, class1_test_dis, class2_di_provider, damage_grid, load_grid,
+        low_confidence_threshold,
     )
+    step1_table, step2_table = step1.tables()[chosen], step2.tables()[0]
     return TwoStepPrediction(
-        predicted_damage=predicted_damage,
-        predicted_load=step2.argmax_state[1],
-        step1_table=best_table,
-        step2_table=step2,
-        step1_reference_load=best_ref_load,
+        predicted_damage=step1_table.argmax_state[0],
+        predicted_load=step2_table.argmax_state[1],
+        step1_table=step1_table,
+        step2_table=step2_table,
+        step1_reference_load=float(class1_test_dis[chosen][0]),
     )
 
 

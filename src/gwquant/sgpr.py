@@ -87,6 +87,8 @@ class PredictiveMoments:
 class FitMetrics:
     nmse: float
     rss_sss_percent: float
+    nlpd: float
+    coverage_2sd: float
 
 
 def _factor(k: np.ndarray, r: np.ndarray, y: np.ndarray):
@@ -302,10 +304,13 @@ def sgpr_predict(model: GpPosterior, xq) -> PredictiveMoments:
 
 
 def evaluate_fit(moments: PredictiveMoments, y_true, y_train) -> FitMetrics:
-    """Held-out NMSE and RSS/SSS (percent).
+    """Held-out NMSE, RSS/SSS (percent), NLPD and 2-sd coverage.
 
     nmse normalizes the squared error by that of the constant train-mean
     predictor; rss_sss divides by the raw sum of squares of the targets.
+    nlpd is the mean negative log predictive density, the mean of
+    0.5 log(2 pi v) + (y - m)^2 / (2 v), and coverage_2sd the fraction of
+    targets within 2 sqrt(v) of the mean: these two judge the variance too.
     """
     y_true = np.asarray(y_true, dtype=float).ravel()
     y_train = np.asarray(y_train, dtype=float).ravel()
@@ -317,7 +322,10 @@ def evaluate_fit(moments: PredictiveMoments, y_true, y_train) -> FitMetrics:
     denom_sss = float(np.sum(y_true**2))
     if denom_nmse <= 0 or denom_sss <= 0:
         raise InvalidArgumentError("degenerate denominator in fit metrics")
+    variance = moments.variance
     return FitMetrics(
         nmse=float(np.mean(resid**2)) / denom_nmse,
         rss_sss_percent=100.0 * float(np.sum(resid**2)) / denom_sss,
+        nlpd=float(np.mean(0.5 * np.log(2.0 * np.pi * variance) + resid**2 / (2.0 * variance))),
+        coverage_2sd=float(np.mean(np.abs(resid) <= 2.0 * np.sqrt(variance))),
     )

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwquant import cli, persist
 from gwquant.cli import build_parser, main, parse_config, split_dataset
@@ -20,8 +22,16 @@ from gwquant.damage_index import DiDataset, read_di_csv
 from gwquant.errors import InvalidArgumentError
 from gwquant.kernels import KernelParams
 from gwquant.persist import load_model, save_model
-from gwquant.quantify import StateGrid
-from gwquant.sgpr import SgprModel
+from gwquant.quantify import (
+    StateGrid,
+    _score,
+    _Scores,
+    _single_state_scores,
+    predict_single_state,
+    predict_two_states,
+    state_probabilities,
+)
+from gwquant.sgpr import PredictiveMoments, SgprModel
 from gwquant.vhgpr import VhgprModel, VhgprState
 
 BASE_CONFIG = """
@@ -324,6 +334,52 @@ class TestDiAndTrain:
             assert fh.read() == di_before
 
 
+def _table_payload(table) -> dict:
+    """The dict of one table that predict once handed to json.dumps."""
+    argmax = table.argmax_state
+    return {
+        "test_di": table.test_di,
+        "argmax": {
+            "damage": argmax[0],
+            "load": argmax[1] if len(argmax) > 1 else None,
+        },
+        "low_confidence": table.low_confidence,
+        "probabilities": [
+            {
+                "damage": state[0],
+                "load": state[1] if len(state) > 1 else None,
+                "p": p,
+            }
+            for state, p in table.entries
+        ],
+    }
+
+
+def _tables_oracle(tables) -> str:
+    """json.dumps of the tables' payloads, sorted: one object for one table."""
+    payloads = [_table_payload(t) for t in tables]
+    return json.dumps(payloads[0] if len(payloads) == 1 else payloads, sort_keys=True)
+
+
+def _two_state_oracle(prediction) -> str:
+    """json.dumps of the step-2 payload with the step-1 DI, reference load and flag."""
+    payload = _table_payload(prediction.step2_table)
+    payload["low_confidence"] = (
+        prediction.step1_table.low_confidence or prediction.step2_table.low_confidence
+    )
+    payload["step1_reference_load"] = prediction.step1_reference_load
+    payload["test_di"] = prediction.step1_table.test_di
+    return json.dumps(payload, sort_keys=True)
+
+
+def _single_state_oracle(model_file, dis, known_load, refine=0, threshold=None) -> str:
+    """The oracle text of a predict of dis on model_file's training damages."""
+    model = load_model(model_file)
+    grid = StateGrid.from_training_inputs(model.train_inputs, include_load=False).refine(refine)
+    more = {} if threshold is None else {"low_confidence_threshold": threshold}
+    return _tables_oracle(predict_single_state(model, grid, dis, known_load=known_load, **more))
+
+
 class TestPredict:
     def test_single_state_json_contract(self, pipeline, tmp_path, capsys):
         di = read_di_csv(pipeline["di_csv"])
@@ -341,36 +397,18 @@ class TestPredict:
         assert not payload["low_confidence"]
         assert all(0.0 <= p["p"] <= 1.0 for p in payload["probabilities"])
 
-    @staticmethod
-    def _payloads(monkeypatch):
-        """The _table_to_json payloads of the next predict, as an indented file held them."""
-        payloads, to_json = [], cli._table_to_json
-
-        def recorded(table):
-            payloads.append(to_json(table))
-            return payloads[-1]
-
-        monkeypatch.setattr(cli, "_table_to_json", recorded)
-        return lambda: [json.loads(json.dumps(p, indent=1, sort_keys=True)) for p in payloads]
-
-    def test_single_di_prints_one_compact_line_with_sorted_keys(
-        self, pipeline, capsys, monkeypatch
-    ):
-        payloads = self._payloads(monkeypatch)
+    def test_single_di_prints_one_compact_line_with_sorted_keys(self, pipeline, capsys):
         argv = ("--model-file", pipeline["model_file"], "--test-di", 0.02, "--known-load", 0)
         assert run("predict", *argv) == 0
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith("\n")
-        assert [json.loads(out)] == payloads()
+        assert out == _single_state_oracle(pipeline["model_file"], [0.02], 0.0) + "\n"
         assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
-    def test_batch_file_is_one_compact_line_with_sorted_keys(
-        self, pipeline, tmp_path, capsys, monkeypatch
-    ):
+    def test_batch_file_is_one_compact_line_with_sorted_keys(self, pipeline, tmp_path, capsys):
         dis = tmp_path / "dis.csv"
         dis.write_text("damage,di\n0,0.01\n2,0.04\n4,0.09\n")
         out = tmp_path / "batch.json"
-        payloads = self._payloads(monkeypatch)
         code = run(
             "predict", "--model-file", pipeline["model_file"], "--test-di-file", dis,
             "--known-load", 5, "--out", out,
@@ -378,7 +416,8 @@ class TestPredict:
         assert code == 0 and capsys.readouterr().out == ""
         text = out.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
-        assert json.loads(text) == payloads() and len(payloads()) == 3
+        oracle = _single_state_oracle(pipeline["model_file"], [0.01, 0.04, 0.09], 5.0)
+        assert text == oracle + "\n" and len(json.loads(text)) == 3
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     def test_grid_refine_adds_candidates(self, pipeline, capsys):
@@ -445,6 +484,22 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert isinstance(payload, dict) and payload["test_di"] == 0.5
 
+    def test_train_and_evaluate_print_nlpd_and_coverage_after_nmse(
+        self, pipeline, tmp_path, capsys
+    ):
+        model_file = tmp_path / "model.json"
+        argv = ("--config", pipeline["config"], "--di-file", pipeline["di_csv"])
+        assert run("train", *argv, "--model-file", model_file) == 0
+        trained = capsys.readouterr().out.split(": ", 1)[1]
+        heldout = str(model_file) + ".heldout.csv"
+        assert run("evaluate", "--model-file", model_file, "--di-file", heldout) == 0
+        evaluated = capsys.readouterr().out
+        assert evaluated == trained
+        names = [field.split("=")[0] for field in evaluated.split()]
+        assert names == ["nmse", "rss_sss_percent", "nlpd", "coverage_2sd"]
+        values = {k: float(v) for k, v in (f.split("=") for f in evaluated.split())}
+        assert values["nlpd"] < 0.0 and 0.5 <= values["coverage_2sd"] <= 1.0
+
     def test_vhgpr_model_through_cli(self, pipeline, tmp_path, capsys):
         model_file = tmp_path / "vhgpr.json"
         assert (
@@ -472,6 +527,177 @@ class TestPredict:
 
         signals = read_signals_csv(workdir / "signals_d0_L0.csv")
         assert all(np.all(s.samples[:8] == 0.0) for s in signals)
+
+
+class TestPredictText:
+    """predict writes the text json.dumps wrote of the tables' dicts, byte for byte."""
+
+    CASES = {
+        "single": (["--test-di", "0.02", "--known-load", "0"], [0.02], 0.0, {}),
+        "batch": ([], [0.01, 0.04, -0.0, 0.09], 5.0, {}),
+        "batch-of-one": ([], [0.04], 5.0, {}),
+        "grid-refine": (
+            ["--test-di", "0.01", "--known-load", "0", "--grid-refine", "3"],
+            [0.01], 0.0, {"refine": 3},
+        ),
+        "all-flagged": (
+            ["--test-di", "0.05", "--known-load", "5", "--low-confidence-threshold", "1"],
+            [0.05], 5.0, {"threshold": 1.0},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_predict_prints_the_oracle_text(self, case, pipeline, tmp_path, capsys):
+        flags, dis, load, more = self.CASES[case]
+        if not flags:
+            rows = "".join(f"0,{d!r}\n" for d in dis)
+            batch = _write(tmp_path, "batch.csv", "damage,di\n" + rows)
+            flags = ["--test-di-file", batch, "--known-load", repr(load)]
+        assert run("predict", "--model-file", pipeline["model_file"], *flags) == 0
+        out = capsys.readouterr().out
+        assert out == _single_state_oracle(pipeline["model_file"], dis, load, **more) + "\n"
+
+    def test_two_state_prints_the_oracle_text(self, tmp_path, capsys):
+        argv = _switch_two_state_argv(tmp_path)
+        assert run(*argv) == 0
+        out = capsys.readouterr().out
+        model = load_model(argv[argv.index("--model-file") + 1])
+        class1, class2 = cli._read_two_state_dis(argv[argv.index("--test-di-file") + 1])
+        prediction = predict_two_states(model, class1, lambda d: class2[d])
+        assert out == _two_state_oracle(prediction) + "\n"
+        assert json.loads(out)["step1_reference_load"] == prediction.step1_reference_load
+
+
+class _HashedModel:
+    """A duck-typed model whose moments at a query row are picked by the row's
+    hash: equal rows share them, and different rows often do, giving ties."""
+
+    def __init__(self, rows, ndim, moments):
+        self.train_inputs = np.array([r[:ndim] for r in rows], dtype=float)
+        self.train_targets = np.array([r[-1] for r in rows], dtype=float)
+        self.ndim = ndim
+        self.moments = moments
+
+    def predict(self, xq):
+        picked = [self.moments[hash(tuple(row)) % len(self.moments)] for row in xq.tolist()]
+        mean, variance = (np.array(v, dtype=float) for v in zip(*picked))
+        return PredictiveMoments(mean, variance, xq)
+
+
+_EDGE = [0.0, -0.0, 5e-324, 1e308, 0.5]
+_DAMAGES = st.one_of(st.sampled_from(_EDGE), st.floats(-5.0, 5.0))
+_DIS = st.one_of(st.sampled_from([*_EDGE, -1e308, -5e-324]), st.floats(-3.0, 3.0))
+_ROWS = st.lists(
+    st.tuples(_DAMAGES, st.sampled_from([0.0, 5.0, -0.0]), st.floats(-2.0, 2.0)),
+    min_size=2, max_size=6,
+)
+_MOMENTS = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.01, 4.0)), min_size=1, max_size=3)
+
+
+def _threshold(scores, pick):
+    """A threshold equal to one row's best probability, so rows fall on either side."""
+    tops = scores.probabilities[np.arange(scores.best.size), scores.best]
+    return float(np.sort(tops)[pick % tops.size])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=_ROWS,
+    moments=_MOMENTS,
+    damages=st.lists(_DAMAGES, min_size=1, max_size=5),
+    refine=st.integers(0, 2),
+    dis=st.lists(_DIS, min_size=1, max_size=12),
+    known_load=st.sampled_from([None, 0.0, 5.0]),
+    pick=st.integers(0, 100),
+)
+def test_single_state_text_equals_the_json_oracle(
+    rows, moments, damages, refine, dis, known_load, pick
+):
+    model = _HashedModel(rows, 1 if known_load is None else 2, moments)
+    grid = StateGrid([(d,) for d in damages]).refine(refine)
+    with np.errstate(over="ignore"):
+        unflagged = _single_state_scores(model, grid, np.array(dis), known_load, 0.0)
+        threshold = _threshold(unflagged, pick)
+        scores = _single_state_scores(model, grid, np.array(dis), known_load, threshold)
+        tables = predict_single_state(
+            model, grid, dis, known_load=known_load, low_confidence_threshold=threshold
+        )
+    assert cli._predictions_json(scores) == _tables_oracle(tables)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=_ROWS,
+    moments=_MOMENTS,
+    states=st.lists(st.tuples(_DAMAGES, _DAMAGES), min_size=1, max_size=6),
+    dis=st.lists(_DIS, min_size=1, max_size=12),
+    pick=st.integers(0, 100),
+)
+def test_two_column_grid_text_equals_the_json_oracle(rows, moments, states, dis, pick):
+    model = _HashedModel(rows, 2, moments)
+    grid = StateGrid(states)
+    with np.errstate(over="ignore"):
+        threshold = _threshold(_score(model, grid, np.array(dis), None, 0.0), pick)
+        scores = _score(model, grid, np.array(dis), None, threshold)
+        tables = state_probabilities(model, grid, dis, None, threshold)
+    assert cli._predictions_json(scores) == _tables_oracle(tables)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=_ROWS,
+    moments=_MOMENTS,
+    class1=st.lists(st.tuples(_DIS, _DIS), min_size=1, max_size=4),
+    class2_di=_DIS,
+    threshold=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+def test_two_state_text_equals_the_json_oracle(rows, moments, class1, class2_di, threshold):
+    # the first row is class 1 and the others class 2, so both switches have rows
+    switched = [(d, w, 1.0 if i == 0 else 2.0, y) for i, (d, w, y) in enumerate(rows)]
+    model = _HashedModel(switched, 3, moments)
+    class2 = dict.fromkeys((d for d, *_ in rows), class2_di)
+    with np.errstate(over="ignore"):
+        text = cli._two_state_json(model, class1, class2, threshold)
+        prediction = predict_two_states(
+            model, class1, lambda d: class2[d], low_confidence_threshold=threshold
+        )
+    assert text == _two_state_oracle(prediction)
+
+
+_PROBABILITIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 0.25]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    states=st.lists(_DAMAGES, min_size=1, max_size=5, unique=True).flatmap(
+        lambda d: st.sampled_from([[(v,) for v in d], [(v, 1e308) for v in d]])
+    ),
+    data=st.data(),
+    reference=st.one_of(st.none(), _DIS),
+)
+def test_any_scores_text_equals_the_json_oracle(states, data, reference):
+    """The renderer on scores as drawn: tied, subnormal and negative-zero
+    probabilities, any argmax column and either flag."""
+    n = 1 if reference is not None else data.draw(st.integers(1, 6))
+    m = len(states)
+    row = st.lists(_PROBABILITIES, min_size=m, max_size=m)
+    probabilities = data.draw(st.lists(row, min_size=n, max_size=n))
+    scores = _Scores(
+        states,
+        np.array(data.draw(st.lists(_DIS, min_size=n, max_size=n))),
+        np.zeros(n),
+        np.ones(n),
+        np.array(probabilities, dtype=float),
+        np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))),
+        np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+    if reference is None:
+        assert cli._predictions_json(scores) == _tables_oracle(scores.tables())
+    else:
+        payload = _table_payload(scores.tables()[0])
+        payload["step1_reference_load"] = reference
+        oracle = json.dumps(payload, sort_keys=True)
+        assert cli._predictions_json(scores, step1_reference_load=reference) == oracle
 
 
 class TestReport:
@@ -1515,6 +1741,41 @@ class TestFanOut:
             errors.append(capfd.readouterr().err)
         assert errors[0] == errors[1] == errors[2]
         assert len(errors[0].splitlines()) == 1 and fragment in errors[0]
+
+    @pytest.mark.parametrize("k", [0, 4])
+    @pytest.mark.parametrize("fail", ["rename", "write"])
+    def test_a_failed_cell_leaves_the_serial_workdir(
+        self, fail, k, tmp_path, config_file, cpus, monkeypatch, capfd
+    ):
+        """Cell k's file cannot be written: cells before it are left, none after,
+        no temporary file and no manifest, on any number of workers."""
+        cells = [(d, w) for d in (0.0, 1.0, 2.0, 3.0, 4.0) for w in (0.0, 5.0)]
+        name = cli._signal_file_name(*cells[k])
+        if fail == "write":
+            write = cli._write_signal_file
+
+            def failing(cell):
+                state = cell[1][0].state
+                if (state.damage_size, state.load) == cells[k]:
+                    raise OSError(f"no room for {name}")
+                return write(cell)
+
+            monkeypatch.setattr(cli, "_write_signal_file", failing)
+        trees, errors = [], []
+        for n in (1, 2, 3):
+            cpus(n)
+            workdir = tmp_path / str(n)
+            workdir.mkdir()
+            if fail == "rename":
+                (workdir / name).mkdir()  # a directory where cell k's file goes
+            assert run("simulate", "--config", config_file, "--workdir", workdir) == 1
+            trees.append({p.name: p.is_dir() or p.read_bytes() for p in workdir.iterdir()})
+            err = capfd.readouterr().err.replace(str(workdir), "WORKDIR")
+            errors.append(re.sub(r"tmp\w+\.tmp", "TMP", err))
+        cells_before = {cli._signal_file_name(*c) for c in cells[:k]}
+        assert set(trees[0]) == cells_before | ({name} if fail == "rename" else set())
+        assert trees[0] == trees[1] == trees[2]
+        assert errors[0] == errors[1] == errors[2] and len(errors[0].splitlines()) == 1
 
     def test_output_buffered_on_a_pipe_is_printed_once(self, tmp_path, config_file):
         # a forked worker flushes the stdout buffer it inherits when it exits

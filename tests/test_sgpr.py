@@ -242,6 +242,26 @@ class TestEvaluateFit:
         assert metrics.nmse == pytest.approx(nmse, rel=1e-12)
         assert metrics.rss_sss_percent == pytest.approx(rss, rel=1e-12)
 
+    def test_nlpd_is_the_mean_negative_gaussian_log_density(self, rng):
+        from gwquant.sgpr import PredictiveMoments
+        from scipy.stats import norm
+
+        y_true = rng.normal(size=12)
+        mean = rng.normal(size=12)
+        variance = rng.uniform(0.01, 3.0, size=12)
+        moments = PredictiveMoments(mean, variance, np.zeros((12, 1)))
+        metrics = evaluate_fit(moments, y_true, rng.normal(size=5))
+        oracle = -np.mean(norm.logpdf(y_true, loc=mean, scale=np.sqrt(variance)))
+        assert metrics.nlpd == pytest.approx(oracle, rel=1e-12)
+
+    def test_coverage_counts_targets_within_two_sd(self):
+        from gwquant.sgpr import PredictiveMoments
+
+        # |y - m| against 2 sd: 0 <= 2, 1 <= 1 (on the edge), 2.5 > 2, 3 <= 4
+        moments = PredictiveMoments(np.zeros(4), [1.0, 0.25, 1.0, 4.0], np.zeros((4, 1)))
+        metrics = evaluate_fit(moments, np.array([0.0, 1.0, 2.5, -3.0]), np.array([1.0, 2.0]))
+        assert metrics.coverage_2sd == 0.75
+
     def test_degenerate_denominator_raises(self):
         y = np.zeros(3)
         with pytest.raises(InvalidArgumentError):
