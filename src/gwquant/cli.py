@@ -33,6 +33,12 @@ forked worker processes as the process has usable CPUs (``_fan_out``). There
 is no setting: the output bytes and every error message are those of one
 process working alone.
 
+``main`` reads a command's words with that command's own subparser
+(``_parse_args``), as the one parser ``build_parser`` returns would hand
+them on; the top-level parser runs only when the first word names no
+command. The namespace, and every usage error and help text, are those of
+``build_parser().parse_args``.
+
 Exit codes: 0 success, 1 domain error (single-line ``error: ...`` message on
 stderr), including a bad flag value, a numpy overflow, invalid or
 divide-by-zero error and a ``UserWarning``, 2 usage error (a missing or
@@ -67,8 +73,8 @@ from .persist import read_json, save_model
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
-    _single_state_scores,
-    _two_state_scores,
+    single_state_scores,
+    two_state_scores,
     summarize_predictions,
 )
 from .sgpr import OptimizerConfig, evaluate_fit, train_sgpr
@@ -605,7 +611,7 @@ def _predictions_json(scores, step1_reference_load=None) -> str:
 def _two_state_json(model, class1, class2, threshold) -> str:
     """The two-state table: step 2's, with the chosen class-1 DI, its reference load
     and either step's low-confidence flag."""
-    step1, chosen, step2 = _two_state_scores(
+    step1, chosen, step2 = two_state_scores(
         model, class1, lambda d: class2[d], None, None, threshold
     )
     scores = replace(
@@ -653,7 +659,7 @@ def cmd_predict(args) -> int:
         )
         if quantify.grid_refine:
             grid = grid.refine(quantify.grid_refine)
-        scores = _single_state_scores(
+        scores = single_state_scores(
             model, grid, np.array(test_dis, dtype=float), known_load, threshold
         )
         text = _predictions_json(scores)
@@ -665,14 +671,14 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _read_di_column(path) -> list[float]:
+def _read_di_column(path) -> np.ndarray:
     """The di column of a DI CSV, one test DI per row."""
     if path is None:
         raise InvalidArgumentError("provide --test-di or --test-di-file")
     _, rows = read_csv_table(path, DI_HEADERS)
-    if not rows:
+    if not len(rows):
         raise InvalidArgumentError(f"{path}: no test DI rows")
-    return [row[-1] for row in rows]
+    return rows[:, -1]
 
 
 def _read_two_state_dis(path):
@@ -687,7 +693,7 @@ def _read_two_state_dis(path):
     class1 = []
     class2 = {}
     _, rows = read_csv_table(path, [("class", "ref_load", "ref_damage", "di")])
-    for cls, ref_load, ref_damage, di in rows:
+    for cls, ref_load, ref_damage, di in rows.tolist():
         if cls == 1:
             if any(load == ref_load for load, _ in class1):
                 raise InvalidArgumentError(f"{path}: repeated class-1 ref_load {ref_load:g}")
@@ -708,7 +714,7 @@ def cmd_report(args) -> int:
     predictions = payload if isinstance(payload, list) else [payload]
 
     _, rows = read_csv_table(args.true_file, [("damage",), ("damage", "load")])
-    true_states = [tuple(row) for row in rows]
+    true_states = [tuple(row) for row in rows.tolist()]
     if len(true_states) != len(predictions):
         raise InvalidArgumentError(
             f"{len(true_states)} true states vs {len(predictions)} predictions"
@@ -735,8 +741,14 @@ def cmd_report(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gwquant parser, one subparser per command; built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The gwquant parser and each command's subparser, by command name."""
     # a settings flag keeps its text untyped: _config types and checks it as
     # parse_config does the key's value
     parser = argparse.ArgumentParser(
@@ -778,11 +790,32 @@ def build_parser() -> argparse.ArgumentParser:
     p["evaluate"].add_argument("--di-file", required=True)
     for flag in ("--pred-file", "--true-file", "--box-out", "--errors-out"):
         p["report"].add_argument(flag, required=True)
-    return parser
+    return parser, p
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), read by the command's own subparser.
+
+    The top-level parser would hand every word after the command to that
+    subparser anyway; it runs here only when argv names no command (help,
+    nothing or a typo). Words the subparser leaves go to the top-level
+    parser's error, as parse_args sends them, so every exit code and
+    message is parse_args's own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     # argparse turns a flag's value "--" (as in --out=--) into []; take it as written
     vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
     try:

@@ -235,17 +235,60 @@ def di_to_csv_text(dataset: DiDataset, comment: str | None = None) -> str:
     return csv_text(",".join([*dataset.column_names, "di"]), rows, comment)
 
 
-def read_csv_table(path, headers) -> tuple[list[str], list[list[float]]]:
-    """Column names and float rows of a comma-separated table.
+def read_csv_table(path, headers) -> tuple[list[str], np.ndarray]:
+    """Column names and rows, a float array with one column per name, of a
+    comma-separated table.
 
     The file must be ASCII text. Blank lines and lines starting with ``#``
     are skipped. The first line left must be one of ``headers`` (sequences
     of column names); every later line must have one finite number per
     column. Errors name the file and, for a bad row or byte, its 1-based
     line number.
+
+    The file is read whole and converted in one array (``_table_array``);
+    where that fails, the line loop (``_table_lines``), the format's one
+    grammar, reads the text instead and raises any error.
     """
     with open_ascii(path) as fh:
-        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)]
+        text = fh.read()
+    lines = text.split("\n")
+    return _table_array(lines, headers) or _table_lines(lines, headers, path)
+
+
+def _table_array(lines: list[str], headers) -> tuple[list[str], np.ndarray] | None:
+    """The table of a file's lines with every cell converted at once, or None.
+
+    Column-0 ``#`` lines may come first, then a header exactly as one of
+    ``headers`` writes it, then one row per line, each cell one that
+    ``float`` takes, all of them finite. Anything else (a blank or comment
+    line after the header, a padded header, a ragged row, a bad or
+    non-finite cell, no rows) returns None.
+    """
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        start += 1
+    if start == len(lines) or lines[start] not in [",".join(h) for h in headers]:
+        return None
+    names, body = lines[start].split(","), lines[start + 1 :]
+    if body and not body[-1]:  # the newline that ends the last line
+        body.pop()
+    try:
+        # float's grammar: numpy converts each str cell through float
+        rows = np.array([line.split(",") for line in body], dtype=float)
+    except ValueError:  # a bad cell or a ragged row
+        return None
+    if not body or rows.shape[1] != len(names) or not np.isfinite(rows).all():
+        return None
+    return names, rows
+
+
+def _table_lines(lines: list[str], headers, path) -> tuple[list[str], np.ndarray]:
+    """The table of a file's lines, read one line at a time.
+
+    This is the format's grammar: surrounding whitespace is dropped, blank
+    and ``#`` lines may stand anywhere, and every error is raised here.
+    """
+    lines = [(n, ln.strip()) for n, ln in enumerate(lines, start=1)]
     lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
     names = lines[0][1].split(",") if lines else []
     if names not in [list(h) for h in headers]:
@@ -263,12 +306,11 @@ def read_csv_table(path, headers) -> tuple[list[str], list[list[float]]]:
             rows.append([_text_number(c) for c in cells])
         except ValueError:
             raise InvalidArgumentError(f"bad value in row {ln!r}", lineno, path) from None
-    return names, rows
+    return names, np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
 def read_di_csv(path) -> DiDataset:
-    names, rows = read_csv_table(path, DI_HEADERS)
-    data = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    names, data = read_csv_table(path, DI_HEADERS)
     try:
         return DiDataset(data[:, :-1], data[:, -1], names[:-1])
     except InvalidArgumentError as exc:

@@ -12,17 +12,18 @@ where y_closest is the training target nearest to y* in absolute value and
 V{y_closest} the model's predictive variance at that training row's inputs.
 The candidate grid defaults to the unique training states.
 
-One scoring core, ``_score``, scores a whole vector of test DIs at once:
-one predict over the grid, a blocked search for each DI's nearest training
-target, one one-row predict per distinct nearest row, and the CDF
-differences as one (n_test x n_grid) array. It returns arrays (``_Scores``):
+One scoring core, ``score_test_dis``, scores a whole vector of test DIs at
+once: one predict over the grid, a blocked search for each DI's nearest
+training target, one one-row predict per distinct nearest row, and the CDF
+differences as one (n_test x n_grid) array. It returns arrays (``Scores``):
 the test DIs, the nearest targets and their variances, the probability
 matrix, each row's argmax column and low-confidence flag. A DI scored in a
 batch therefore gets the table it gets alone, bit for bit: a row's predicted
 variance depends in its last digits on the other rows of its predict call.
 state_probabilities, predict_single_state and predict_two_states build
 their StateProbabilityTables from those arrays; the CLI writes its JSON text
-straight from them and builds no table.
+straight from them and builds no table, through ``single_state_scores`` and
+``two_state_scores``, the cores of the single- and two-state predictions.
 
 A model that ``persist.load_model`` hands out keeps each training row's
 variance once predicted (``_row_variance``), so a serving process predicts
@@ -220,7 +221,7 @@ def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class _Scores:
+class Scores:
     """The scores of n test DIs over the m states of one grid, as arrays.
 
     test_dis, closest_dis and closest_variances have shape (n,) and
@@ -260,7 +261,9 @@ class _Scores:
         ]
 
 
-def _score(model, grid: StateGrid, test_dis: np.ndarray, fixed_covariates, threshold) -> _Scores:
+def score_test_dis(
+    model, grid: StateGrid, test_dis: np.ndarray, fixed_covariates, threshold
+) -> Scores:
     """Score a 1-D array of test DIs over the grid: the core of every entry point."""
     if not np.all(np.isfinite(test_dis)):
         raise InvalidArgumentError("test_di must be finite")
@@ -279,7 +282,7 @@ def _score(model, grid: StateGrid, test_dis: np.ndarray, fixed_covariates, thres
     # then load among ties
     best = np.argmax(probs, axis=1)
     top = probs[np.arange(best.size), best]
-    return _Scores(grid.states, test_dis, y_closest, v_closest, probs, best, top < threshold)
+    return Scores(grid.states, test_dis, y_closest, v_closest, probs, best, top < threshold)
 
 
 def _test_di_array(test_di) -> np.ndarray:
@@ -305,17 +308,19 @@ def state_probabilities(
     falls below low_confidence_threshold is flagged.
     """
     test_dis = _test_di_array(test_di)
-    scores = _score(model, grid, test_dis.ravel(), fixed_covariates, low_confidence_threshold)
+    scores = score_test_dis(
+        model, grid, test_dis.ravel(), fixed_covariates, low_confidence_threshold
+    )
     tables = scores.tables()
     return tables[0] if test_dis.ndim == 0 else tables
 
 
-def _single_state_scores(model, grid: StateGrid, test_dis, known_load, threshold) -> _Scores:
+def single_state_scores(model, grid: StateGrid, test_dis, known_load, threshold) -> Scores:
     """The scores of predict_single_state: a damage-only grid, the load fixed if known."""
     if any(len(s) != 1 for s in grid.states):
         raise InvalidArgumentError("predict_single_state expects a damage-only grid")
     fixed = {} if known_load is None else {"load": float(known_load)}
-    return _score(model, grid, test_dis, fixed, threshold)
+    return score_test_dis(model, grid, test_dis, fixed, threshold)
 
 
 def predict_single_state(
@@ -330,16 +335,16 @@ def predict_single_state(
     test_di is a number or a 1-D sequence, as in state_probabilities.
     """
     test_dis = _test_di_array(test_di)
-    scores = _single_state_scores(
+    scores = single_state_scores(
         model, grid, test_dis.ravel(), known_load, low_confidence_threshold
     )
     tables = scores.tables()
     return tables[0] if test_dis.ndim == 0 else tables
 
 
-def _two_state_scores(
+def two_state_scores(
     model, class1_test_dis, class2_di_provider, damage_grid, load_grid, threshold
-) -> tuple[_Scores, int, _Scores]:
+) -> tuple[Scores, int, Scores]:
     """(step-1 scores, the row of the chosen class-1 DI, step-2 scores), as in predict_two_states.
 
     The chosen row is the first with the highest best probability.
@@ -361,7 +366,7 @@ def _two_state_scores(
 
     grid = StateGrid([(d, w) for d in damage_grid for w in load_grid])
     class1 = np.array([di for _, di in class1_test_dis], dtype=float)
-    step1 = _score(model, grid, class1, {"switch": 1.0}, threshold)
+    step1 = score_test_dis(model, grid, class1, {"switch": 1.0}, threshold)
     chosen = int(np.argmax(step1.probabilities.max(axis=1)))
     predicted_damage = grid.states[step1.best[chosen]][0]
 
@@ -373,7 +378,7 @@ def _two_state_scores(
         ) from exc
 
     step2_grid = StateGrid([(predicted_damage, w) for w in load_grid])
-    step2 = _score(model, step2_grid, np.array([class2_di]), {"switch": 2.0}, threshold)
+    step2 = score_test_dis(model, step2_grid, np.array([class2_di]), {"switch": 2.0}, threshold)
     return step1, chosen, step2
 
 
@@ -392,7 +397,7 @@ def predict_two_states(
     the unloaded signal at that damage and may raise KeyError when absent.
     The damage and load grids default to the training states' values.
     """
-    step1, chosen, step2 = _two_state_scores(
+    step1, chosen, step2 = two_state_scores(
         model, class1_test_dis, class2_di_provider, damage_grid, load_grid,
         low_confidence_threshold,
     )

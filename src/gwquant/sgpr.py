@@ -2,7 +2,10 @@
 
 Both kinds are a posterior of f under K_f + diag(R) (GpPosterior) with one
 predict path (sgpr_predict) and one Gaussian likelihood term (gaussian_nll);
-gwquant.vhgpr finds R variationally, this module uses R = sn2 I.
+gwquant.vhgpr finds R variationally, this module uses R = sn2 I. A posterior
+prepares its training rows for k_f once, when it is built (f_rows, a
+kernels.KernelRows), so a predict computes the kernel of its query rows
+only, with the same bits as kernel_matrix against the training rows.
 
 Hyperparameters (output variance, ARD length scales, noise variance) are
 optimized in log space by minimizing the negative log marginal likelihood
@@ -30,7 +33,14 @@ from .errors import (
     NotPositiveDefiniteError,
     OptimizerFailureError,
 )
-from .kernels import KernelParams, kernel_matrix, kernel_matrix_grads, _as_2d
+from .kernels import (
+    KernelParams,
+    KernelRows,
+    _as_2d,
+    cross_covariance,
+    kernel_matrix,
+    kernel_matrix_grads,
+)
 from .linalg import chol_logdet, chol_solve, robust_cholesky, solve_lower
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -102,8 +112,9 @@ class GpPosterior:
     """Posterior of f under K_f + diag(R); SGPR is the case R = sn2 I.
 
     chol_factor factorizes K_f + diag(R) and alpha solves it against the
-    offset-corrected targets (train_targets keeps the raw ones). Subclasses
-    supply noise_at(xq), the noise variance at the query rows.
+    offset-corrected targets (train_targets keeps the raw ones); f_rows
+    holds the training rows prepared for the kernel. Subclasses supply
+    noise_at(xq), the noise variance at the query rows.
     """
 
     kernel: KernelParams
@@ -112,6 +123,10 @@ class GpPosterior:
     target_offset: float
     chol_factor: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
+    f_rows: KernelRows = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.f_rows = KernelRows.prepare(self.train_inputs, self.kernel)
 
     @property
     def ndim(self) -> int:
@@ -295,10 +310,10 @@ def sgpr_predict(model: GpPosterior, xq) -> PredictiveMoments:
         raise DimensionMismatchError(
             f"query has {xq.shape[1]} columns, model expects {model.ndim}"
         )
-    k_star = kernel_matrix(xq, model.train_inputs, model.kernel)
+    k_star = cross_covariance(xq, model.f_rows)
     mean = k_star @ model.alpha + model.target_offset
     v = solve_lower(model.chol_factor, k_star.T)
-    latent = model.kernel.output_variance - np.sum(v**2, axis=0)
+    latent = model.f_rows.output_variance - np.sum(v**2, axis=0)
     variance = np.maximum(latent, 0.0) + model.noise_at(xq)
     return PredictiveMoments(mean, variance, xq)
 

@@ -32,7 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError
-from .kernels import KernelParams, kernel_matrix, kernel_matrix_grads, _as_2d
+from .kernels import (
+    KernelParams,
+    KernelRows,
+    _as_2d,
+    cross_covariance,
+    kernel_matrix,
+    kernel_matrix_grads,
+)
 from .linalg import chol_logdet, robust_cholesky, solve_lower
 from .sgpr import (
     GpPosterior,
@@ -97,7 +104,11 @@ class VhgprState:
 
 @dataclass
 class VhgprModel(GpPosterior):
-    """Trained heteroscedastic model; kernel is k_f, the rest describe g."""
+    """Trained heteroscedastic model; kernel is k_f, the rest describe g.
+
+    g_rows holds the training rows prepared for k_g and centered_lambda
+    Lambda - 1/2, both computed once for noise_at.
+    """
 
     kernel_g: KernelParams
     mu0: float
@@ -108,6 +119,13 @@ class VhgprModel(GpPosterior):
     # u_g = L_A^-1 diag(sqrt lambda) so that S = u_g^T u_g; this is the
     # Lambda=0-safe equivalent of factorizing K_g + Lambda^-1
     u_g: np.ndarray = field(repr=False)
+    g_rows: KernelRows = field(init=False, repr=False, compare=False)
+    centered_lambda: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.g_rows = KernelRows.prepare(self.train_inputs, self.kernel_g)
+        self.centered_lambda = self.variational_lambda - 0.5
 
     @classmethod
     def from_state(cls, state: VhgprState, x, y, target_offset: float = 0.0) -> "VhgprModel":
@@ -133,10 +151,10 @@ class VhgprModel(GpPosterior):
 
     def noise_at(self, xq: np.ndarray) -> np.ndarray:
         """exp(mu* + sigma*^2 / 2), the mean noise variance under q(g)."""
-        kg_star = kernel_matrix(xq, self.train_inputs, self.kernel_g)
-        mu_star = kg_star @ (self.variational_lambda - 0.5) + self.mu0
+        kg_star = cross_covariance(xq, self.g_rows)
+        mu_star = kg_star @ self.centered_lambda + self.mu0
         quad = np.sum((self.u_g @ kg_star.T) ** 2, axis=0)
-        sig2_star = np.maximum(self.kernel_g.output_variance - quad, 0.0)
+        sig2_star = np.maximum(self.g_rows.output_variance - quad, 0.0)
         return np.exp(np.clip(mu_star + 0.5 * sig2_star, -_EXP_CLIP, _EXP_CLIP))
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline tests: simulate -> di -> train -> predict -> report."""
 
+import io
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,12 +25,12 @@ from gwquant.errors import InvalidArgumentError
 from gwquant.kernels import KernelParams
 from gwquant.persist import load_model, save_model
 from gwquant.quantify import (
+    Scores,
     StateGrid,
-    _score,
-    _Scores,
-    _single_state_scores,
     predict_single_state,
     predict_two_states,
+    score_test_dis,
+    single_state_scores,
     state_probabilities,
 )
 from gwquant.sgpr import PredictiveMoments, SgprModel
@@ -616,9 +618,9 @@ def test_single_state_text_equals_the_json_oracle(
     model = _HashedModel(rows, 1 if known_load is None else 2, moments)
     grid = StateGrid([(d,) for d in damages]).refine(refine)
     with np.errstate(over="ignore"):
-        unflagged = _single_state_scores(model, grid, np.array(dis), known_load, 0.0)
+        unflagged = single_state_scores(model, grid, np.array(dis), known_load, 0.0)
         threshold = _threshold(unflagged, pick)
-        scores = _single_state_scores(model, grid, np.array(dis), known_load, threshold)
+        scores = single_state_scores(model, grid, np.array(dis), known_load, threshold)
         tables = predict_single_state(
             model, grid, dis, known_load=known_load, low_confidence_threshold=threshold
         )
@@ -637,8 +639,8 @@ def test_two_column_grid_text_equals_the_json_oracle(rows, moments, states, dis,
     model = _HashedModel(rows, 2, moments)
     grid = StateGrid(states)
     with np.errstate(over="ignore"):
-        threshold = _threshold(_score(model, grid, np.array(dis), None, 0.0), pick)
-        scores = _score(model, grid, np.array(dis), None, threshold)
+        threshold = _threshold(score_test_dis(model, grid, np.array(dis), None, 0.0), pick)
+        scores = score_test_dis(model, grid, np.array(dis), None, threshold)
         tables = state_probabilities(model, grid, dis, None, threshold)
     assert cli._predictions_json(scores) == _tables_oracle(tables)
 
@@ -682,7 +684,7 @@ def test_any_scores_text_equals_the_json_oracle(states, data, reference):
     m = len(states)
     row = st.lists(_PROBABILITIES, min_size=m, max_size=m)
     probabilities = data.draw(st.lists(row, min_size=n, max_size=n))
-    scores = _Scores(
+    scores = Scores(
         states,
         np.array(data.draw(st.lists(_DIS, min_size=n, max_size=n))),
         np.zeros(n),
@@ -798,6 +800,98 @@ class TestOneParserPerProcess:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"test_di", "argmax", "low_confidence", "probabilities"}
         assert [a["two_state"] for a in seen[2:]] == [True, False]
+
+
+# argvs main must parse as the top-level parser does: per command a valid
+# one or two, then usage errors and help
+_PARSE_CASES = [
+    ["simulate"],
+    ["simulate", "--workdir", "w", "--seed", "3", "--n-samples=300"],
+    ["di", "--out", "d.csv", "--policy", "both"],
+    ["di", "--out=--"],
+    ["di", "--out", "d.csv", "--", "x"],
+    ["train", "--di-file", "d.csv", "--model-file", "m.json", "--center-targets"],
+    ["train", "--di-file=d.csv", "--model-file", "m.json", "--center-targets", "--restarts", "2"],
+    ["train", "--di-f", "d.csv", "--model-file", "m.json", "--model", "vhgpr"],
+    ["predict", "--model-file", "m.json", "--test-di", "-0.5", "--known-load", "5"],
+    ["predict", "--model-f", "m.json", "--two-state", "--test-di-file", "t.csv"],
+    ["predict", "--test-di=-0.5", "--model-file=m.json", "--out", "o.json"],
+    ["evaluate", "--model-file", "m.json", "--di-file", "d.csv"],
+    ["report", "--pred-file", "p", "--true-file", "t", "--box-out", "b", "--errors-out", "e"],
+    # usage errors, exit 2
+    ["predict", "--model-file", "m.json", "--bogus"],
+    ["predict", "--model-file", "m.json", "extra", "-x"],
+    ["evaluate", "--model-file", "m.json", "--di-file", "d.csv", "--", "--x"],
+    ["train", "--di-file", "d.csv"],
+    ["train", "--mod", "x", "--di-file", "d.csv"],
+    ["predict", "--model-file"],
+    ["predict", "--model-file", "m.json", "--two-state=yes"],
+    ["bogus", "--model-file", "m.json"],
+    ["Predict"],
+    ["--model-file", "m.json", "predict"],
+    [],
+    # help, exit 0
+    ["-h"],
+    ["--help", "predict"],
+    ["predict", "-h"],
+    ["train", "--model-file", "m.json", "--he"],
+]
+
+_COMMAND_WORDS = ["simulate", "di", "train", "predict", "evaluate", "report", "bogus"]
+_FLAG_WORDS = sorted(
+    {
+        option
+        for parser in cli._parsers()[1].values()
+        for action in parser._actions
+        for option in action.option_strings
+    }
+)
+_VALUE_WORDS = ["m.json", "-0.5", "5", "--", "true", "-x", "--bogus", "--model", "--out=--"]
+
+
+def _parse_outcome(parse, argv):
+    """(namespace dict or exit code, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestEachCommandParsedByItsOwnParser:
+    """main reads a command's words with its subparser alone: the same
+    namespace, exit code and text as the top-level parser's parse_args."""
+
+    @pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+    def test_the_parse_equals_the_top_level_parse(self, argv):
+        expected = _parse_outcome(build_parser().parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == expected
+
+    def test_the_cases_cover_each_command_and_each_outcome(self):
+        outcomes = [_parse_outcome(cli._parse_args, argv)[0] for argv in _PARSE_CASES]
+        parsed = {r["command"] for r in outcomes if isinstance(r, dict)}
+        assert parsed == set(_COMMAND_WORDS) - {"bogus"}
+        assert {r for r in outcomes if not isinstance(r, dict)} == {0, 2}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        command=st.sampled_from(_COMMAND_WORDS),
+        words=st.lists(st.sampled_from(_FLAG_WORDS + _VALUE_WORDS), max_size=8),
+    )
+    def test_any_argv_parses_as_the_top_level_parse(self, command, words):
+        argv = [command, *words]
+        expected = _parse_outcome(build_parser().parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == expected
+
+    def test_main_runs_the_command_on_that_parse(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "cmd_predict", lambda args: ran.append(vars(args)) or 0)
+        argv = ["predict", "--model-file", "m.json", "--test-di", "-0.5", "--out=--"]
+        assert main(argv) == 0
+        expected = vars(build_parser().parse_args(argv))
+        assert ran == [{**expected, "out": "--"}]
 
 
 class TestModelMemo:

@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 
 from gwquant.damage_index import (
     COLUMN_NAMES,
+    DI_HEADERS,
     DiDataset,
+    _table_array,
+    _table_lines,
     build_di_dataset,
     di_to_csv_text,
     normalized_di,
+    read_csv_table,
     read_di_csv,
     rmsd_di,
 )
@@ -21,6 +25,7 @@ from gwquant.errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
+from gwquant.persist import _text_number, open_ascii
 from gwquant.signals import Signal, SimulationConfig, StateLabel, simulate_dataset
 
 
@@ -318,3 +323,132 @@ class TestDiDatasetValidation:
         assert back.column_names == dataset.column_names
         assert np.array_equal(back.inputs, dataset.inputs)
         assert np.array_equal(back.targets, dataset.targets)
+
+
+def _read_table_before(path, headers):
+    """read_csv_table as it read a file before, streamed line by line: the oracle."""
+    with open_ascii(path) as fh:
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
+    names = lines[0][1].split(",") if lines else []
+    if names not in [list(h) for h in headers]:
+        expected = " or ".join(repr(",".join(h)) for h in headers)
+        found = repr(lines[0][1]) if lines else "no rows"
+        raise InvalidArgumentError(f"expected header {expected}, got {found}", path=path)
+    rows = []
+    for lineno, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(names):
+            raise InvalidArgumentError(
+                f"row has {len(cells)} cells, expected {len(names)}", lineno, path
+            )
+        try:
+            rows.append([_text_number(c) for c in cells])
+        except ValueError:
+            raise InvalidArgumentError(f"bad value in row {ln!r}", lineno, path) from None
+    return names, rows
+
+
+def _table_outcome(read, path):
+    """(names, the rows' float bits) of a read, or (its error text, line)."""
+    try:
+        names, rows = read(path, DI_HEADERS)
+    except InvalidArgumentError as exc:
+        return str(exc), exc.line
+    # bits, so that -0.0 and 0.0 differ
+    return names, np.array(rows, dtype=float).reshape(len(rows), len(names)).tobytes()
+
+
+# cells float takes, finite (a padded one too), and the flawed ones
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_000", "-0.0", "5e-324", "1e308", " 2.5 ", "+4", ".5", "7"]),
+)
+_BAD_CELLS = st.sampled_from(
+    ["1e400", "-1e400", "inf", "-inf", "nan", "\t3", "\x0c7", "\x1c7", "1e", "bad", "",
+     "0x10", "1__0", "#1"]
+)
+_TABLE_JUNK = st.sampled_from(["", "   ", "# a comment", "#", "  # indented", "\t"])
+_GOOD_HEADERS = st.sampled_from(["damage,di", "damage,load,di", "damage,load,switch,di"])
+_BAD_HEADERS = st.sampled_from([" damage,di ", "damage, di", "di", "damage,load"])
+
+
+@st.composite
+def _table_texts(draw):
+    """The text of a table file: well formed, or with one or more flaws of each kind.
+
+    Each place a flaw may stand draws one with the file's flaw rate, so
+    about half of the files are well formed.
+    """
+    rate = draw(st.sampled_from([0, 0, 0, 5, 30]))
+
+    def flawed():
+        return draw(st.integers(0, 99)) < rate
+
+    preamble = [
+        draw(_TABLE_JUNK) if flawed() else "# kind=rmsd" for _ in range(draw(st.integers(0, 2)))
+    ]
+    header = draw(_BAD_HEADERS if flawed() else _GOOD_HEADERS)
+    ncols = header.count(",") + 1
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if flawed():
+            lines.append(draw(_TABLE_JUNK))
+            continue
+        width = ncols + (draw(st.sampled_from([-1, 1])) if flawed() else 0)
+        cells = [draw(_BAD_CELLS if flawed() else _GOOD_CELLS) for _ in range(width)]
+        pad = draw(st.sampled_from([" ", "\t", "\x1c"])) if flawed() else ""
+        lines.append(pad + ",".join(cells) + pad)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join([*preamble, header, *lines]) + draw(st.sampled_from([newline, ""]))
+    if flawed():  # a non-ASCII byte
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\xe9" + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_table_texts())
+def test_the_table_reader_equals_the_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    path.write_bytes(text.encode("latin-1"))
+    expected = _table_outcome(_read_table_before, path)
+    assert _table_outcome(read_csv_table, path) == expected
+    if "\xe9" not in text:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        table = _table_array(lines, DI_HEADERS)
+        if table is not None:  # where the array path takes a text, it reads the loop's table
+            assert table[0] == expected[0]
+            assert table[1].tobytes() == expected[1]
+            assert _table_outcome(lambda p, h: _table_lines(lines, h, p), path) == expected
+
+
+def test_a_written_table_is_read_as_one_array(rng):
+    dataset = DiDataset(rng.normal(size=(5, 2)), rng.normal(size=5), ["damage", "load"])
+    lines = di_to_csv_text(dataset, comment="kind=rmsd").split("\n")
+    names, rows = _table_array(lines, DI_HEADERS)
+    assert names == ["damage", "load", "di"]
+    assert np.array_equal(rows, np.column_stack([dataset.inputs, dataset.targets]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "damage,di\n",
+        "damage,di\n\n",
+        "# only a comment\ndamage,load,di\n",
+        "damage,di\n1_000,-0.0\n5e-324,1e308\n",
+        "damage,di\r\n1,2\r\n\r\n# c\r\n 3 , 4 \r\n",
+        "damage,di\n1,2\n3\n",
+        "damage,di\n1,2\n3,x\n",
+        "damage,di\n1,inf\n",
+        "damage,di\n1,nan\n",
+        "damage,di\n1,2\n3,\xe9\n",
+        "",
+    ],
+)
+def test_each_kind_of_table_reads_as_the_line_loop(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("latin-1"))
+    expected = _table_outcome(_read_table_before, path)
+    assert _table_outcome(read_csv_table, path) == expected

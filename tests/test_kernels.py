@@ -4,13 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gwquant.errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
 )
-from gwquant.kernels import KernelParams, kernel_matrix, kernel_matrix_grads, se_kernel
+from gwquant.kernels import (
+    KernelParams,
+    KernelRows,
+    cross_covariance,
+    kernel_matrix,
+    kernel_matrix_grads,
+    se_kernel,
+)
 from gwquant.linalg import robust_cholesky
 
 
@@ -69,6 +79,62 @@ def test_kernel_matrix_column_mismatch(rng):
     params = KernelParams(0.0, [0.0, 0.0])
     with pytest.raises(DimensionMismatchError):
         kernel_matrix(rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), params)
+
+
+def _scaled_sqdist(xa, xb, length_scales):
+    """Matrix of sum_d ((xa_i,d - xb_j,d)/l_d)^2, as the kernel computed it
+    before its rows were prepared: the bit-for-bit oracle."""
+    sa = xa / length_scales
+    sb = xb / length_scales
+    d2 = (
+        np.sum(sa**2, axis=1)[:, None]
+        + np.sum(sb**2, axis=1)[None, :]
+        - 2.0 * sa @ sb.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _kernel_oracle(xa, xb, params):
+    return params.output_variance * np.exp(-0.5 * _scaled_sqdist(xa, xb, params.length_scales))
+
+
+_CELLS = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, 5.0, 1e-300, 0.1 + 0.2])
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 3),
+    nq=st.integers(1, 12),
+    nb=st.integers(1, 40),
+    log_variance=st.floats(-5.0, 5.0),
+    data=st.data(),
+)
+def test_cross_covariance_is_the_old_formula_bit_for_bit(d, nq, nb, log_variance, data):
+    params = KernelParams(log_variance, data.draw(arrays(float, d, elements=st.floats(-4, 4))))
+    xb = data.draw(arrays(float, (nb, d), elements=_CELLS))
+    # queries drawn afresh or taken from the fixed rows, where d2 is 0 up to round-off
+    xq = data.draw(
+        st.one_of(
+            arrays(float, (nq, d), elements=_CELLS),
+            st.lists(st.integers(0, nb - 1), min_size=1, max_size=nq).map(lambda i: xb[i]),
+        )
+    )
+    expected = _kernel_oracle(xq, xb, params)
+    assert np.array_equal(cross_covariance(xq, KernelRows.prepare(xb, params)), expected)
+    assert np.array_equal(kernel_matrix(xq, xb, params), expected)
+    assert np.array_equal(kernel_matrix(xb, xb, params), _kernel_oracle(xb, xb, params))
+
+
+def test_prepared_rows_are_read_only_and_checked(rng):
+    params = KernelParams(0.3, [0.1, -0.2])
+    rows = KernelRows.prepare(rng.normal(size=(4, 2)), params)
+    assert rows.output_variance == params.output_variance
+    for array in (rows.length_scales, rows.scaled, rows.sq_norms):
+        assert not array.flags.writeable
+    with pytest.raises(DimensionMismatchError, match="3 columns but kernel has 2"):
+        KernelRows.prepare(rng.normal(size=(4, 3)), params)
 
 
 def test_kernel_grads_match_finite_differences(rng):

@@ -742,10 +742,10 @@ def test_only_the_grid_and_the_row_helper_predict():
     # a predict anywhere else could bypass the kept variances, or predict
     # nearest rows together, so a batch DI would no longer equal a single one
     source = (SRC / "quantify.py").read_text()
-    assert _predict_calls(ast.parse(source)) == {"_score": 1, "_row_variances": 1}
+    assert _predict_calls(ast.parse(source)) == {"score_test_dis": 1, "_row_variances": 1}
     batched = source.replace(
         "v_closest = _row_variances(model, nearest)",
         "v_closest = model.predict(model.train_inputs[nearest]).variance",
     )
     assert batched != source
-    assert _predict_calls(ast.parse(batched))["_score"] == 2
+    assert _predict_calls(ast.parse(batched))["score_test_dis"] == 2

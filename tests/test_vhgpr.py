@@ -7,10 +7,12 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import spearmanr
 
-from gwquant.kernels import KernelParams, kernel_matrix
+from gwquant.kernels import KernelParams, _as_2d, kernel_matrix
+from gwquant.linalg import solve_lower
 from gwquant.persist import load_model, save_model
 from gwquant.sgpr import OptimizerConfig, SgprModel, sgpr_predict, train_sgpr
 from gwquant.vhgpr import (
+    _EXP_CLIP,
     VhgprModel,
     VhgprState,
     mv_bound,
@@ -351,3 +353,56 @@ def test_vhgpr_persistence_round_trip(tmp_path, rng):
     a, b = vhgpr_predict(model, xq), vhgpr_predict(loaded, xq)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.variance, b.variance)
+
+
+def _kernel_before(xa, xb, params):
+    """kernel_matrix as computed before a model prepared its rows."""
+    sa = xa / params.length_scales
+    sb = xb / params.length_scales
+    d2 = np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :] - 2.0 * sa @ sb.T
+    return params.output_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
+
+
+def _predict_before(model, xq):
+    """(mean, variance) of sgpr_predict and noise_at as computed before a model
+    prepared its rows: the bit-for-bit oracle."""
+    xq = _as_2d(xq)
+    k_star = _kernel_before(xq, model.train_inputs, model.kernel)
+    mean = k_star @ model.alpha + model.target_offset
+    v = solve_lower(model.chol_factor, k_star.T)
+    latent = model.kernel.output_variance - np.sum(v**2, axis=0)
+    if isinstance(model, VhgprModel):
+        kg_star = _kernel_before(xq, model.train_inputs, model.kernel_g)
+        mu_star = kg_star @ (model.variational_lambda - 0.5) + model.mu0
+        quad = np.sum((model.u_g @ kg_star.T) ** 2, axis=0)
+        sig2_star = np.maximum(model.kernel_g.output_variance - quad, 0.0)
+        noise = np.exp(np.clip(mu_star + 0.5 * sig2_star, -_EXP_CLIP, _EXP_CLIP))
+    else:
+        noise = model.noise_variance
+    return mean, np.maximum(latent, 0.0) + noise
+
+
+@pytest.mark.parametrize("kind", ["sgpr", "vhgpr"])
+@pytest.mark.parametrize("seed", range(8))
+def test_predict_equals_the_unprepared_predict_bit_for_bit(kind, seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed % 3
+    states = rng.uniform(0.0, 4.0, size=(1 + seed, d))
+    x = np.repeat(states, 3, axis=0)  # replicates, as DI datasets have
+    y = rng.normal(size=x.shape[0])
+    kernel = KernelParams(rng.normal(), rng.normal(size=d))
+    if kind == "sgpr":
+        model = SgprModel.from_hyperparams(kernel, rng.normal() - 3.0, x, y, target_offset=0.25)
+    else:
+        kernel_g = KernelParams(rng.normal(), rng.normal(size=d))
+        lam = rng.uniform(0.0, 2.0, size=x.shape[0])
+        model = VhgprModel.from_hyperparams(kernel, kernel_g, -3.0, lam, x, y, target_offset=0.25)
+    save_model(tmp_path / "model.json", model)
+    loaded = load_model(tmp_path / "model.json")
+    queries = [rng.uniform(-1.0, 5.0, size=(7, d)), x, x[:1], states]
+    for m in (model, loaded):
+        for xq in queries:
+            mean, variance = _predict_before(m, xq)
+            got = sgpr_predict(m, xq)
+            assert np.array_equal(got.mean, mean)
+            assert np.array_equal(got.variance, variance)
