@@ -256,11 +256,10 @@ def load_model(path):
     commands, so what is kept does not depend on the caller's error state;
     a failed build keeps nothing.
 
-    The model also carries ``_row_variance``, where ``quantify`` keeps each
-    training row's predicted variance, by row, once it has predicted it, and
-    ``_damage_grid``, the unrefined StateGrid of its training damages that
-    ``predict`` scores over (None for a model with no input column); a
-    shared model must not be changed, or what it keeps would go stale.
+    The model also carries ``_damage_grid``, the unrefined StateGrid of its
+    training damages that ``predict`` scores over (None for a model with no
+    input column); a shared model must not be changed, or what it keeps
+    would go stale.
     """
     # imported here: quantify imports this module, through damage_index
     from .quantify import StateGrid
@@ -273,7 +272,6 @@ def load_model(path):
             with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))
-            model._row_variance = {}
             model._damage_grid = (
                 StateGrid.from_training_inputs(model.train_inputs, include_load=False)
                 if model.ndim

@@ -14,20 +14,15 @@ The candidate grid defaults to the unique training states.
 
 One scoring core, ``score_test_dis``, scores a whole vector of test DIs at
 once: one predict over the grid, a blocked search for each DI's nearest
-training target, one one-row predict per distinct nearest row, and the CDF
-differences as one (n_test x n_grid) array. It returns arrays (``Scores``):
-the test DIs, the nearest targets and their variances, the probability
-matrix, each row's argmax column and low-confidence flag. A DI scored in a
-batch therefore gets the table it gets alone, bit for bit: a row's predicted
-variance depends in its last digits on the other rows of its predict call.
+training target, whose variance the model holds (``row_variance``), and the
+CDF differences as one (n_test x n_grid) array. It returns arrays
+(``Scores``): the test DIs, the nearest targets and their variances, the
+probability matrix, each row's argmax column and low-confidence flag. A DI
+scored in a batch therefore gets the table it gets alone, bit for bit.
 state_probabilities, predict_single_state and predict_two_states build
 their StateProbabilityTables from those arrays; the CLI writes its JSON text
 straight from them and builds no table, through ``single_state_scores`` and
 ``two_state_scores``, the cores of the single- and two-state predictions.
-
-A model that ``persist.load_model`` hands out keeps each training row's
-variance once predicted (``_row_variance``), so a serving process predicts
-each nearest row at most once; the grid is predicted on every call.
 
 Simultaneous damage-size + load prediction runs in two steps over a model
 trained with the two reference-signal classes and a switch covariate:
@@ -177,26 +172,6 @@ def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
     return np.column_stack([columns[c] for c in needed])
 
 
-def _row_variances(model, rows: np.ndarray) -> np.ndarray:
-    """Predicted variance at each training row in rows, each row a one-row predict.
-
-    A model that ``persist.load_model`` hands out keeps each row's variance
-    in its ``_row_variance`` dict, so a row is predicted at most once. Such a
-    row is predicted under numpy's raising error state, as ``load_model``
-    builds a model, so what is kept does not depend on the caller's error
-    state, and a failed predict keeps nothing. Any other model predicts on
-    every call, under the caller's error state.
-    """
-    kept = getattr(model, "_row_variance", None)
-    variance = {} if kept is None else kept
-    rows = rows.tolist()
-    raising = dict(over="raise", invalid="raise", divide="raise", under="ignore")
-    with np.errstate(**({} if kept is None else raising)):
-        for row in set(rows).difference(variance):
-            variance[row] = model.predict(model.train_inputs[row : row + 1]).variance[0]
-    return np.array([variance[row] for row in rows])
-
-
 def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarray:
     """Row of the training target nearest each test DI, ties to the smaller row.
 
@@ -270,7 +245,7 @@ def score_test_dis(
     queries = _query_matrix(grid, fixed_covariates, model.ndim)
     nearest = _nearest_rows(model, test_dis, (fixed_covariates or {}).get("switch"))
     y_closest = np.asarray(model.train_targets, dtype=float).ravel()[nearest]
-    v_closest = _row_variances(model, nearest)
+    v_closest = model.row_variance[nearest]
     half_width = (2.0 * np.sqrt(v_closest))[:, None]
     bounds = np.stack((test_dis[:, None] + half_width, test_dis[:, None] - half_width))
 

@@ -113,7 +113,9 @@ class GpPosterior:
 
     chol_factor factorizes K_f + diag(R) and alpha solves it against the
     offset-corrected targets (train_targets keeps the raw ones); f_rows
-    holds the training rows prepared for the kernel. Subclasses supply
+    holds the training rows prepared for the kernel, and row_variance the
+    predictive variance at each training row, from one predict over the
+    unique rows, so replicates share theirs exactly. Subclasses supply
     noise_at(xq), the noise variance at the query rows.
     """
 
@@ -124,6 +126,7 @@ class GpPosterior:
     chol_factor: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
     f_rows: KernelRows = field(init=False, repr=False, compare=False)
+    row_variance: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.f_rows = KernelRows.prepare(self.train_inputs, self.kernel)
@@ -134,9 +137,13 @@ class GpPosterior:
 
     @classmethod
     def _conditioned(cls, kernel: KernelParams, x, y, r, target_offset: float, **fields):
-        """Factorize K_f + diag(r) at x and solve it against y - target_offset."""
+        """Factorize K_f + diag(r) at x, solve it against y - target_offset
+        and predict the variance at each training row."""
         l, alpha = _factor(kernel_matrix(x, x, kernel), r, y - target_offset)
-        return cls(kernel, x, y, target_offset, l, alpha, **fields)
+        model = cls(kernel, x, y, target_offset, l, alpha, **fields)
+        unique, inverse = np.unique(x, axis=0, return_inverse=True)
+        model.row_variance = model.predict(unique).variance[inverse]
+        return model
 
     def predict(self, xq) -> PredictiveMoments:
         return sgpr_predict(self, xq)

@@ -579,6 +579,7 @@ class _HashedModel:
         self.train_targets = np.array([r[-1] for r in rows], dtype=float)
         self.ndim = ndim
         self.moments = moments
+        self.row_variance = self.predict(self.train_inputs).variance
 
     def predict(self, xq):
         picked = [self.moments[hash(tuple(row)) % len(self.moments)] for row in xq.tolist()]

@@ -1,10 +1,7 @@
 """State-quantification tests: CDF oracles, probability tables, two-step flow,
-and the nearest-row variances a loaded model keeps."""
+and the training-row variances a built model holds."""
 
-import ast
-import copy
 import math
-import pathlib
 import re
 import sys
 import threading
@@ -17,6 +14,7 @@ from scipy.integrate import quad
 
 import gwquant.sgpr
 from gwquant import persist
+from gwquant.cli import main
 from gwquant.errors import (
     CovariateMismatchError,
     InvalidArgumentError,
@@ -36,8 +34,6 @@ from gwquant.quantify import (
 from gwquant.sgpr import OptimizerConfig, PredictiveMoments, SgprModel, train_sgpr
 from gwquant.vhgpr import train_vhgpr
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gwquant"
-
 TWO_SIGMA_MASS = math.erf(math.sqrt(2.0))  # Phi(2) - Phi(-2)
 
 
@@ -54,6 +50,7 @@ class StubModel:
         self.train_inputs = np.atleast_2d(np.asarray(train_inputs, dtype=float))
         self.train_targets = np.asarray(train_targets, dtype=float)
         self.ndim = self.train_inputs.shape[1]
+        self.row_variance = np.array([self.moments[tuple(row)][1] for row in self.train_inputs])
 
     def predict(self, xq):
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
@@ -203,7 +200,7 @@ class TestStateProbabilities:
 
 
 def per_di_oracle(model, grid, test_di, fixed=None):
-    """The quantification rule for one DI, with one-row predicts.
+    """The quantification rule for one DI, written out in plain Python.
 
     Returns (closest target, its variance, probabilities, argmax state,
     low_confidence).
@@ -214,7 +211,7 @@ def per_di_oracle(model, grid, test_di, fixed=None):
     if "switch" in fixed:
         rows = [i for i in rows if model.train_inputs[i, 2] == fixed["switch"]]
     row = min(rows, key=lambda i: (abs(targets[i] - test_di), i))
-    variance = float(model.predict(model.train_inputs[row : row + 1]).variance[0])
+    variance = float(model.row_variance[row])
     half_width = 2.0 * math.sqrt(variance)
     queries = np.array([[*state, *fixed.values()] for state in grid.states])
     moments = model.predict(queries)
@@ -266,8 +263,8 @@ def _equidistant_points(targets):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_array_path_matches_per_di_oracle(case, oracle_cases, data):
-    # The array path predicts each distinct nearest row as a one-row query,
-    # as the oracle does, so every number is equal, not merely close.
+    # Both read the nearest row's variance from the model and predict the
+    # grid in one query, so every number is equal, not merely close.
     model, grid, fixed = oracle_cases[case]
     targets = np.asarray(model.train_targets)
     if fixed:
@@ -472,6 +469,7 @@ class TestPredictTwoStates:
                 self._inner = inner
                 self.train_inputs = inner.train_inputs
                 self.train_targets = inner.train_targets
+                self.row_variance = inner.row_variance
                 self.ndim = inner.ndim
 
             def predict(self, xq):
@@ -495,6 +493,7 @@ class TestPredictTwoStates:
                 self._inner = inner
                 self.train_inputs = inner.train_inputs
                 self.train_targets = inner.train_targets
+                self.row_variance = inner.row_variance
                 self.ndim = inner.ndim
                 self.calls = 0
 
@@ -502,9 +501,7 @@ class TestPredictTwoStates:
                 self.calls += 1
                 return self._inner.predict(xq)
 
-        targets = np.asarray(model.train_targets)
-        class1_rows = np.flatnonzero(model.train_inputs[:, 2] == 1.0)
-        calls, expected = [], []
+        calls = []
         for n_refs in (1, 4, 12):
             counting = Counting(model)
             class1_dis = [
@@ -512,13 +509,8 @@ class TestPredictTwoStates:
             ]
             predict_two_states(counting, class1_dis, lambda d: class2(d, 10.0), damages, loads)
             calls.append(counting.calls)
-            nearest = {
-                min(class1_rows, key=lambda i: abs(targets[i] - di)) for _, di in class1_dis
-            }
-            expected.append(1 + len(nearest) + 2)
-        # each step predicts the grid once and each distinct nearest training
-        # row once, as a one-row query: never once per DI
-        assert calls == expected == [4, 4, 5]
+        # each step predicts its grid once, never once per DI or nearest row
+        assert calls == [2, 2, 2]
 
     def test_requires_three_input_model(self, rng):
         x, y, damages = make_separated_di_data(rng)
@@ -573,8 +565,7 @@ class TestSummarizePredictions:
         assert hi_whisker == 0.0
 
 
-# The nearest-row variances a loaded model keeps: a model from load_model
-# predicts each training row at most once; any other model on every call.
+# The training-row variances a model holds: predicted in one call, when it is built.
 
 
 @pytest.fixture
@@ -623,69 +614,72 @@ def test_a_repeated_request_on_a_loaded_model_predicts_only_the_grid(
 ):
     model, grid, fixed = loaded[case]
     first = _tables(model, grid, fixed)
-    # the grid in one query, and each nearest row in a query of its own
-    *rows, grid_rows = sorted(shape[0] for shape in predicts)
-    assert grid_rows == len(grid.states) and len(rows) >= 2 and set(rows) == {1}
+    # the grid in one query; the nearest rows' variances are the model's own
+    assert [shape[0] for shape in predicts] == [len(grid.states)]
     del predicts[:]
     assert _tables(model, grid, fixed) == first
     assert [shape[0] for shape in predicts] == [len(grid.states)]
-    # what is kept is what a model of this process predicts afresh
+    # a loaded model answers as the trained one does
     assert first == _tables(oracle_cases[case][0], grid, fixed)
-    assert len(model._row_variance) == len(rows)
 
 
-def test_a_writable_model_predicts_on_every_call(oracle_cases, predicts):
-    model, grid, fixed = oracle_cases["vhgpr"]
-    model = copy.deepcopy(model)
-    first = _tables(model, grid, fixed)
-    calls = len(predicts)
-    model.alpha *= 2.0  # in place: the arrays are the model's own
-    second = _tables(model, grid, fixed)
-    assert len(predicts) == 2 * calls
-    assert second != first
-    assert not hasattr(model, "_row_variance")
-    assert second == _tables(copy.deepcopy(model), grid, fixed)
-
-
-def test_a_loaded_model_keeps_one_variance_per_training_row(tmp_path, monkeypatch, predicts):
-    # more rows than a batch's DIs could evict from any bounded memo of queries
-    monkeypatch.setattr(persist, "_model_memo", {})
-    x = np.linspace(0.0, 4.0, 300)[:, None]
-    y = np.sin(x.ravel())
-    path = tmp_path / "wide.json"
-    save_model(path, SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(1)), -4.0, x, y))
-    model, grid = load_model(path), StateGrid.from_training_inputs(x[::30])
-    dis = [float(t) for t in y] * 2  # every row, each twice
-    first = _tables(model, grid, None, dis)
-    assert sorted(predicts) == [(1, 1)] * len(np.unique(y)) + [(len(grid.states), 1)]
-    del predicts[:]
-    assert _tables(model, grid, None, dis[::-1]) == first[::-1]
-    assert predicts == [(len(grid.states), 1)]
-    assert len(model._row_variance) == len(np.unique(y)) <= 300
-
-
-def test_a_failed_row_predict_raises_in_any_error_state_and_is_not_kept(
-    loaded, predicts, monkeypatch
+def test_building_a_model_predicts_its_training_rows_in_one_call(
+    tmp_path, monkeypatch, predicts
 ):
-    model, grid, fixed = loaded["vhgpr"]
+    monkeypatch.setattr(persist, "_model_memo", {})
+    x = np.linspace(0.0, 4.0, 1000)[:, None]
+    y = np.sin(x.ravel())
+    model = SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(1)), -4.0, x, y)
+    assert predicts == [(1000, 1)]
+    path = tmp_path / "wide.json"
+    save_model(path, model)
+    loaded = load_model(path)
+    assert predicts == [(1000, 1)] * 2
+    assert loaded.row_variance.tobytes() == model.row_variance.tobytes()
+    # a batch whose DIs are nearest to every row predicts the grid only
+    grid = StateGrid.from_training_inputs(x[::100])
+    _tables(loaded, grid, None, [float(t) for t in y])
+    assert predicts == [(1000, 1)] * 2 + [(len(grid.states), 1)]
+
+
+@pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1"])
+def test_row_variance_is_each_rows_predict_and_survives_a_reload(case, loaded, oracle_cases):
+    model = oracle_cases[case][0]
+    x = model.train_inputs
+    one_row = [model.predict(x[i : i + 1]).variance[0] for i in range(len(x))]
+    np.testing.assert_allclose(model.row_variance, one_row, rtol=1e-8, atol=0.0)
+    _, inverse = np.unique(x, axis=0, return_inverse=True)
+    assert inverse.max() + 1 < len(x)  # the case has replicates
+    for state in range(inverse.max() + 1):
+        assert np.unique(model.row_variance[inverse == state]).size == 1
+    assert loaded[case][0].row_variance.tobytes() == model.row_variance.tobytes()
+
+
+def test_a_build_whose_row_variance_overflows_raises_and_is_not_kept(
+    oracle_cases, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(persist, "_model_memo", {})
+    model = oracle_cases["vhgpr"][0]
+    path = tmp_path / "vhgpr.json"
+    save_model(path, model)
     inner = gwquant.sgpr.sgpr_predict
 
     def overflowing(m, xq):
         moments = inner(m, xq)
-        if len(xq) == 1:  # a nearest row; the grid predicts as ever
-            moments.variance[:] = np.float64(1e200) * 1e200
+        moments.variance[:] = np.float64(1e200) * 1e200
         return moments
 
     monkeypatch.setattr(gwquant.sgpr, "sgpr_predict", overflowing)
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            with pytest.raises(FloatingPointError, match="overflow"):
-                _tables(model, grid, fixed)
-    assert model._row_variance == {}
+    for state in ("ignore", "warn", "raise"):
+        with np.errstate(all=state), pytest.raises(FloatingPointError, match="overflow"):
+            load_model(path)
+        assert persist._model_memo == {}
+    assert main(["predict", "--model-file", str(path), "--test-di", "0.5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: FloatingPointError: overflow")
+    assert persist._model_memo == {}
     monkeypatch.setattr(gwquant.sgpr, "sgpr_predict", inner)
-    with np.errstate(all="ignore"):
-        assert np.isfinite(_tables(model, grid, fixed)[0][1])
-    assert model._row_variance and all(np.isfinite(list(model._row_variance.values())))
+    assert load_model(path).row_variance.tobytes() == model.row_variance.tobytes()
 
 
 def test_threads_sharing_a_loaded_model_get_the_answers_of_one_thread(loaded, oracle_cases):
@@ -715,37 +709,3 @@ def test_threads_sharing_a_loaded_model_get_the_answers_of_one_thread(loaded, or
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(model._row_variance) == len(requests)
-
-
-def _predict_calls(tree):
-    """function name -> how many .predict( calls it makes."""
-    found = {}
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "predict"
-        ):
-            found[function] = found.get(function, 0) + 1
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(tree, None)
-    return found
-
-
-def test_only_the_grid_and_the_row_helper_predict():
-    # a predict anywhere else could bypass the kept variances, or predict
-    # nearest rows together, so a batch DI would no longer equal a single one
-    source = (SRC / "quantify.py").read_text()
-    assert _predict_calls(ast.parse(source)) == {"score_test_dis": 1, "_row_variances": 1}
-    batched = source.replace(
-        "v_closest = _row_variances(model, nearest)",
-        "v_closest = model.predict(model.train_inputs[nearest]).variance",
-    )
-    assert batched != source
-    assert _predict_calls(ast.parse(batched))["score_test_dis"] == 2
