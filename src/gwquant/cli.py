@@ -33,10 +33,12 @@ forked worker processes as the process has usable CPUs (``_fan_out``). There
 is no setting: the output bytes and every error message are those of one
 process working alone.
 
-``main`` reads a command's words with that command's own subparser
-(``_parse_args``), as the one parser ``build_parser`` returns would hand
-them on; the top-level parser runs only when the first word names no
-command. The namespace, and every usage error and help text, are those of
+Each command's flags are declared once, in ``_COMMAND_FLAGS``, from which
+the argparse parsers are built. ``main`` reads a plain argv, a command and
+then only its full flag names, each value a non-empty word not starting with
+``-``, straight from that table (``_plain_args``); any other argv goes to
+argparse, by the command's own subparser (``_parse_args``). The namespace,
+and every usage error and help text, are those of
 ``build_parser().parse_args``.
 
 Exit codes: 0 success, 1 domain error (single-line ``error: ...`` message on
@@ -55,6 +57,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,7 +70,12 @@ from .damage_index import (
     read_csv_table,
     read_di_csv,
 )
-from .errors import DimensionMismatchError, GwquantError, InvalidArgumentError
+from .errors import (
+    CovariateMismatchError,
+    DimensionMismatchError,
+    GwquantError,
+    InvalidArgumentError,
+)
 from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, open_ascii
 from .persist import read_json, save_model
 from .quantify import (
@@ -181,6 +189,10 @@ _COMMAND_SECTIONS = {
     "train": {"train": "seed"},
     "predict": {"quantify": None},
 }
+_SECTION_FIELDS = {section: [f.name for f in fields(cls)] for section, cls in _SECTIONS.items()}
+# PipelineConfig field -> the factory of its default
+_DEFAULTS = {f.name: f.default_factory for f in fields(PipelineConfig)}
+_GRIDS = ("damage_grid", "load_grid")
 # field -> its flag, where the flag is not the field name in dashes
 _FLAG_NAMES = {"model_kind": "--model", "rng_seed": "--seed"}
 
@@ -207,7 +219,7 @@ def _typed(text: str, kind, where: str):
         raise InvalidArgumentError(f"{where} must be {_TYPE_NAMES[kind]}, got {text!r}") from None
 
 
-def _overlay(config: PipelineConfig, section: str, name: str, source: str, text: str) -> None:
+def _overlay(config, section: str, name: str, source: str, text: str) -> None:
     """Lay the text of one value over field name of the config's section.
 
     The text takes the field's type, then the section's __post_init__ checks
@@ -253,19 +265,28 @@ def load_config(path) -> PipelineConfig:
         return parse_config(fh.read())
 
 
-def _config(args) -> PipelineConfig:
-    """The config file or the defaults, with the command's flags, then GWQUANT_SEED, laid over.
+def _config(args) -> SimpleNamespace:
+    """The sections the command reads (simulate's grids too), from the config file
+    or their defaults, with the command's flags, then GWQUANT_SEED, laid over.
 
-    A flag's dest names the field it replaces; unset flags are None. Each
-    section's seed field takes GWQUANT_SEED over both flag and config.
+    A config file is parsed and checked whole; with none, only the sections
+    read are built. A flag's dest names the field it replaces; unset flags
+    are None. Each section's seed field takes GWQUANT_SEED over both flag
+    and config.
     """
-    config = load_config(args.config) if args.config else PipelineConfig()
+    sections = _COMMAND_SECTIONS[args.command]
+    names = [*sections, *(_GRIDS if "simulation" in sections else ())]
+    if args.config:
+        whole = load_config(args.config)
+        config = SimpleNamespace(**{name: getattr(whole, name) for name in names})
+    else:
+        config = SimpleNamespace(**{name: _DEFAULTS[name]() for name in names})
     env = os.environ.get(SEED_ENV_VAR)
-    for section, seed_field in _COMMAND_SECTIONS[args.command].items():
-        for f in fields(getattr(config, section)):
-            text = getattr(args, f.name)
+    for section, seed_field in sections.items():
+        for name in _SECTION_FIELDS[section]:
+            text = getattr(args, name)
             if text is not None:
-                _overlay(config, section, f.name, _flag(f.name), text)
+                _overlay(config, section, name, _flag(name), text)
         if seed_field is not None and env is not None:
             _overlay(config, section, seed_field, SEED_ENV_VAR, env)
     return config
@@ -638,6 +659,36 @@ def _check_predict_inputs(args, quantify: QuantifyConfig) -> None:
         raise InvalidArgumentError("give --test-di or --test-di-file, not both")
 
 
+def _check_known_load(model, known_load) -> None:
+    """Name --known-load where a (damage, load) model lacks it or a damage-only model has it."""
+    if known_load is None and model.ndim == 2:
+        raise CovariateMismatchError(
+            "the model takes (damage, load): give the load with --known-load"
+        )
+    if known_load is not None and model.ndim == 1:
+        raise CovariateMismatchError(
+            f"the model takes damage alone: it uses no --known-load, got {known_load!r}"
+        )
+
+
+def _check_class2_damages(path, class2, model) -> None:
+    """Reject a class-2 row at a damage the model was not trained on.
+
+    Step 2 reads only the row of the predicted damage, which is a training
+    damage, so such a row could never be read. A model without the
+    (damage, load, switch) inputs is left to two_state_scores to refuse.
+    """
+    if model.ndim != 3:
+        return
+    damages = [state[0] for state in model._damage_grid.states]
+    for damage in class2:
+        if damage not in damages:
+            raise InvalidArgumentError(
+                f"{path}: class-2 ref_damage {damage!r} is none of the model's training "
+                f"damages {', '.join(map(repr, damages))}"
+            )
+
+
 def cmd_predict(args) -> int:
     quantify = _config(args).quantify
     _check_predict_inputs(args, quantify)
@@ -650,8 +701,10 @@ def cmd_predict(args) -> int:
 
     if args.two_state:
         class1, class2 = _read_two_state_dis(args.test_di_file)
+        _check_class2_damages(args.test_di_file, class2, model)
         text = _two_state_json(model, class1, class2, threshold)
     else:
+        _check_known_load(model, known_load)
         test_dis = [test_di] if test_di is not None else _read_di_column(args.test_di_file)
         # the kept grid, or, for a model with no input column, the grid's own error
         grid = model._damage_grid or StateGrid.from_training_inputs(
@@ -741,6 +794,87 @@ def cmd_report(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _Flag:
+    """One flag of a command: its name, the namespace field it sets, and its kind.
+
+    A "value" flag takes the next word, a "switch" is store_true, and a
+    "bool" setting takes an optional word (nargs "?", "true" alone).
+    """
+
+    name: str
+    dest: str
+    kind: str = "value"
+    required: bool = False
+    help: str | None = None
+
+
+def _own_flag(name: str, **more) -> _Flag:
+    """A flag no config key sets; its dest is its name's, as argparse derives it."""
+    return _Flag(name, name[2:].replace("-", "_"), **more)
+
+
+def _settings_flags(command: str) -> list[_Flag]:
+    """--config, then one flag per field of each section the command reads, in
+    field order; none for a command that reads no section."""
+    if command not in _COMMAND_SECTIONS:
+        return []
+    flags = [_Flag("--config", "config", help="pipeline config file")]
+    for section in _COMMAND_SECTIONS[command]:
+        for f in fields(_SECTIONS[section]):
+            kind = "bool" if type(f.default) is bool else "value"
+            flags.append(_Flag(_flag(f.name), f.name, kind, help=f"{section}.{f.name}"))
+    return flags
+
+
+# command -> (its help, its flags in the order --help lists them): the
+# settings flags of the sections it reads, then its own
+_COMMAND_FLAGS = {
+    command: (help, [*_settings_flags(command), *own])
+    for command, help, own in (
+        ("simulate", "synthesize signal files for a state grid", ()),
+        (
+            "di", "compute a DI dataset from simulated signals",
+            (_own_flag("--out", required=True, help="output DI CSV path"),),
+        ),
+        (
+            "train", "train a model on a DI dataset",
+            (
+                _own_flag("--di-file", required=True),
+                _own_flag("--model-file", required=True),
+                _own_flag("--heldout-file"),
+            ),
+        ),
+        (
+            "predict", "state probabilities for test DI values",
+            (
+                _own_flag("--model-file", required=True),
+                _own_flag("--test-di"),
+                _own_flag("--test-di-file"),
+                _own_flag("--known-load"),
+                _own_flag("--two-state", kind="switch"),
+                _own_flag("--out", help="output JSON path (default stdout)"),
+            ),
+        ),
+        (
+            "evaluate", "recompute fit metrics for a model file",
+            (_own_flag("--model-file", required=True), _own_flag("--di-file", required=True)),
+        ),
+        (
+            "report", "box-plot and prediction-error CSVs",
+            tuple(
+                _own_flag(name, required=True)
+                for name in ("--pred-file", "--true-file", "--box-out", "--errors-out")
+            ),
+        ),
+    )
+}
+# _Flag kind -> the add_argument keywords that make it
+_ACTIONS = {
+    "value": {}, "switch": {"action": "store_true"}, "bool": {"nargs": "?", "const": "true"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The gwquant parser, one subparser per command; built once per process."""
     return _parsers()[0]
@@ -748,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The gwquant parser and each command's subparser, by command name."""
+    """The gwquant parser and each command's subparser, by command name, from _COMMAND_FLAGS."""
     # a settings flag keeps its text untyped: _config types and checks it as
     # parse_config does the key's value
     parser = argparse.ArgumentParser(
@@ -756,53 +890,75 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         description="Guided-wave damage quantification with DI-trained GP models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = {
-        command: sub.add_parser(command, help=help)
-        for command, help in (
-            ("simulate", "synthesize signal files for a state grid"),
-            ("di", "compute a DI dataset from simulated signals"),
-            ("train", "train a model on a DI dataset"),
-            ("predict", "state probabilities for test DI values"),
-            ("evaluate", "recompute fit metrics for a model file"),
-            ("report", "box-plot and prediction-error CSVs"),
-        )
-    }
-    for command, sections in _COMMAND_SECTIONS.items():
-        p[command].add_argument("--config", help="pipeline config file")
-        for section in sections:
-            for f in fields(_SECTIONS[section]):
-                alone = {"nargs": "?", "const": "true"} if type(f.default) is bool else {}
-                p[command].add_argument(
-                    _flag(f.name), dest=f.name, help=f"{section}.{f.name}", **alone
-                )
+    commands = {}
+    for command, (help, flags) in _COMMAND_FLAGS.items():
+        commands[command] = p = sub.add_parser(command, help=help)
+        for flag in flags:
+            p.add_argument(
+                flag.name, dest=flag.dest, required=flag.required, help=flag.help,
+                **_ACTIONS[flag.kind],
+            )
+    return parser, commands
 
-    p["di"].add_argument("--out", required=True, help="output DI CSV path")
-    p["train"].add_argument("--di-file", required=True)
-    p["train"].add_argument("--model-file", required=True)
-    p["train"].add_argument("--heldout-file")
-    p["predict"].add_argument("--model-file", required=True)
-    p["predict"].add_argument("--test-di")
-    p["predict"].add_argument("--test-di-file")
-    p["predict"].add_argument("--known-load")
-    p["predict"].add_argument("--two-state", action="store_true")
-    p["predict"].add_argument("--out", help="output JSON path (default stdout)")
-    p["evaluate"].add_argument("--model-file", required=True)
-    p["evaluate"].add_argument("--di-file", required=True)
-    for flag in ("--pred-file", "--true-file", "--box-out", "--errors-out"):
-        p["report"].add_argument(flag, required=True)
-    return parser, p
+
+@functools.cache
+def _plain_table(command: str):
+    """(flags by name, the namespace of an argv of no flag, required dests) of a command."""
+    flags = _COMMAND_FLAGS[command][1]
+    defaults = {"command": command}
+    defaults.update((flag.dest, False if flag.kind == "switch" else None) for flag in flags)
+    return (
+        {flag.name: flag for flag in flags},
+        defaults,
+        frozenset(flag.dest for flag in flags if flag.required),
+    )
+
+
+def _plain_args(argv: list) -> argparse.Namespace | None:
+    """The namespace parse_args returns for a plain argv, or None for any other argv.
+
+    A plain argv is a command, then only that command's flags by their full
+    names: a value flag followed by a non-empty word that does not start with
+    "-", a switch alone, and every required flag present. argparse reads
+    each such word as the flag's value, the last of a repeated flag wins, and
+    an absent flag takes its default (None, or False for a switch), so the
+    namespace is parse_args's own. Every other argv, a "bool" setting flag
+    among them, is argparse's to read and to answer.
+    """
+    if not argv or argv[0] not in _COMMAND_FLAGS:
+        return None
+    by_name, defaults, required = _plain_table(argv[0])
+    values = dict(defaults)
+    words = iter(argv[1:])
+    for word in words:
+        flag = by_name.get(word)
+        if flag is None:
+            return None
+        if flag.kind == "switch":
+            values[flag.dest] = True
+            continue
+        value = next(words, "")
+        if flag.kind != "value" or not value or value[0] == "-":
+            return None
+        values[flag.dest] = value
+    if any(values[dest] is None for dest in required):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), read by the command's own subparser.
+    """build_parser().parse_args(argv): a plain argv by _plain_args, any other by argparse.
 
-    The top-level parser would hand every word after the command to that
-    subparser anyway; it runs here only when argv names no command (help,
-    nothing or a typo). Words the subparser leaves go to the top-level
-    parser's error, as parse_args sends them, so every exit code and
-    message is parse_args's own.
+    argparse reads an argv with the command's own subparser. The top-level
+    parser would hand every word after the command to that subparser anyway;
+    it runs here only when argv names no command (help, nothing or a typo).
+    Words the subparser leaves go to the top-level parser's error, as
+    parse_args sends them, so every exit code and message is parse_args's own.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv)
+    if args is not None:
+        return args
     parser, commands = _parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:

@@ -134,7 +134,7 @@ def cross_covariance(xq: np.ndarray, rows: KernelRows) -> np.ndarray:
     """
     sa = xq / rows.length_scales
     # (a-b)^2 = a^2 + b^2 - 2ab, clipped against tiny negative round-off
-    d2 = np.sum(sa**2, axis=1)[:, None] + rows.sq_norms[None, :] - 2.0 * sa @ rows.scaled.T
+    d2 = (sa**2).sum(axis=1)[:, None] + rows.sq_norms[None, :] - 2.0 * sa @ rows.scaled.T
     return rows.output_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
 
 

@@ -261,14 +261,15 @@ def load_model(path):
     input column); a shared model must not be changed, or what it keeps
     would go stale.
     """
-    # imported here: quantify imports this module, through damage_index
-    from .quantify import StateGrid
-
     with open_ascii(path, SchemaMismatchError) as fh:
         text = fh.read()
     with _model_memo_lock:
         model = _model_memo.pop(text, None)
         if model is None:
+            # imported here, where a model is built: quantify imports this
+            # module, through damage_index
+            from .quantify import StateGrid
+
             with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))

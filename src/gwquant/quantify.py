@@ -145,31 +145,37 @@ def gaussian_cdf(s, mean, variance):
 
 
 def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
-    """Assemble model queries over canonical columns damage, load, switch."""
+    """Assemble model queries over canonical columns damage, load, switch.
+
+    Each row is a grid state followed by the fixed values the model takes
+    after the grid's columns, in canonical order.
+    """
     fixed = dict(fixed_covariates or {})
     unknown = set(fixed) - set(COLUMN_NAMES)
     if unknown:
         raise CovariateMismatchError(f"unknown fixed covariates {sorted(unknown)}")
-    states = np.array(grid.states)
-    columns = dict(zip(COLUMN_NAMES, states.T))
+    width = len(grid.states[0])
+    present = COLUMN_NAMES[:width]
+    values = {}
     for name, value in fixed.items():
-        if name in columns:
+        if name in present:
             raise CovariateMismatchError(
                 f"covariate {name!r} is fixed but already present in the grid"
             )
-        columns[name] = np.full(len(states), float(value))
+        values[name] = float(value)
     needed = COLUMN_NAMES[:ndim]
-    missing = [c for c in needed if c not in columns]
+    missing = [c for c in needed[width:] if c not in values]
     if missing:
         raise CovariateMismatchError(
             f"model expects covariates {list(needed)}; missing {missing}"
         )
-    extra = [c for c in columns if c not in needed]
+    extra = [c for c in (*present, *values) if c not in needed]
     if extra:
         raise CovariateMismatchError(
             f"covariates {extra} not used by a {ndim}-input model"
         )
-    return np.column_stack([columns[c] for c in needed])
+    tail = tuple(values[c] for c in needed[width:])
+    return np.array([state + tail for state in grid.states])
 
 
 def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarray:
@@ -191,7 +197,7 @@ def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarr
     for start in range(0, test_dis.size, step):
         block = test_dis[start : start + step, None]
         # argmin takes the first minimum: the smallest row among equal distances
-        nearest[start : start + step] = rows[np.argmin(np.abs(candidates - block), axis=1)]
+        nearest[start : start + step] = rows[np.abs(candidates - block).argmin(axis=1)]
     return nearest
 
 
@@ -240,7 +246,7 @@ def score_test_dis(
     model, grid: StateGrid, test_dis: np.ndarray, fixed_covariates, threshold
 ) -> Scores:
     """Score a 1-D array of test DIs over the grid: the core of every entry point."""
-    if not np.all(np.isfinite(test_dis)):
+    if not np.isfinite(test_dis).all():
         raise InvalidArgumentError("test_di must be finite")
     queries = _query_matrix(grid, fixed_covariates, model.ndim)
     nearest = _nearest_rows(model, test_dis, (fixed_covariates or {}).get("switch"))
@@ -251,11 +257,11 @@ def score_test_dis(
 
     moments = model.predict(queries)
     upper, lower = gaussian_cdf(bounds, moments.mean, moments.variance)
-    probs = np.clip(upper - lower, 0.0, 1.0)
+    probs = (upper - lower).clip(0.0, 1.0)
 
     # grid states are sorted, so the first maximum is the smallest damage
     # then load among ties
-    best = np.argmax(probs, axis=1)
+    best = probs.argmax(axis=1)
     top = probs[np.arange(best.size), best]
     return Scores(grid.states, test_dis, y_closest, v_closest, probs, best, top < threshold)
 

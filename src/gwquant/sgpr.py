@@ -89,7 +89,7 @@ class PredictiveMoments:
         self.query_inputs = _as_2d(self.query_inputs)
         if not (self.mean.size == self.variance.size == self.query_inputs.shape[0]):
             raise DimensionMismatchError("moment lengths disagree with queries")
-        if np.any(self.variance < 0):
+        if (self.variance < 0).any():
             raise InvalidArgumentError("predictive variance must be nonnegative")
 
 
@@ -320,7 +320,7 @@ def sgpr_predict(model: GpPosterior, xq) -> PredictiveMoments:
     k_star = cross_covariance(xq, model.f_rows)
     mean = k_star @ model.alpha + model.target_offset
     v = solve_lower(model.chol_factor, k_star.T)
-    latent = model.f_rows.output_variance - np.sum(v**2, axis=0)
+    latent = model.f_rows.output_variance - (v**2).sum(axis=0)
     variance = np.maximum(latent, 0.0) + model.noise_at(xq)
     return PredictiveMoments(mean, variance, xq)
 

@@ -153,9 +153,9 @@ class VhgprModel(GpPosterior):
         """exp(mu* + sigma*^2 / 2), the mean noise variance under q(g)."""
         kg_star = cross_covariance(xq, self.g_rows)
         mu_star = kg_star @ self.centered_lambda + self.mu0
-        quad = np.sum((self.u_g @ kg_star.T) ** 2, axis=0)
+        quad = ((self.u_g @ kg_star.T) ** 2).sum(axis=0)
         sig2_star = np.maximum(self.g_rows.output_variance - quad, 0.0)
-        return np.exp(np.clip(mu_star + 0.5 * sig2_star, -_EXP_CLIP, _EXP_CLIP))
+        return np.exp((mu_star + 0.5 * sig2_star).clip(-_EXP_CLIP, _EXP_CLIP))
 
 
 def _posterior(state: VhgprState, kg: np.ndarray) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline tests: simulate -> di -> train -> predict -> report."""
 
+import argparse
 import io
 import json
 import multiprocessing
@@ -895,6 +896,142 @@ class TestEachCommandParsedByItsOwnParser:
         assert ran == [{**expected, "out": "--"}]
 
 
+# words for a flag's value: plain ones, then ones that make an argv not plain
+_PLAIN_VALUES = ["m.json", "0.5", "5", "true", "a=b", "a b", "predict", "1e-05"]
+_ODD_VALUES = ["", "-0.5", "--", "-x", "--out", "--bogus", "--out=--", "--model-f"]
+
+
+@st.composite
+def _table_argvs(draw):
+    """(argv, plain): a command, then flags drawn from its own table with values.
+
+    A plain argv holds plain values, switches alone, no bool setting flag and
+    every required flag; any other mixes in odd values, a switch given a
+    value, bool settings alone or with a value and missing required flags.
+    """
+    command = draw(st.sampled_from(sorted(cli._COMMAND_FLAGS)))
+    flags = cli._COMMAND_FLAGS[command][1]
+    plain = draw(st.booleans())
+    pool = [f for f in flags if f.kind != "bool"] if plain else flags
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=6))
+    if plain:
+        chosen += [f for f in flags if f.required]
+        chosen = draw(st.permutations(chosen))
+    values = st.sampled_from(_PLAIN_VALUES if plain else _PLAIN_VALUES + _ODD_VALUES)
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag.name)
+        if flag.kind == "value" or (not plain and draw(st.booleans())):
+            argv.append(draw(values))
+    return argv, plain
+
+
+class TestPlainArgvsReadFromTheFlagTable:
+    """_parse_args reads a plain argv from cli._COMMAND_FLAGS, without argparse,
+    into parse_args's namespace; every other argv it leaves to argparse."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_table_argvs())
+    def test_a_table_argv_parses_as_the_top_level_parse(self, case):
+        argv, plain = case
+        expected = _parse_outcome(build_parser().parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == expected
+        if plain:
+            assert cli._plain_args(argv) is not None
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (["predict", "--model-file", "m.json", "--test-di", "0.5"], True),
+            (["predict", "--test-di", "0.5", "--model-file", "a=b", "--two-state"], True),
+            (["predict", "--model-file", "m", "--model-file", "n", "--two-state", "--two-state"],
+             True),
+            (["report", "--pred-file", "p", "--true-file", "t", "--box-out", "b",
+              "--errors-out", "e"], True),
+            (["simulate"], True),
+            (["predict", "--model-file", "m.json", "--test-di", "-0.5"], False),
+            (["predict", "--model-file", "m.json", "--out", "--"], False),
+            (["predict", "--model-file", "m.json", "--out", "--test-di", "0.5"], False),
+            (["predict", "--model-file", ""], False),
+            (["predict", "--model-file"], False),
+            (["predict", "--test-di", "0.5"], False),
+            (["report", "--pred-file", "p", "--true-file", "t", "--box-out", "b"], False),
+            (["predict", "--model-file", "m.json", "--two-state", "yes"], False),
+            (["predict", "--model-file=m.json"], False),
+            (["predict", "--model-f", "m.json"], False),
+            (["predict", "--model-file", "m.json", "-h"], False),
+            (["train", "--di-file", "d", "--model-file", "m", "--center-targets"], False),
+            (["train", "--di-file", "d", "--model-file", "m", "--center-targets", "true"], False),
+            (["Predict", "--model-file", "m.json"], False),
+            ([], False),
+        ],
+    )
+    def test_only_a_plain_argv_is_read_from_the_table(self, argv, plain):
+        namespace = cli._plain_args(argv)
+        assert (namespace is not None) == plain
+        expected = _parse_outcome(build_parser().parse_args, argv)
+        if plain:
+            assert vars(namespace) == expected[0]
+        assert _parse_outcome(cli._parse_args, argv) == expected
+
+    def test_the_benchmark_argvs_never_reach_argparse(self, monkeypatch):
+        argvs = [
+            ["predict", "--model-file", "m.json", "--test-di", "0.0123", "--known-load", "5.0"],
+            ["predict", "--model-file", "m.json", "--test-di-file", "b.csv", "--known-load",
+             "5.0", "--out", "o.json"],
+            ["predict", "--model-file", "m.json", "--two-state", "--test-di-file", "t.csv"],
+            ["simulate", "--config", "c.cfg", "--workdir", "w", "--seed", "1"],
+            ["di", "--config", "c.cfg", "--workdir", "w", "--policy", "both", "--out", "d.csv"],
+            ["train", "--config", "c.cfg", "--di-file", "d.csv", "--model", "vhgpr",
+             "--restarts", "1", "--seed", "1", "--model-file", "m.json"],
+            ["evaluate", "--model-file", "m.json", "--di-file", "m.json.heldout.csv"],
+            ["report", "--pred-file", "p.json", "--true-file", "t.csv", "--box-out", "b.csv",
+             "--errors-out", "e.csv"],
+        ]
+        expected = [vars(build_parser().parse_args(argv)) for argv in argvs]
+        parsed = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            parsed.append(parser.prog)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert [vars(cli._parse_args(argv)) for argv in argvs] == expected
+        assert {a[0] for a in argvs} == set(cli._COMMAND_FLAGS)
+        assert parsed == []
+        cli._parse_args(["predict", "--model-file", "m.json", "--test-di", "-0.5"])
+        assert parsed == ["gwquant predict"]  # the spy sees argparse when it runs
+
+
+class TestConfigOfACommand:
+    """_config builds only what the command reads; a config file is still checked whole."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["predict", "--model-file", "m.json"], {"quantify"}),
+            (["train", "--di-file", "d", "--model-file", "m"], {"train"}),
+            (["di", "--out", "d.csv"], {"di", "paths"}),
+            (["simulate"], {"simulation", "paths", "damage_grid", "load_grid"}),
+        ],
+    )
+    def test_only_the_sections_read_are_built(self, argv, names, tmp_path):
+        defaults = cli.PipelineConfig()
+        for config in (None, _write(tmp_path, "c.cfg", "di.kind = normalized\n")):
+            args = cli._parse_args(argv + ([] if config is None else ["--config", str(config)]))
+            built = vars(cli._config(args))
+            assert set(built) == names
+            if config is None:
+                assert built == {name: getattr(defaults, name) for name in names}
+
+    def test_a_config_file_is_checked_whole(self, tmp_path, capsys):
+        config = _write(tmp_path, "c.cfg", "simulation.n_samples = abc\n")
+        argv = ["predict", "--model-file", "m.json", "--test-di", "0.1", "--config", config]
+        assert run(*argv) == 1
+        assert "config line 1: simulation.n_samples must be an integer" in capsys.readouterr().err
+
+
 class TestModelMemo:
     """main builds each distinct model text once per process, and is none the worse."""
 
@@ -1629,6 +1766,22 @@ BAD_INPUTS.update({
     "two-state-repeated-class1-load": (
         lambda p, t: _switch_two_state_argv(t, extra_rows="1,5,0,0.3\n"),
         "two.csv: repeated class-1 ref_load 5",
+    ),
+    # step 2 reads the class-2 row of a training damage only
+    "two-state-class2-damage-off-grid": (
+        lambda p, t: _switch_two_state_argv(t, extra_rows="2,0,0.5,0.25\n"),
+        "two.csv: class-2 ref_damage 0.5 is none of the model's training damages 0.0, 1.0",
+    ),
+    # the flag that sets the load is named, not the covariate
+    "predict-2d-model-without-known-load": (
+        lambda p, t: _predict_argv(p, "--test-di", 0.1),
+        "the model takes (damage, load): give the load with --known-load",
+    ),
+    "predict-1d-model-with-known-load": (
+        lambda p, t: _predict_argv(
+            p, "--test-di", 0.1, "--known-load", 5, model=_vhgpr_model_file(t)
+        ),
+        "the model takes damage alone: it uses no --known-load, got 5.0",
     ),
     "evaluate-di-lacks-load": (
         lambda p, t: [

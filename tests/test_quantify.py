@@ -15,6 +15,7 @@ from scipy.integrate import quad
 import gwquant.sgpr
 from gwquant import persist
 from gwquant.cli import main
+from gwquant.damage_index import COLUMN_NAMES
 from gwquant.errors import (
     CovariateMismatchError,
     InvalidArgumentError,
@@ -25,6 +26,7 @@ from gwquant.persist import load_model, save_model
 from gwquant.quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
+    _query_matrix,
     gaussian_cdf,
     predict_single_state,
     predict_two_states,
@@ -96,6 +98,39 @@ def two_state_stub(v_closest=0.04, means=(0.0, 1.0), variances=(0.04, 0.04)):
     }
     # one training row per state; targets equal the state means
     return StubModel(moments, [[0.0], [1.0]], list(means))
+
+
+def _column_query_matrix(grid, fixed_covariates, ndim):
+    """The query matrix built column by column: the oracle of _query_matrix."""
+    fixed = dict(fixed_covariates or {})
+    unknown = set(fixed) - set(COLUMN_NAMES)
+    if unknown:
+        raise CovariateMismatchError(f"unknown fixed covariates {sorted(unknown)}")
+    states = np.array(grid.states)
+    columns = dict(zip(COLUMN_NAMES, states.T))
+    for name, value in fixed.items():
+        if name in columns:
+            raise CovariateMismatchError(
+                f"covariate {name!r} is fixed but already present in the grid"
+            )
+        columns[name] = np.full(len(states), float(value))
+    needed = COLUMN_NAMES[:ndim]
+    missing = [c for c in needed if c not in columns]
+    if missing:
+        raise CovariateMismatchError(f"model expects covariates {list(needed)}; missing {missing}")
+    extra = [c for c in columns if c not in needed]
+    if extra:
+        raise CovariateMismatchError(f"covariates {extra} not used by a {ndim}-input model")
+    return np.column_stack([columns[c] for c in needed])
+
+
+def _query_outcome(build, grid, fixed, ndim):
+    """(shape, dtype, C order, bytes) of the matrix build makes, or its error's text."""
+    try:
+        q = build(grid, fixed, ndim)
+    except CovariateMismatchError as exc:
+        return str(exc)
+    return q.shape, q.dtype, q.flags.c_contiguous, q.tobytes()
 
 
 class TestStateProbabilities:
@@ -183,6 +218,24 @@ class TestStateProbabilities:
         model = StubModel({(0.0, 5.0, 1.0): (0.0, 1.0)}, [[0.0, 5.0, 1.0]], [0.0])
         with pytest.raises(CovariateMismatchError, match=re.escape(fragment)):
             state_probabilities(model, StateGrid(grid_states), 0.0, fixed)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        states=st.lists(
+            st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=1, max_size=6
+        ),
+        width=st.sampled_from([1, 2]),
+        fixed=st.lists(
+            st.tuples(st.sampled_from(["damage", "load", "switch", "torque"]), st.floats(-5, 5)),
+            max_size=3,
+        ),
+        ndim=st.integers(0, 3),
+    )
+    def test_query_matrix_equals_the_column_oracle(self, states, width, fixed, ndim):
+        grid = StateGrid([s[:width] for s in states])
+        assert _query_outcome(_query_matrix, grid, dict(fixed), ndim) == _query_outcome(
+            _column_query_matrix, grid, dict(fixed), ndim
+        )
 
     def test_sequence_gives_one_table_per_di_in_input_order(self):
         model = two_state_stub()
