@@ -23,7 +23,6 @@ from .kernels import KernelParams, kernel_matrix, se_kernel
 from .linalg import robust_cholesky
 from .persist import load_model, save_model
 from .quantify import (
-    StateGrid,
     StateProbabilityTable,
     TwoStepPrediction,
     gaussian_cdf,
@@ -37,6 +36,7 @@ from .sgpr import (
     OptimizerConfig,
     PredictiveMoments,
     SgprModel,
+    StateGrid,
     evaluate_fit,
     sgpr_nlml,
     sgpr_predict,

@@ -34,12 +34,12 @@ is no setting: the output bytes and every error message are those of one
 process working alone.
 
 Each command's flags are declared once, in ``_COMMAND_FLAGS``, from which
-the argparse parsers are built. ``main`` reads a plain argv, a command and
+the argparse parser is built. ``main`` reads a plain argv, a command and
 then only its full flag names, each value a non-empty word not starting with
-``-``, straight from that table (``_plain_args``); any other argv goes to
-argparse, by the command's own subparser (``_parse_args``). The namespace,
-and every usage error and help text, are those of
-``build_parser().parse_args``.
+``-``, straight from that table (``_plain_args``), into the namespace
+``build_parser().parse_args`` returns. Any other argv (help, ``--flag=value``,
+an abbreviation, a usage error) goes to ``build_parser().parse_args`` itself,
+the grammar and the only source of usage errors and help text.
 
 Exit codes: 0 success, 1 domain error (single-line ``error: ...`` message on
 stderr), including a bad flag value, a numpy overflow, invalid or
@@ -80,7 +80,6 @@ from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_mo
 from .persist import read_json, save_model
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
-    StateGrid,
     single_state_scores,
     two_state_scores,
     summarize_predictions,
@@ -175,13 +174,11 @@ class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
 
-_SECTIONS = {
-    "simulation": SimulationConfig,
-    "di": DiConfig,
-    "train": TrainConfig,
-    "quantify": QuantifyConfig,
-    "paths": PathsConfig,
-}
+# PipelineConfig field -> the factory of its default
+_DEFAULTS = {f.name: f.default_factory for f in fields(PipelineConfig)}
+_GRIDS = ("damage_grid", "load_grid")
+# section -> its class (its default's factory), in PipelineConfig's order
+_SECTIONS = {name: cls for name, cls in _DEFAULTS.items() if name not in _GRIDS}
 # command -> {section it reads: the field GWQUANT_SEED sets, or None}
 _COMMAND_SECTIONS = {
     "simulate": {"simulation": "rng_seed", "paths": None},
@@ -190,9 +187,6 @@ _COMMAND_SECTIONS = {
     "predict": {"quantify": None},
 }
 _SECTION_FIELDS = {section: [f.name for f in fields(cls)] for section, cls in _SECTIONS.items()}
-# PipelineConfig field -> the factory of its default
-_DEFAULTS = {f.name: f.default_factory for f in fields(PipelineConfig)}
-_GRIDS = ("damage_grid", "load_grid")
 # field -> its flag, where the flag is not the field name in dashes
 _FLAG_NAMES = {"model_kind": "--model", "rng_seed": "--seed"}
 
@@ -251,7 +245,7 @@ def parse_config(text: str) -> PipelineConfig:
             raise InvalidArgumentError(f"config line {lineno}: key must be section.name")
         section, name = key.split(".", 1)
         source = f"config line {lineno}"
-        if key in ("simulation.damage_grid", "simulation.load_grid"):
+        if section == "simulation" and name in _GRIDS:
             setattr(config, name, _typed(value, list, f"{source}: {key}"))
         elif section in _SECTIONS:
             _overlay(config, section, name, source, value)
@@ -660,7 +654,13 @@ def _check_predict_inputs(args, quantify: QuantifyConfig) -> None:
 
 
 def _check_known_load(model, known_load) -> None:
-    """Name --known-load where a (damage, load) model lacks it or a damage-only model has it."""
+    """Name the flag a request on this model lacks or must not give: --known-load
+    for a (damage, load) or a damage-only model, --two-state for a (damage,
+    load, switch) model."""
+    if model.ndim == 3:
+        raise CovariateMismatchError(
+            "the model takes (damage, load, switch): it answers --two-state requests"
+        )
     if known_load is None and model.ndim == 2:
         raise CovariateMismatchError(
             "the model takes (damage, load): give the load with --known-load"
@@ -680,7 +680,7 @@ def _check_class2_damages(path, class2, model) -> None:
     """
     if model.ndim != 3:
         return
-    damages = [state[0] for state in model._damage_grid.states]
+    damages = [state[0] for state in model.damage_grid.states]
     for damage in class2:
         if damage not in damages:
             raise InvalidArgumentError(
@@ -706,10 +706,7 @@ def cmd_predict(args) -> int:
     else:
         _check_known_load(model, known_load)
         test_dis = [test_di] if test_di is not None else _read_di_column(args.test_di_file)
-        # the kept grid, or, for a model with no input column, the grid's own error
-        grid = model._damage_grid or StateGrid.from_training_inputs(
-            model.train_inputs, include_load=False
-        )
+        grid = model.damage_grid
         if quantify.grid_refine:
             grid = grid.refine(quantify.grid_refine)
         scores = single_state_scores(
@@ -875,14 +872,9 @@ _ACTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The gwquant parser, one subparser per command; built once per process."""
-    return _parsers()[0]
-
-
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The gwquant parser and each command's subparser, by command name, from _COMMAND_FLAGS."""
+def build_parser() -> argparse.ArgumentParser:
+    """The gwquant parser, one subparser per command, from _COMMAND_FLAGS; built once."""
     # a settings flag keeps its text untyped: _config types and checks it as
     # parse_config does the key's value
     parser = argparse.ArgumentParser(
@@ -890,15 +882,14 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         description="Guided-wave damage quantification with DI-trained GP models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for command, (help, flags) in _COMMAND_FLAGS.items():
-        commands[command] = p = sub.add_parser(command, help=help)
+        p = sub.add_parser(command, help=help)
         for flag in flags:
             p.add_argument(
                 flag.name, dest=flag.dest, required=flag.required, help=flag.help,
                 **_ACTIONS[flag.kind],
             )
-    return parser, commands
+    return parser
 
 
 @functools.cache
@@ -947,27 +938,9 @@ def _plain_args(argv: list) -> argparse.Namespace | None:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv): a plain argv by _plain_args, any other by argparse.
-
-    argparse reads an argv with the command's own subparser. The top-level
-    parser would hand every word after the command to that subparser anyway;
-    it runs here only when argv names no command (help, nothing or a typo).
-    Words the subparser leaves go to the top-level parser's error, as
-    parse_args sends them, so every exit code and message is parse_args's own.
-    """
+    """build_parser().parse_args(argv), a plain argv read by _plain_args without argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_args(argv)
-    if args is not None:
-        return args
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    return _plain_args(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -991,6 +964,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: OSError: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # such as numpy's refusal of an array too large to allocate
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,11 +14,12 @@ Models are JSON text; the schema id distinguishes the payloads:
     gwquant.vhgpr.v1  both kernels, mu0 and the variational lambda vector
 
 Hyperparameters and training data are stored inline as JSON numbers, whose
-repr round-trips float64 exactly. Building a model from its text decodes it
-and factors its matrices, deterministically, so equal text gives an equal
-model: ``load_model`` keeps the last ``_MODEL_MEMO_SIZE`` models it built,
-keyed by the file's text, and returns the kept one, read-only, when a file
-holds the same text again.
+repr round-trips float64 exactly; ``train_inputs`` has one column per
+covariate, damage first. Building a model from its text decodes it, factors
+its matrices and grids its training damages, deterministically, so equal
+text gives an equal model: ``load_model`` keeps the last
+``_MODEL_MEMO_SIZE`` models it built, keyed by the file's text, and returns
+the kept one, read-only, when a file holds the same text again.
 """
 
 from __future__ import annotations
@@ -222,6 +223,10 @@ def model_from_dict(payload):
     *hyperparams, offset, x, y = values
     if x.shape[0] != y.size:
         raise SchemaMismatchError(f"{schema} model has {x.shape[0]} inputs but {y.size} targets")
+    if x.shape[1] == 0:
+        raise SchemaMismatchError(
+            f"{schema} model lacks the input column 'damage': its train_inputs has no column"
+        )
     return cls.from_hyperparams(*hyperparams, x, y, target_offset=offset)
 
 
@@ -255,29 +260,15 @@ def load_model(path):
     model is built under numpy's raising error state, as ``cli.main`` runs
     commands, so what is kept does not depend on the caller's error state;
     a failed build keeps nothing.
-
-    The model also carries ``_damage_grid``, the unrefined StateGrid of its
-    training damages that ``predict`` scores over (None for a model with no
-    input column); a shared model must not be changed, or what it keeps
-    would go stale.
     """
     with open_ascii(path, SchemaMismatchError) as fh:
         text = fh.read()
     with _model_memo_lock:
         model = _model_memo.pop(text, None)
         if model is None:
-            # imported here, where a model is built: quantify imports this
-            # module, through damage_index
-            from .quantify import StateGrid
-
             with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))
-            model._damage_grid = (
-                StateGrid.from_training_inputs(model.train_inputs, include_load=False)
-                if model.ndim
-                else None
-            )
             if len(_model_memo) >= _MODEL_MEMO_SIZE:
                 del _model_memo[next(iter(_model_memo))]
         _model_memo[text] = model

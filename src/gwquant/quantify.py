@@ -34,7 +34,6 @@ load with switch ``2``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,57 +46,12 @@ from .errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
+from .sgpr import StateGrid
 
 DEFAULT_LOW_CONFIDENCE_THRESHOLD = 0.05
 
 # distances held at once by the nearest-target search (test DIs x rows)
 _SEARCH_BLOCK = 1 << 16
-
-
-@dataclass
-class StateGrid:
-    """Candidate states: (damage,) or (damage, load) tuples, sorted."""
-
-    states: list[tuple]
-
-    def __post_init__(self):
-        if not self.states:
-            raise InvalidArgumentError("state grid must be non-empty")
-        widths = {len(s) for s in self.states}
-        if len(widths) != 1 or widths.pop() not in (1, 2):
-            raise InvalidArgumentError("states must all be 1- or 2-tuples")
-        states = [tuple(float(v) for v in s) for s in self.states]
-        if not all(math.isfinite(v) for s in states for v in s):
-            raise InvalidArgumentError("state values must be finite")
-        self.states = sorted(set(states))
-
-    @classmethod
-    def from_training_inputs(cls, inputs, include_load: bool | None = None) -> "StateGrid":
-        """Unique training states; load column included when present."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if include_load is None:
-            include_load = inputs.shape[1] >= 2
-        cols = 2 if include_load and inputs.shape[1] >= 2 else 1
-        # dedupe as Python floats first: training inputs repeat per replicate
-        return cls(list({tuple(row) for row in inputs[:, :cols].tolist()}))
-
-    def refine(self, k: int) -> "StateGrid":
-        """Insert k interpolated damage values between adjacent grid damages."""
-        if k <= 0:
-            return StateGrid(list(self.states))
-        width = len(self.states[0])
-        by_load: dict[tuple, list[float]] = {}
-        for s in self.states:
-            by_load.setdefault(s[1:], []).append(s[0])
-        states = []
-        for rest, damages in by_load.items():
-            damages = sorted(set(damages))
-            refined = []
-            for lo, hi in zip(damages, damages[1:]):
-                refined.extend(np.linspace(lo, hi, k + 2)[:-1])
-            refined.append(damages[-1])
-            states.extend(tuple([d, *rest]) for d in refined)
-        return StateGrid(states)
 
 
 @dataclass

@@ -5,7 +5,9 @@ predict path (sgpr_predict) and one Gaussian likelihood term (gaussian_nll);
 gwquant.vhgpr finds R variationally, this module uses R = sn2 I. A posterior
 prepares its training rows for k_f once, when it is built (f_rows, a
 kernels.KernelRows), so a predict computes the kernel of its query rows
-only, with the same bits as kernel_matrix against the training rows.
+only, with the same bits as kernel_matrix against the training rows. It
+also holds the grid of its training damages (damage_grid, a StateGrid, the
+candidate states gwquant.quantify scores a test DI against).
 
 Hyperparameters (output variance, ARD length scales, noise variance) are
 optimized in log space by minimizing the negative log marginal likelihood
@@ -101,6 +103,51 @@ class FitMetrics:
     coverage_2sd: float
 
 
+@dataclass
+class StateGrid:
+    """Candidate states: (damage,) or (damage, load) tuples, sorted."""
+
+    states: list[tuple]
+
+    def __post_init__(self):
+        if not self.states:
+            raise InvalidArgumentError("state grid must be non-empty")
+        widths = {len(s) for s in self.states}
+        if len(widths) != 1 or widths.pop() not in (1, 2):
+            raise InvalidArgumentError("states must all be 1- or 2-tuples")
+        states = [tuple(float(v) for v in s) for s in self.states]
+        if not all(math.isfinite(v) for s in states for v in s):
+            raise InvalidArgumentError("state values must be finite")
+        self.states = sorted(set(states))
+
+    @classmethod
+    def from_training_inputs(cls, inputs, include_load: bool | None = None) -> "StateGrid":
+        """Unique training states; load column included when present."""
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        if include_load is None:
+            include_load = inputs.shape[1] >= 2
+        cols = 2 if include_load and inputs.shape[1] >= 2 else 1
+        # dedupe as Python floats first: training inputs repeat per replicate
+        return cls(list({tuple(row) for row in inputs[:, :cols].tolist()}))
+
+    def refine(self, k: int) -> "StateGrid":
+        """Insert k interpolated damage values between adjacent grid damages."""
+        if k <= 0:
+            return StateGrid(list(self.states))
+        by_load: dict[tuple, list[float]] = {}
+        for s in self.states:
+            by_load.setdefault(s[1:], []).append(s[0])
+        states = []
+        for rest, damages in by_load.items():
+            damages = sorted(set(damages))
+            refined = []
+            for lo, hi in zip(damages, damages[1:]):
+                refined.extend(np.linspace(lo, hi, k + 2)[:-1])
+            refined.append(damages[-1])
+            states.extend(tuple([d, *rest]) for d in refined)
+        return StateGrid(states)
+
+
 def _factor(k: np.ndarray, r: np.ndarray, y: np.ndarray):
     """Lower Cholesky factor of K + diag(r) and (K + diag(r))^-1 y."""
     l, _ = robust_cholesky(k + np.diag(r))
@@ -115,8 +162,10 @@ class GpPosterior:
     offset-corrected targets (train_targets keeps the raw ones); f_rows
     holds the training rows prepared for the kernel, and row_variance the
     predictive variance at each training row, from one predict over the
-    unique rows, so replicates share theirs exactly. Subclasses supply
-    noise_at(xq), the noise variance at the query rows.
+    unique rows, so replicates share theirs exactly. damage_grid is the
+    StateGrid of the training damages, the states a test DI is scored
+    against by default. Subclasses supply noise_at(xq), the noise variance
+    at the query rows.
     """
 
     kernel: KernelParams
@@ -127,6 +176,7 @@ class GpPosterior:
     alpha: np.ndarray = field(repr=False)
     f_rows: KernelRows = field(init=False, repr=False, compare=False)
     row_variance: np.ndarray = field(init=False, repr=False, compare=False)
+    damage_grid: StateGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.f_rows = KernelRows.prepare(self.train_inputs, self.kernel)
@@ -137,12 +187,13 @@ class GpPosterior:
 
     @classmethod
     def _conditioned(cls, kernel: KernelParams, x, y, r, target_offset: float, **fields):
-        """Factorize K_f + diag(r) at x, solve it against y - target_offset
-        and predict the variance at each training row."""
+        """Factorize K_f + diag(r) at x, solve it against y - target_offset,
+        predict the variance at each training row and grid the training damages."""
         l, alpha = _factor(kernel_matrix(x, x, kernel), r, y - target_offset)
         model = cls(kernel, x, y, target_offset, l, alpha, **fields)
         unique, inverse = np.unique(x, axis=0, return_inverse=True)
         model.row_variance = model.predict(unique).variance[inverse]
+        model.damage_grid = StateGrid.from_training_inputs(x, include_load=False)
         return model
 
     def predict(self, xq) -> PredictiveMoments:

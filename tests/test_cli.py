@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from gwquant import cli, persist
 from gwquant.cli import build_parser, main, parse_config, split_dataset
 from gwquant.damage_index import DiDataset, read_di_csv
-from gwquant.errors import InvalidArgumentError
+from gwquant.errors import InvalidArgumentError, SchemaMismatchError
 from gwquant.kernels import KernelParams
 from gwquant.persist import load_model, save_model
 from gwquant.quantify import (
@@ -841,12 +841,7 @@ _PARSE_CASES = [
 
 _COMMAND_WORDS = ["simulate", "di", "train", "predict", "evaluate", "report", "bogus"]
 _FLAG_WORDS = sorted(
-    {
-        option
-        for parser in cli._parsers()[1].values()
-        for action in parser._actions
-        for option in action.option_strings
-    }
+    {flag.name for _, flags in cli._COMMAND_FLAGS.values() for flag in flags} | {"-h", "--help"}
 )
 _VALUE_WORDS = ["m.json", "-0.5", "5", "--", "true", "-x", "--bogus", "--model", "--out=--"]
 
@@ -862,9 +857,9 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
-class TestEachCommandParsedByItsOwnParser:
-    """main reads a command's words with its subparser alone: the same
-    namespace, exit code and text as the top-level parser's parse_args."""
+class TestEveryArgvParsedAsTheTopLevelParse:
+    """main reads every argv into the namespace, exit code and text of the
+    top-level parser's parse_args."""
 
     @pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
     def test_the_parse_equals_the_top_level_parse(self, argv):
@@ -1001,7 +996,8 @@ class TestPlainArgvsReadFromTheFlagTable:
         assert {a[0] for a in argvs} == set(cli._COMMAND_FLAGS)
         assert parsed == []
         cli._parse_args(["predict", "--model-file", "m.json", "--test-di", "-0.5"])
-        assert parsed == ["gwquant predict"]  # the spy sees argparse when it runs
+        # the spy sees argparse when it runs: the top-level parser, then the subparser
+        assert parsed == ["gwquant", "gwquant predict"]
 
 
 class TestConfigOfACommand:
@@ -1061,7 +1057,7 @@ class TestModelMemo:
 
     def test_a_request_leaves_the_kept_grid_unchanged(self, pipeline, capsys):
         model = load_model(pipeline["model_file"])
-        kept = model._damage_grid
+        kept = model.damage_grid
         states = list(kept.states)
         built = StateGrid.from_training_inputs(model.train_inputs, include_load=False)
         assert states == built.states
@@ -1070,20 +1066,25 @@ class TestModelMemo:
         for refine in (0, 3, 0):
             assert run(*argv, "--known-load", 5, "--grid-refine", refine) == 0
             outputs.append(json.loads(capsys.readouterr().out))
-        assert load_model(pipeline["model_file"])._damage_grid is kept
+        assert load_model(pipeline["model_file"]).damage_grid is kept
         assert kept.states == states
         assert outputs[0] == outputs[2]
         assert [len(out["probabilities"]) for out in outputs] == [5, 17, 5]
 
-    def test_a_model_with_no_input_column_keeps_no_grid(self, pipeline, tmp_path, capsys):
+    def test_a_model_file_with_no_input_column_is_refused(self, pipeline, tmp_path, capsys):
         kernel = {"log_output_variance": 0.0, "log_length_scales": []}
         path = _edited_model(
             pipeline["model_file"], tmp_path, kernel=kernel, train_inputs=[[]],
             train_targets=[0.1],
         )[2]
-        assert load_model(path)._damage_grid is None
+        with pytest.raises(SchemaMismatchError, match="lacks the input column 'damage'"):
+            load_model(path)
         assert run("predict", "--model-file", path, "--test-di", 0.05) == 1
-        assert "states must all be 1- or 2-tuples" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: SchemaMismatchError: ")
+        assert "lacks the input column 'damage'" in err[0]
+        assert persist._model_memo == {}
 
     def test_a_rewritten_model_file_is_read_afresh(self, pipeline, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -1582,17 +1583,22 @@ def _two_state_argv(p, t, rows):
     return _predict_argv(p, "--two-state", "--test-di-file", path)
 
 
+def _switch_model(t):
+    """The path of a small saved (damage, load, switch) model."""
+    x = np.array([(d, w, c) for c in (1, 2) for d in (0, 1) for w in (0, 5)], dtype=float)
+    y = np.linspace(0.1, 0.4, x.shape[0])
+    model = t / "switch.json"
+    save_model(model, SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(3)), -4.0, x, y))
+    return model
+
+
 def _switch_two_state_argv(t, *flags, extra_rows=""):
     """A --two-state argv on a small (damage, load, switch) model, then flags.
 
     Without extra_rows, rows appended to the two-state file, the argv is valid.
     """
-    x = np.array([(d, w, c) for c in (1, 2) for d in (0, 1) for w in (0, 5)], dtype=float)
-    y = np.linspace(0.1, 0.4, x.shape[0])
-    model = t / "switch.json"
-    save_model(model, SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(3)), -4.0, x, y))
     rows = "1,0,0,0.1\n1,5,0,0.2\n2,0,0,0.1\n2,0,1,0.3\n" + extra_rows
-    return [*_two_state_argv({"model_file": model}, t, rows), *flags]
+    return [*_two_state_argv({"model_file": _switch_model(t)}, t, rows), *flags]
 
 
 def _length_scale_model(p, t):
@@ -1777,6 +1783,10 @@ BAD_INPUTS.update({
         lambda p, t: _predict_argv(p, "--test-di", 0.1),
         "the model takes (damage, load): give the load with --known-load",
     ),
+    "predict-switch-model-without-two-state": (
+        lambda p, t: _predict_argv(p, "--test-di", 0.2, "--known-load", 5, model=_switch_model(t)),
+        "the model takes (damage, load, switch): it answers --two-state requests",
+    ),
     "predict-1d-model-with-known-load": (
         lambda p, t: _predict_argv(
             p, "--test-di", 0.1, "--known-load", 5, model=_vhgpr_model_file(t)
@@ -1789,6 +1799,17 @@ BAD_INPUTS.update({
             "--di-file", _write(t, "di.csv", "damage,di\n0,0.1\n1,0.2\n"),
         ],
         "di.csv: holds input columns damage; the model takes 2",
+    ),
+    # numpy refuses a 7.11 PiB array at once: nothing is allocated
+    "predict-grid-refine-1e15": (
+        lambda p, t: _predict_argv(
+            p, "--test-di", 0.1, "--known-load", 5, "--grid-refine", 10**15
+        ),
+        "MemoryError: Unable to allocate",
+    ),
+    "simulate-n-samples-1e15": (
+        lambda p, t: ["simulate", "--workdir", t / "out", "--n-samples", 10**15],
+        "MemoryError: Unable to allocate",
     ),
     "train-constant-targets": (
         lambda p, t: [

@@ -708,6 +708,27 @@ def test_row_variance_is_each_rows_predict_and_survives_a_reload(case, loaded, o
     assert loaded[case][0].row_variance.tobytes() == model.row_variance.tobytes()
 
 
+def _hyperparams_model():
+    """A (damage, load) model built by from_hyperparams, its damages unsorted and repeated."""
+    x = np.array([(d, w) for d in (2.0, 0.0, 0.5) for w in (0.0, 5.0) for _ in range(2)])
+    y = 0.1 * x[:, 0] + 0.01 * x[:, 1]
+    return SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(2)), -4.0, x, y)
+
+
+@pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1", "from-hyperparams"])
+def test_a_built_model_holds_the_grid_of_its_training_damages(
+    case, oracle_cases, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(persist, "_model_memo", {})
+    model = _hyperparams_model() if case == "from-hyperparams" else oracle_cases[case][0]
+    states = StateGrid.from_training_inputs(model.train_inputs, include_load=False).states
+    assert states == sorted({(float(d),) for d in model.train_inputs[:, 0]})
+    assert model.damage_grid.states == states
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    assert load_model(path).damage_grid.states == states
+
+
 def test_a_build_whose_row_variance_overflows_raises_and_is_not_kept(
     oracle_cases, tmp_path, monkeypatch, capsys
 ):
