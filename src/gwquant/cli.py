@@ -596,12 +596,12 @@ def _predictions_json(scores, step1_reference_load=None) -> str:
     it: each grid's text is one %-template, filled with each row's floats.
     """
 
-    def members(state):
-        load = "null" if len(state) == 1 else repr(state[1])
-        return f'"damage": {state[0]!r}, "load": {load}'
-
-    argmax = ["{" + members(s) + "}" for s in scores.states]
-    entries = ", ".join("{" + members(s) + ', "p": %r}' for s in scores.states)
+    members = [
+        f'"damage": {s[0]!r}, "load": {"null" if len(s) == 1 else repr(s[1])}'
+        for s in scores.states
+    ]
+    argmax = ["{" + m + "}" for m in members]
+    entries = ", ".join("{" + m + ', "p": %r}' for m in members)
     reference = (
         "" if step1_reference_load is None
         else f'"step1_reference_load": {float(step1_reference_load)!r}, '

@@ -13,9 +13,12 @@ V{y_closest} the model's predictive variance at that training row's inputs.
 The candidate grid defaults to the unique training states.
 
 One scoring core, ``score_test_dis``, scores a whole vector of test DIs at
-once: one predict over the grid, a blocked search for each DI's nearest
+once: the grid's predictive moments, a blocked search for each DI's nearest
 training target, whose variance the model holds (``row_variance``), and the
-CDF differences as one (n_test x n_grid) array. It returns arrays
+CDF differences as one (n_test x n_grid) array. A grid state the model was
+trained at takes the moments the model holds (``state_moments``); the
+other states, refined damages or an untrained load, take one predict
+together, so a training state scores alike in every grid. It returns arrays
 (``Scores``): the test DIs, the nearest targets and their variances, the
 probability matrix, each row's argmax column and low-confidence flag. A DI
 scored in a batch therefore gets the table it gets alone, bit for bit.
@@ -34,6 +37,7 @@ load with switch ``2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +120,10 @@ def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
             raise CovariateMismatchError(
                 f"covariate {name!r} is fixed but already present in the grid"
             )
-        values[name] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"fixed covariate {name!r} must be finite, got {value!r}")
+        values[name] = value
     needed = COLUMN_NAMES[:ndim]
     missing = [c for c in needed[width:] if c not in values]
     if missing:
@@ -153,6 +160,18 @@ def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarr
         # argmin takes the first minimum: the smallest row among equal distances
         nearest[start : start + step] = rows[np.abs(candidates - block).argmin(axis=1)]
     return nearest
+
+
+def _grid_moments(model, queries: np.ndarray) -> np.ndarray:
+    """(mean, variance) rows at the query rows: a training state's from the
+    model's state_moments, the other rows from one predict, in query order."""
+    moments = [model.state_moments.get(row) for row in map(tuple, queries.tolist())]
+    missing = [i for i, m in enumerate(moments) if m is None]
+    if missing:
+        predicted = model.predict(queries[missing])
+        for i, m, v in zip(missing, predicted.mean.tolist(), predicted.variance.tolist()):
+            moments[i] = (m, v)
+    return np.array(moments).T
 
 
 @dataclass(frozen=True)
@@ -209,8 +228,8 @@ def score_test_dis(
     half_width = (2.0 * np.sqrt(v_closest))[:, None]
     bounds = np.stack((test_dis[:, None] + half_width, test_dis[:, None] - half_width))
 
-    moments = model.predict(queries)
-    upper, lower = gaussian_cdf(bounds, moments.mean, moments.variance)
+    mean, variance = _grid_moments(model, queries)
+    upper, lower = gaussian_cdf(bounds, mean, variance)
     probs = (upper - lower).clip(0.0, 1.0)
 
     # grid states are sorted, so the first maximum is the smallest damage

@@ -7,7 +7,9 @@ prepares its training rows for k_f once, when it is built (f_rows, a
 kernels.KernelRows), so a predict computes the kernel of its query rows
 only, with the same bits as kernel_matrix against the training rows. It
 also holds the grid of its training damages (damage_grid, a StateGrid, the
-candidate states gwquant.quantify scores a test DI against).
+candidate states gwquant.quantify scores a test DI against) and the
+predictive moments at each of its training states (state_moments), so
+scoring a training state makes no predict.
 
 Hyperparameters (output variance, ARD length scales, noise variance) are
 optimized in log space by minimizing the negative log marginal likelihood
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import minimize
@@ -160,12 +163,13 @@ class GpPosterior:
 
     chol_factor factorizes K_f + diag(R) and alpha solves it against the
     offset-corrected targets (train_targets keeps the raw ones); f_rows
-    holds the training rows prepared for the kernel, and row_variance the
-    predictive variance at each training row, from one predict over the
-    unique rows, so replicates share theirs exactly. damage_grid is the
-    StateGrid of the training damages, the states a test DI is scored
-    against by default. Subclasses supply noise_at(xq), the noise variance
-    at the query rows.
+    holds the training rows prepared for the kernel. One predict over the
+    unique training rows gives state_moments, a read-only map from each
+    unique row (a tuple of floats) to its predictive (mean, variance), and
+    row_variance, the variance at each training row, so replicates share
+    theirs exactly. damage_grid is the StateGrid of the training damages,
+    the states a test DI is scored against by default. Subclasses supply
+    noise_at(xq), the noise variance at the query rows.
     """
 
     kernel: KernelParams
@@ -176,6 +180,7 @@ class GpPosterior:
     alpha: np.ndarray = field(repr=False)
     f_rows: KernelRows = field(init=False, repr=False, compare=False)
     row_variance: np.ndarray = field(init=False, repr=False, compare=False)
+    state_moments: MappingProxyType = field(init=False, repr=False, compare=False)
     damage_grid: StateGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -188,11 +193,15 @@ class GpPosterior:
     @classmethod
     def _conditioned(cls, kernel: KernelParams, x, y, r, target_offset: float, **fields):
         """Factorize K_f + diag(r) at x, solve it against y - target_offset,
-        predict the variance at each training row and grid the training damages."""
+        predict the moments at each training state and grid the training damages."""
         l, alpha = _factor(kernel_matrix(x, x, kernel), r, y - target_offset)
         model = cls(kernel, x, y, target_offset, l, alpha, **fields)
         unique, inverse = np.unique(x, axis=0, return_inverse=True)
-        model.row_variance = model.predict(unique).variance[inverse]
+        moments = model.predict(unique)
+        model.row_variance = moments.variance[inverse]
+        model.state_moments = MappingProxyType(dict(zip(
+            map(tuple, unique.tolist()), zip(moments.mean.tolist(), moments.variance.tolist())
+        )))
         model.damage_grid = StateGrid.from_training_inputs(x, include_load=False)
         return model
 

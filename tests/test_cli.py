@@ -432,6 +432,33 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["probabilities"]) == 5 + 4 * 3
 
+    def test_grid_refine_keeps_each_training_damages_probabilities(self, pipeline, capsys):
+        # a training damage's moments are the model's own in every grid, so
+        # refining the grid adds candidates and changes no training damage's p
+        dis = [0.0, 0.01, 0.04, 0.09]
+        model = load_model(pipeline["model_file"])
+        grid = model.damage_grid
+        plain = single_state_scores(model, grid, np.array(dis), 5.0, 0.05)
+        refined_grid = grid.refine(3)
+        refined = single_state_scores(model, refined_grid, np.array(dis), 5.0, 0.05)
+        columns = [refined_grid.states.index(s) for s in grid.states]
+        assert refined.probabilities[:, columns].tobytes() == plain.probabilities.tobytes()
+
+        argv = ("predict", "--model-file", pipeline["model_file"], "--known-load", "5")
+        texts = []
+        for refine in ("0", "3"):
+            for di in dis:
+                assert run(*argv, "--test-di", repr(di), "--grid-refine", refine) == 0
+                texts.append(capsys.readouterr().out)
+        for text, refined_text in zip(texts[: len(dis)], texts[len(dis) :]):
+            entries = json.loads(text)["probabilities"]
+            refined_entries = json.loads(refined_text)["probabilities"]
+            assert len(refined_entries) == len(entries) + 3 * (len(entries) - 1)
+            assert [e for e in refined_entries if (e["damage"],) in grid.states] == entries
+            # each training damage's entry is the same text in both outputs
+            for entry in entries:
+                assert json.dumps(entry, sort_keys=True) in refined_text
+
     def test_schema_mismatch_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "gwquant.sgpr.v999"}))
@@ -573,17 +600,23 @@ class TestPredictText:
 
 class _HashedModel:
     """A duck-typed model whose moments at a query row are picked by the row's
-    hash: equal rows share them, and different rows often do, giving ties."""
+    hash: equal rows share them, and different rows often do, giving ties.
+    state_moments holds the picks at its training rows."""
 
     def __init__(self, rows, ndim, moments):
         self.train_inputs = np.array([r[:ndim] for r in rows], dtype=float)
         self.train_targets = np.array([r[-1] for r in rows], dtype=float)
         self.ndim = ndim
         self.moments = moments
+        rows = map(tuple, self.train_inputs.tolist())
+        self.state_moments = {row: self._pick(row) for row in rows}
         self.row_variance = self.predict(self.train_inputs).variance
 
+    def _pick(self, row):
+        return self.moments[hash(row) % len(self.moments)]
+
     def predict(self, xq):
-        picked = [self.moments[hash(tuple(row)) % len(self.moments)] for row in xq.tolist()]
+        picked = [self._pick(tuple(row)) for row in xq.tolist()]
         mean, variance = (np.array(v, dtype=float) for v in zip(*picked))
         return PredictiveMoments(mean, variance, xq)
 

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ class StubModel:
     def __init__(self, moments, train_inputs, train_targets):
         # moments: {query tuple: (mean, variance)}
         self.moments = {tuple(map(float, k)): v for k, v in moments.items()}
+        self.state_moments = self.moments
         self.train_inputs = np.atleast_2d(np.asarray(train_inputs, dtype=float))
         self.train_targets = np.asarray(train_targets, dtype=float)
         self.ndim = self.train_inputs.shape[1]
@@ -266,10 +268,17 @@ def per_di_oracle(model, grid, test_di, fixed=None):
     row = min(rows, key=lambda i: (abs(targets[i] - test_di), i))
     variance = float(model.row_variance[row])
     half_width = 2.0 * math.sqrt(variance)
-    queries = np.array([[*state, *fixed.values()] for state in grid.states])
-    moments = model.predict(queries)
+    # a training state's moments are the model's own; the others are
+    # predicted together, in grid order
+    queries = [(*state, *fixed.values()) for state in grid.states]
+    moments = [model.state_moments.get(q) for q in queries]
+    others = [k for k, m in enumerate(moments) if m is None]
+    if others:
+        predicted = model.predict(np.array([queries[k] for k in others]))
+        for k, m, v in zip(others, predicted.mean, predicted.variance):
+            moments[k] = (m, v)
     probs = []
-    for m, v in zip(moments.mean, moments.variance):
+    for m, v in moments:
         p = gaussian_cdf(test_di + half_width, m, v) - gaussian_cdf(test_di - half_width, m, v)
         probs.append(min(max(p, 0.0), 1.0))
     best = max(range(len(probs)), key=lambda k: (probs[k], [-v for v in grid.states[k]]))
@@ -300,6 +309,7 @@ def oracle_cases():
     grid2 = StateGrid.from_training_inputs(xs)
     return {
         "vhgpr": (vhgpr, StateGrid.from_training_inputs(x), None),
+        "vhgpr-refined": (vhgpr, StateGrid.from_training_inputs(x).refine(2), None),
         "sgpr-switch-1": (sgpr, grid2, {"switch": 1.0}),
         "sgpr-switch-2": (sgpr, grid2, {"switch": 2.0}),
     }
@@ -312,12 +322,13 @@ def _equidistant_points(targets):
     return [float(m) for m, a, b in zip(mids, values[:-1], values[1:]) if abs(a - m) == abs(b - m)]
 
 
-@pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1", "sgpr-switch-2"])
+@pytest.mark.parametrize("case", ["vhgpr", "vhgpr-refined", "sgpr-switch-1", "sgpr-switch-2"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_array_path_matches_per_di_oracle(case, oracle_cases, data):
-    # Both read the nearest row's variance from the model and predict the
-    # grid in one query, so every number is equal, not merely close.
+    # Both read the nearest row's variance and the training states' moments
+    # from the model and predict the other states in one query, so every
+    # number is equal, not merely close.
     model, grid, fixed = oracle_cases[case]
     targets = np.asarray(model.train_targets)
     if fixed:
@@ -517,12 +528,26 @@ class TestPredictTwoStates:
         phase = {"current": "step1"}
         seen = {"step1": [], "step2": []}
 
+        class Watched(Mapping):
+            """The model's state_moments, recording the switch of every key read."""
+
+            def __getitem__(self, key):
+                seen[phase["current"]].append(key[2])
+                return model.state_moments[key]
+
+            def __iter__(self):
+                return iter(model.state_moments)
+
+            def __len__(self):
+                return len(model.state_moments)
+
         class Instrumented:
             def __init__(self, inner):
                 self._inner = inner
                 self.train_inputs = inner.train_inputs
                 self.train_targets = inner.train_targets
                 self.row_variance = inner.row_variance
+                self.state_moments = Watched()
                 self.ndim = inner.ndim
 
             def predict(self, xq):
@@ -547,6 +572,7 @@ class TestPredictTwoStates:
                 self.train_inputs = inner.train_inputs
                 self.train_targets = inner.train_targets
                 self.row_variance = inner.row_variance
+                self.state_moments = inner.state_moments
                 self.ndim = inner.ndim
                 self.calls = 0
 
@@ -562,8 +588,9 @@ class TestPredictTwoStates:
             ]
             predict_two_states(counting, class1_dis, lambda d: class2(d, 10.0), damages, loads)
             calls.append(counting.calls)
-        # each step predicts its grid once, never once per DI or nearest row
-        assert calls == [2, 2, 2]
+        # both steps score training states only: their moments are the
+        # model's own, so no step predicts, however many DIs it scores
+        assert calls == [0, 0, 0]
 
     def test_requires_three_input_model(self, rng):
         x, y, damages = make_separated_di_data(rng)
@@ -667,11 +694,11 @@ def test_a_repeated_request_on_a_loaded_model_predicts_only_the_grid(
 ):
     model, grid, fixed = loaded[case]
     first = _tables(model, grid, fixed)
-    # the grid in one query; the nearest rows' variances are the model's own
-    assert [shape[0] for shape in predicts] == [len(grid.states)]
-    del predicts[:]
+    # a grid of training states: their moments and the nearest rows'
+    # variances are the model's own, so nothing is predicted
+    assert predicts == []
     assert _tables(model, grid, fixed) == first
-    assert [shape[0] for shape in predicts] == [len(grid.states)]
+    assert predicts == []
     # a loaded model answers as the trained one does
     assert first == _tables(oracle_cases[case][0], grid, fixed)
 
@@ -689,10 +716,11 @@ def test_building_a_model_predicts_its_training_rows_in_one_call(
     loaded = load_model(path)
     assert predicts == [(1000, 1)] * 2
     assert loaded.row_variance.tobytes() == model.row_variance.tobytes()
-    # a batch whose DIs are nearest to every row predicts the grid only
+    # a batch whose DIs are nearest to every row, over training states,
+    # predicts nothing
     grid = StateGrid.from_training_inputs(x[::100])
     _tables(loaded, grid, None, [float(t) for t in y])
-    assert predicts == [(1000, 1)] * 2 + [(len(grid.states), 1)]
+    assert predicts == [(1000, 1)] * 2
 
 
 @pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1"])
@@ -783,3 +811,92 @@ def test_threads_sharing_a_loaded_model_get_the_answers_of_one_thread(loaded, or
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
+
+
+# The predictive moments a model holds at its training states: one predict, when it is built.
+
+
+@pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1", "from-hyperparams"])
+def test_state_moments_are_the_predict_over_the_unique_rows(
+    case, oracle_cases, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(persist, "_model_memo", {})
+    model = _hyperparams_model() if case == "from-hyperparams" else oracle_cases[case][0]
+    unique = np.unique(model.train_inputs, axis=0)
+    moments = model.predict(unique)
+    expected = {
+        tuple(row): (m, v)
+        for row, m, v in zip(unique.tolist(), moments.mean.tolist(), moments.variance.tolist())
+    }
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    for built in (model, load_model(path)):
+        held = dict(built.state_moments)
+        assert list(held) == list(expected)
+        # keys and moments are Python floats, as unique.tolist() gives them
+        assert all(type(x) is float for key, value in held.items() for x in (*key, *value))
+        held_bits = np.array(list(held.values())).tobytes()
+        assert held_bits == np.array(list(expected.values())).tobytes()
+        with pytest.raises(TypeError):
+            built.state_moments[next(iter(expected))] = (0.0, 1.0)
+
+
+@pytest.fixture
+def predicted_rows(monkeypatch):
+    """The query rows, as lists, of each sgpr_predict call made since the fixture was set up."""
+    rows = []
+    inner = gwquant.sgpr.sgpr_predict
+
+    def spy(model, xq):
+        rows.append(np.asarray(xq).tolist())
+        return inner(model, xq)
+
+    monkeypatch.setattr(gwquant.sgpr, "sgpr_predict", spy)
+    return rows
+
+
+def test_a_load_the_model_was_not_trained_at_predicts_the_grid_rows_once(predicted_rows):
+    model = _hyperparams_model()
+    assert 7.5 not in model.train_inputs[:, 1]
+    grid = model.damage_grid
+    del predicted_rows[:]  # the build's own predict
+    tables = predict_single_state(model, grid, [0.05, 0.1, 0.2], known_load=7.5)
+    # one predict, over the grid rows only: no nearest row is predicted
+    assert predicted_rows == [[[d, 7.5] for (d,) in grid.states]]
+    for table in tables:
+        oracle = per_di_oracle(model, grid, table.test_di, {"load": 7.5})
+        assert [p for _, p in table.entries] == oracle[2]
+
+
+def test_a_grid_mixing_training_and_other_states_predicts_only_the_others(
+    oracle_cases, predicted_rows
+):
+    model = oracle_cases["vhgpr"][0]
+    grid = StateGrid([(0.0,), (0.5,), (1.0,), (2.5,), (4.0,), (3.25,)])
+    assert {(0.0,), (1.0,), (4.0,)} <= set(model.state_moments)
+    dis = [0.1, 1.7, 3.3]
+    tables = state_probabilities(model, grid, dis)
+    # one predict, over the states the model was not trained at, in grid order
+    assert predicted_rows == [[[0.5], [2.5], [3.25]]]
+    for di, table in zip(dis, tables):
+        _, v_closest, probs, argmax, low = per_di_oracle(model, grid, di)
+        assert (table.closest_variance, table.argmax_state, table.low_confidence) == (
+            v_closest, argmax, low
+        )
+        assert [p for _, p in table.entries] == probs
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_fixed_covariate_is_refused_before_any_arithmetic(value, oracle_cases):
+    # the refusal comes before any arithmetic, so no predict runs and numpy
+    # warns of nothing
+    message = re.escape(f"fixed covariate 'load' must be finite, got {value!r}")
+    model = _hyperparams_model()
+    with np.errstate(all="raise"), pytest.raises(InvalidArgumentError, match=message):
+        predict_single_state(model, model.damage_grid, 0.21, known_load=value)
+    sgpr, grid, _ = oracle_cases["sgpr-switch-1"]
+    message = re.escape(f"fixed covariate 'switch' must be finite, got {value!r}")
+    with np.errstate(all="raise"), pytest.raises(InvalidArgumentError, match=message):
+        state_probabilities(sgpr, grid, 0.21, {"switch": value})
+    with pytest.raises(InvalidArgumentError, match=message):
+        _query_matrix(grid, {"switch": value}, 3)
