@@ -11,8 +11,8 @@ construction.
 Every cross-covariance is computed by ``cross_covariance`` against a
 ``KernelRows``: one side's rows scaled by the length scales, their squared
 norms and ``s2`` as a float, computed once. ``kernel_matrix`` prepares its
-second argument afresh; a trained model prepares its training rows once
-(``GpPosterior.f_rows``), so a predict pays only for its query rows.
+second argument afresh; a built model prepares its unique training rows
+once (``GpPosterior.f_rows``), so a predict pays only for its query rows.
 The operations and their order are the same either way, so both give the
 same bits:
 

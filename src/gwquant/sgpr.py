@@ -2,10 +2,13 @@
 
 Both kinds are a posterior of f under K_f + diag(R) (GpPosterior) with one
 predict path (sgpr_predict) and one Gaussian likelihood term (gaussian_nll);
-gwquant.vhgpr finds R variationally, this module uses R = sn2 I. A posterior
-prepares its training rows for k_f once, when it is built (f_rows, a
-kernels.KernelRows), so a predict computes the kernel of its query rows
-only, with the same bits as kernel_matrix against the training rows. It
+gwquant.vhgpr finds R variationally, this module uses R = sn2 I. R is one
+r_u per state, so a model is conditioned on its n_u unique training states:
+their mean targets with noise r_u / c_u, c_u the state's replicate count,
+give the posterior that all rows give (Binois et al., JCGS 2018). A
+posterior prepares its unique training rows for k_f once, when it is built
+(f_rows, a kernels.KernelRows), so a predict computes the kernel of its
+query rows only, with the same bits as kernel_matrix against those rows. It
 also holds the grid of its training damages (damage_grid, a StateGrid, the
 candidate states gwquant.quantify scores a test DI against) and the
 predictive moments at each of its training states (state_moments), so
@@ -43,7 +46,6 @@ from .kernels import (
     KernelRows,
     _as_2d,
     cross_covariance,
-    kernel_matrix,
     kernel_matrix_grads,
 )
 from .linalg import chol_logdet, chol_solve, robust_cholesky, solve_lower
@@ -157,14 +159,23 @@ def _factor(k: np.ndarray, r: np.ndarray, y: np.ndarray):
     return l, chol_solve(l, y)
 
 
+def _replicates(x: np.ndarray):
+    """(unique, inverse, counts): the sorted unique rows of x, the index of each
+    row of x among them and how many rows of x each unique row stands for."""
+    unique, inverse, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)
+    # numpy 2.0.0 returned this inverse 2-D
+    return unique, inverse.ravel(), counts
+
+
 @dataclass
 class GpPosterior:
     """Posterior of f under K_f + diag(R); SGPR is the case R = sn2 I.
 
-    chol_factor factorizes K_f + diag(R) and alpha solves it against the
-    offset-corrected targets (train_targets keeps the raw ones); f_rows
-    holds the training rows prepared for the kernel. One predict over the
-    unique training rows gives state_moments, a read-only map from each
+    train_inputs and train_targets keep the rows the model was built from.
+    chol_factor factorizes K_f + diag(r_u / c_u) at the n_u unique training
+    rows, alpha solves it against each state's mean offset-corrected target
+    and f_rows holds the unique rows prepared for the kernel. One predict
+    over the unique rows gives state_moments, a read-only map from each
     unique row (a tuple of floats) to its predictive (mean, variance), and
     row_variance, the variance at each training row, so replicates share
     theirs exactly. damage_grid is the StateGrid of the training damages,
@@ -178,31 +189,32 @@ class GpPosterior:
     target_offset: float
     chol_factor: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
-    f_rows: KernelRows = field(init=False, repr=False, compare=False)
+    f_rows: KernelRows = field(repr=False, compare=False)
     row_variance: np.ndarray = field(init=False, repr=False, compare=False)
     state_moments: MappingProxyType = field(init=False, repr=False, compare=False)
     damage_grid: StateGrid = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.f_rows = KernelRows.prepare(self.train_inputs, self.kernel)
 
     @property
     def ndim(self) -> int:
         return self.train_inputs.shape[1]
 
     @classmethod
-    def _conditioned(cls, kernel: KernelParams, x, y, r, target_offset: float, **fields):
-        """Factorize K_f + diag(r) at x, solve it against y - target_offset,
-        predict the moments at each training state and grid the training damages."""
-        l, alpha = _factor(kernel_matrix(x, x, kernel), r, y - target_offset)
-        model = cls(kernel, x, y, target_offset, l, alpha, **fields)
-        unique, inverse = np.unique(x, axis=0, return_inverse=True)
+    def _conditioned(cls, kernel: KernelParams, x, y, target_offset, replicates, noise, **fields):
+        """Factorize K_f + diag(noise / c) at the unique rows of replicates =
+        _replicates(x), noise a float or one per unique row, solve it against
+        the state means of y - target_offset, predict the moments at each
+        training state and grid the training damages."""
+        unique, inverse, counts = replicates
+        f_rows = KernelRows.prepare(unique, kernel)
+        means = np.bincount(inverse, weights=y - target_offset) / counts
+        l, alpha = _factor(cross_covariance(unique, f_rows), noise / counts, means)
+        model = cls(kernel, x, y, target_offset, l, alpha, f_rows, **fields)
         moments = model.predict(unique)
         model.row_variance = moments.variance[inverse]
         model.state_moments = MappingProxyType(dict(zip(
             map(tuple, unique.tolist()), zip(moments.mean.tolist(), moments.variance.tolist())
         )))
-        model.damage_grid = StateGrid.from_training_inputs(x, include_load=False)
+        model.damage_grid = StateGrid.from_training_inputs(unique, include_load=False)
         return model
 
     def predict(self, xq) -> PredictiveMoments:
@@ -231,9 +243,9 @@ class SgprModel(GpPosterior):
         """Build the cached factorization for fixed hyperparameters."""
         x = _as_2d(x)
         y = np.asarray(y, dtype=float).ravel()
-        r = np.full(x.shape[0], np.exp(log_noise_variance))
         return cls._conditioned(
-            kernel, x, y, r, target_offset, log_noise_variance=float(log_noise_variance)
+            kernel, x, y, target_offset, _replicates(x), float(np.exp(log_noise_variance)),
+            log_noise_variance=float(log_noise_variance),
         )
 
     def hyperparams(self) -> tuple:

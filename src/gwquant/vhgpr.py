@@ -23,6 +23,10 @@ and Lambda = 0 is an admissible point:
 
 Lambda itself is optimized through a softplus transform, jointly with both
 kernels' log hyperparameters and mu0 in a single quasi-Newton run.
+
+A built model is conditioned on its unique training states: replicates
+share g, so q(g) there takes each state's lambda total Lambda_u and count
+c_u, mu_u = K_g (Lambda_u - c/2) + mu0, and r_u / c_u is its noise in f.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ from .kernels import (
     KernelRows,
     _as_2d,
     cross_covariance,
-    kernel_matrix,
     kernel_matrix_grads,
 )
 from .linalg import chol_logdet, robust_cholesky, solve_lower
 from .sgpr import (
     GpPosterior,
     OptimizerConfig,
+    _replicates,
     gaussian_nll,
     minimize_with_restarts,
     sgpr_predict,
@@ -106,36 +110,33 @@ class VhgprState:
 class VhgprModel(GpPosterior):
     """Trained heteroscedastic model; kernel is k_f, the rest describe g.
 
-    g_rows holds the training rows prepared for k_g and centered_lambda
-    Lambda - 1/2, both computed once for noise_at.
+    variational_lambda keeps one lambda per training row. g_rows holds the
+    unique training rows prepared for k_g and centered_lambda each state's
+    Lambda_u - c_u/2, both computed once for noise_at.
     """
 
     kernel_g: KernelParams
     mu0: float
     variational_lambda: np.ndarray
-    mu: np.ndarray = field(repr=False)
-    sigma_diag: np.ndarray = field(repr=False)
-    r_diag: np.ndarray = field(repr=False)
-    # u_g = L_A^-1 diag(sqrt lambda) so that S = u_g^T u_g; this is the
+    # u_g = L_A^-1 diag(sqrt Lambda_u) so that S = u_g^T u_g; this is the
     # Lambda=0-safe equivalent of factorizing K_g + Lambda^-1
     u_g: np.ndarray = field(repr=False)
-    g_rows: KernelRows = field(init=False, repr=False, compare=False)
-    centered_lambda: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.g_rows = KernelRows.prepare(self.train_inputs, self.kernel_g)
-        self.centered_lambda = self.variational_lambda - 0.5
+    g_rows: KernelRows = field(repr=False, compare=False)
+    centered_lambda: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_state(cls, state: VhgprState, x, y, target_offset: float = 0.0) -> "VhgprModel":
         x = _as_2d(x)
         y = np.asarray(y, dtype=float).ravel()
-        post = _posterior(state, kernel_matrix(x, x, state.kernel_g))
+        _check_lambda(state.variational_lambda, x.shape[0])
+        replicates = unique, inverse, counts = _replicates(x)
+        g_rows = KernelRows.prepare(unique, state.kernel_g)
+        totals = np.bincount(inverse, weights=state.variational_lambda)
+        post = _posterior(cross_covariance(unique, g_rows), totals, counts, state.mu0)
         return cls._conditioned(
-            state.kernel_f, x, y, post["r"], target_offset,
+            state.kernel_f, x, y, target_offset, replicates, post["r"],
             kernel_g=state.kernel_g, mu0=state.mu0, variational_lambda=state.variational_lambda,
-            mu=post["mu"], sigma_diag=post["sigma_diag"], r_diag=post["r"], u_g=post["u_g"],
+            u_g=post["u_g"], g_rows=g_rows, centered_lambda=post["v"],
         )
 
     @classmethod
@@ -158,22 +159,25 @@ class VhgprModel(GpPosterior):
         return np.exp((mu_star + 0.5 * sig2_star).clip(-_EXP_CLIP, _EXP_CLIP))
 
 
-def _posterior(state: VhgprState, kg: np.ndarray) -> dict:
-    """mu, diag(Sigma), R and the S-factor for fixed parameters and K_g."""
-    n = kg.shape[0]
-    lam = state.variational_lambda
+def _check_lambda(lam: np.ndarray, n: int) -> None:
     if lam.size != n:
         raise DimensionMismatchError(
             f"variational_lambda has {lam.size} entries for n={n} rows"
         )
+
+
+def _posterior(kg: np.ndarray, lam: np.ndarray, counts: np.ndarray, mu0: float) -> dict:
+    """mu, diag(Sigma), R and the S-factor of q(g) at rows with kernel matrix K_g,
+    lambda totals lam and replicate counts; counts of 1 give the row-level q(g)."""
+    n = kg.shape[0]
     sqrt_lam = np.sqrt(lam)
     a = np.eye(n) + sqrt_lam[:, None] * kg * sqrt_lam[None, :]
     chol_a, _ = robust_cholesky(a)
     u_g = solve_lower(chol_a, np.diag(sqrt_lam))
     ukg = u_g @ kg
     sigma_diag = np.diag(kg) - np.sum(ukg**2, axis=0)
-    v = lam - 0.5
-    mu = kg @ v + state.mu0
+    v = lam - 0.5 * counts
+    mu = kg @ v + mu0
     r = np.exp(np.clip(mu - 0.5 * sigma_diag, -_EXP_CLIP, _EXP_CLIP))
     return {
         "chol_a": chol_a,
@@ -201,8 +205,9 @@ def mv_bound(state: VhgprState, x, y):
         raise DimensionMismatchError("inputs and targets row counts differ")
 
     lam = state.variational_lambda
+    _check_lambda(lam, n)
     kg, kg_grads = kernel_matrix_grads(x, state.kernel_g)
-    post = _posterior(state, kg)
+    post = _posterior(kg, lam, np.ones(n), state.mu0)
     u_g, v = post["u_g"], post["v"]
     sigma_diag, r = post["sigma_diag"], post["r"]
     s = u_g.T @ u_g  # (K_g + Lambda^-1)^-1, valid at Lambda = 0

@@ -514,11 +514,13 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert isinstance(payload, dict) and payload["test_di"] == 0.5
 
+    @pytest.mark.parametrize("kind", ["sgpr", "vhgpr"])
     def test_train_and_evaluate_print_nlpd_and_coverage_after_nmse(
-        self, pipeline, tmp_path, capsys
+        self, kind, pipeline, tmp_path, capsys
     ):
+        # a model rebuilt from its file prints the held-out metrics training printed
         model_file = tmp_path / "model.json"
-        argv = ("--config", pipeline["config"], "--di-file", pipeline["di_csv"])
+        argv = ("--config", pipeline["config"], "--di-file", pipeline["di_csv"], "--model", kind)
         assert run("train", *argv, "--model-file", model_file) == 0
         trained = capsys.readouterr().out.split(": ", 1)[1]
         heldout = str(model_file) + ".heldout.csv"
@@ -1357,6 +1359,16 @@ BAD_INPUTS = {
     ),
     "vhgpr-model-lacks-mu0": (
         lambda p, t: _edited_model(_vhgpr_model_file(t), t, drop="mu0"), "lacks key 'mu0'"
+    ),
+    "vhgpr-model-lambda-too-short": (
+        lambda p, t: _edited_model(_vhgpr_model_file(t), t, variational_lambda=[0.5] * 5),
+        "variational_lambda has 5 entries for n=6 rows",
+    ),
+    "vhgpr-model-negative-lambda": (
+        lambda p, t: _edited_model(
+            _vhgpr_model_file(t), t, variational_lambda=[0.5] * 5 + [-0.5]
+        ),
+        "variational_lambda entries must be >= 0",
     ),
     "empty-truth-file": (
         lambda p, t: _report_argv(t, "[]", "# no rows\n"), "expected header"

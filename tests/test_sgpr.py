@@ -281,16 +281,54 @@ def test_noise_free_heldout_nmse_small(rng):
 
 
 def test_trained_model_factorization_invariants(rng):
+    # four states of five replicates: the model factors K_uu + diag(sn2 / 5)
+    # at the states and solves it against each state's mean target
     x = np.repeat(np.arange(4.0), 5).reshape(-1, 1)
     y = x.ravel() + 0.05 * rng.normal(size=20)
     model = train_sgpr(x, y, FAST_OPT)
-    ky = kernel_matrix(x, x, model.kernel) + model.noise_variance * np.eye(20)
+    states = np.arange(4.0).reshape(-1, 1)
+    ky = kernel_matrix(states, states, model.kernel) + model.noise_variance / 5 * np.eye(4)
     recon = model.chol_factor @ model.chol_factor.T
     # reconstruction may include the escalated jitter on the diagonal
     jitter = (recon - ky)[0, 0]
-    assert np.linalg.norm(recon - ky - jitter * np.eye(20)) <= 1e-10 * np.linalg.norm(ky)
-    residual = (ky + jitter * np.eye(20)) @ model.alpha - y
-    assert np.linalg.norm(residual) <= 1e-8 * max(np.linalg.norm(y), 1.0)
+    assert np.linalg.norm(recon - ky - jitter * np.eye(4)) <= 1e-10 * np.linalg.norm(ky)
+    means = y.reshape(4, 5).mean(axis=1)
+    residual = (ky + jitter * np.eye(4)) @ model.alpha - means
+    assert np.linalg.norm(residual) <= 1e-8 * max(np.linalg.norm(means), 1.0)
+
+
+def dense_sgpr_predict(kernel, log_noise, x, y, offset, xq):
+    """(mean, variance) of the posterior given every row: N x N dense solves."""
+    noise = math.exp(log_noise)
+    w = kernel_matrix(x, x, kernel) + noise * np.eye(len(y))
+    ks = kernel_matrix(xq, x, kernel)
+    latent = kernel.output_variance - np.einsum("ij,ji->i", ks, np.linalg.solve(w, ks.T))
+    return ks @ np.linalg.solve(w, y - offset) + offset, np.maximum(latent, 0.0) + noise
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_model_on_replicates_predicts_what_the_dense_row_algebra_gives(seed, replicate_layout):
+    rng = np.random.default_rng(seed)
+    x, y = replicate_layout(rng)
+    d = x.shape[1]
+    kernel = KernelParams(rng.normal(0.0, 0.5), rng.normal(0.0, 0.4, d))
+    log_noise = rng.normal(-3.0, 0.5)
+    model = SgprModel.from_hyperparams(kernel, log_noise, x, y, target_offset=0.25)
+    n_u = len(np.unique(x, axis=0))
+    assert model.chol_factor.shape == (n_u, n_u)
+    assert model.alpha.size == model.f_rows.scaled.shape[0] == n_u
+    xq = np.vstack((x, rng.uniform(-1.0, 5.0, size=(6, d))))
+    mean, variance = dense_sgpr_predict(kernel, log_noise, x, y, 0.25, xq)
+    got = model.predict(xq)
+    np.testing.assert_allclose(got.mean, mean, rtol=0.0, atol=1e-9 * np.abs(mean).max())
+    np.testing.assert_allclose(got.variance, variance, rtol=1e-9)
+
+    # the same rows in another order make the same model
+    order = rng.permutation(len(y))
+    shuffled = SgprModel.from_hyperparams(kernel, log_noise, x[order], y[order], 0.25).predict(xq)
+    scale = np.abs(got.mean).max()
+    np.testing.assert_allclose(shuffled.mean, got.mean, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(shuffled.variance, got.variance, rtol=1e-12)
 
 
 class TestMinimizeWithRestarts:

@@ -15,6 +15,7 @@ from gwquant.vhgpr import (
     _EXP_CLIP,
     VhgprModel,
     VhgprState,
+    _posterior,
     mv_bound,
     softplus,
     softplus_inverse,
@@ -166,10 +167,11 @@ class TestTrainVhgpr:
         q = np.arange(6.0).reshape(-1, 1)
         mom = vhgpr_predict(model, q)
         # noise part of the predictive variance, per state
+        states = np.unique(model.train_inputs, axis=0)
         vf = np.maximum(
             model.kernel.output_variance
             - np.sum(
-                np.linalg.solve(model.chol_factor, kernel_matrix(model.train_inputs, q, model.kernel)) ** 2,
+                np.linalg.solve(model.chol_factor, kernel_matrix(states, q, model.kernel)) ** 2,
                 axis=0,
             ),
             0.0,
@@ -211,9 +213,7 @@ class TestTrainVhgpr:
             state = VhgprState.unpack(theta, 1)
             value, _ = mv_bound(state, x, y)
             kg = kernel_matrix(x, x, state.kernel_g)
-            from gwquant.vhgpr import _posterior
-
-            r = _posterior(state, kg)["r"]
+            r = _posterior(kg, state.variational_lambda, np.ones(n), state.mu0)["r"]
             assert np.all(r > 0.0)
             trace.append(value)
 
@@ -294,35 +294,37 @@ class TestVhgprPredict:
         mom = vhgpr_predict(model, rng.normal(scale=3.0, size=(200, d)))
         assert np.all(mom.variance > 0.0)
 
-    def test_predictive_noise_moments_match_cached_posterior_at_train(self, rng):
-        # the literal mu*/s*^2 expressions reproduce the reparametrized
-        # posterior mu and diag(Sigma) when queried at the training inputs
+    def test_predictive_noise_moments_match_the_row_posterior_at_train(self, rng):
+        # the literal mu*/s*^2 expressions, with the model's S-factor over its
+        # unique rows, reproduce the row-level posterior mu and diag(Sigma)
+        # when queried at the training inputs
         n, d = 8, 2
-        x = rng.normal(size=(n, d))
+        x = np.repeat(rng.normal(size=(n // 2, d)), 2, axis=0)
         y = rng.normal(size=n)
         state = random_state(rng, n, d)
         model = VhgprModel.from_state(state, x, y)
         kgs = kernel_matrix(x, x, state.kernel_g)
+        post = _posterior(kgs, state.variational_lambda, np.ones(n), state.mu0)
         mu_star = kgs @ (state.variational_lambda - 0.5) + state.mu0
-        quad = np.sum((model.u_g @ kgs.T) ** 2, axis=0)
+        kg_states = kernel_matrix(x, np.unique(x, axis=0), state.kernel_g)
+        quad = np.sum((model.u_g @ kg_states.T) ** 2, axis=0)
         s2_star = state.kernel_g.output_variance - quad
-        assert np.max(np.abs(mu_star - model.mu)) <= 1e-8 * (1 + np.max(np.abs(model.mu)))
-        assert np.max(np.abs(s2_star - model.sigma_diag)) <= 1e-8 * (
-            1 + np.max(np.abs(model.sigma_diag))
+        assert np.max(np.abs(mu_star - post["mu"])) <= 1e-8 * (1 + np.max(np.abs(post["mu"])))
+        assert np.max(np.abs(s2_star - post["sigma_diag"])) <= 1e-8 * (
+            1 + np.max(np.abs(post["sigma_diag"]))
         )
 
-    def test_cached_posterior_satisfies_reparametrization_identities(self, rng):
+    def test_row_posterior_satisfies_reparametrization_identities(self, rng):
         n, d = 7, 1
         x = rng.normal(size=(n, d))
-        y = rng.normal(size=n)
         state = random_state(rng, n, d)
-        model = VhgprModel.from_state(state, x, y)
         kg = kernel_matrix(x, x, state.kernel_g)
+        post = _posterior(kg, state.variational_lambda, np.ones(n), state.mu0)
         sigma = np.linalg.inv(np.linalg.inv(kg) + np.diag(state.variational_lambda))
         mu = kg @ (state.variational_lambda - 0.5) + state.mu0
-        assert np.max(np.abs(model.mu - mu)) <= 1e-8 * (1 + np.max(np.abs(mu)))
-        assert np.max(np.abs(model.sigma_diag - np.diag(sigma))) <= 1e-8
-        assert np.max(np.abs(model.r_diag - np.exp(mu - np.diag(sigma) / 2))) <= 1e-8
+        assert np.max(np.abs(post["mu"] - mu)) <= 1e-8 * (1 + np.max(np.abs(mu)))
+        assert np.max(np.abs(post["sigma_diag"] - np.diag(sigma))) <= 1e-8
+        assert np.max(np.abs(post["r"] - np.exp(mu - np.diag(sigma) / 2))) <= 1e-8
 
     def test_reduces_to_sgpr_when_noise_gp_collapses(self, rng):
         # Lambda = 0 and vanishing kernel_g output variance make the noise
@@ -365,15 +367,20 @@ def _kernel_before(xa, xb, params):
 
 def _predict_before(model, xq):
     """(mean, variance) of sgpr_predict and noise_at as computed before a model
-    prepared its rows: the bit-for-bit oracle."""
+    prepared its rows, over the model's unique training rows: the bit-for-bit
+    oracle."""
     xq = _as_2d(xq)
-    k_star = _kernel_before(xq, model.train_inputs, model.kernel)
+    states, inverse, counts = np.unique(
+        model.train_inputs, axis=0, return_inverse=True, return_counts=True
+    )
+    k_star = _kernel_before(xq, states, model.kernel)
     mean = k_star @ model.alpha + model.target_offset
     v = solve_lower(model.chol_factor, k_star.T)
     latent = model.kernel.output_variance - np.sum(v**2, axis=0)
     if isinstance(model, VhgprModel):
-        kg_star = _kernel_before(xq, model.train_inputs, model.kernel_g)
-        mu_star = kg_star @ (model.variational_lambda - 0.5) + model.mu0
+        kg_star = _kernel_before(xq, states, model.kernel_g)
+        totals = np.bincount(inverse.ravel(), weights=model.variational_lambda)
+        mu_star = kg_star @ (totals - 0.5 * counts) + model.mu0
         quad = np.sum((model.u_g @ kg_star.T) ** 2, axis=0)
         sig2_star = np.maximum(model.kernel_g.output_variance - quad, 0.0)
         noise = np.exp(np.clip(mu_star + 0.5 * sig2_star, -_EXP_CLIP, _EXP_CLIP))
@@ -406,3 +413,67 @@ def test_predict_equals_the_unprepared_predict_bit_for_bit(kind, seed, tmp_path)
             got = sgpr_predict(m, xq)
             assert np.array_equal(got.mean, mean)
             assert np.array_equal(got.variance, variance)
+
+
+def dense_row_predict(state: VhgprState, x, y, offset, xq):
+    """(mean, variance) of the posterior given every row by N x N dense algebra.
+
+    q(g) is written through A = I + Lambda^1/2 K_g Lambda^1/2, with
+    S = Lambda^1/2 A^-1 Lambda^1/2 and Sigma = K_g - K_g S K_g, because K_g
+    is singular when rows repeat.
+    """
+    n = len(y)
+    lam = state.variational_lambda
+    kg = kernel_matrix(x, x, state.kernel_g)
+    sqrt_lam = np.sqrt(lam)
+    s = sqrt_lam[:, None] * np.linalg.inv(np.eye(n) + sqrt_lam[:, None] * kg * sqrt_lam) * sqrt_lam
+    sigma = kg - kg @ s @ kg
+    mu = kg @ (lam - 0.5) + state.mu0
+    w = kernel_matrix(x, x, state.kernel_f) + np.diag(np.exp(mu - np.diag(sigma) / 2.0))
+    kfs = kernel_matrix(xq, x, state.kernel_f)
+    kgs = kernel_matrix(xq, x, state.kernel_g)
+    latent = state.kernel_f.output_variance - np.einsum("ij,ji->i", kfs, np.linalg.solve(w, kfs.T))
+    s2 = state.kernel_g.output_variance - np.einsum("ij,jk,ik->i", kgs, s, kgs)
+    noise = np.exp(kgs @ (lam - 0.5) + state.mu0 + s2 / 2.0)
+    return kfs @ np.linalg.solve(w, y - offset) + offset, np.maximum(latent, 0.0) + noise
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_model_on_replicates_predicts_what_the_dense_row_algebra_gives(seed, replicate_layout):
+    rng = np.random.default_rng(seed)
+    x, y = replicate_layout(rng)
+    n, d = x.shape
+    state = random_state(rng, n, d, lam_low=0.0, lam_high=2.0)
+    state.mu0 -= 2.0
+    model = VhgprModel.from_state(state, x, y, target_offset=0.25)
+    states, inverse = np.unique(x, axis=0, return_inverse=True)
+    n_u, inverse = len(states), inverse.ravel()
+    assert model.chol_factor.shape == model.u_g.shape == (n_u, n_u)
+    assert model.alpha.size == model.centered_lambda.size == n_u
+    assert model.f_rows.scaled.shape[0] == model.g_rows.scaled.shape[0] == n_u
+    xq = np.vstack((x, rng.uniform(-1.0, 5.0, size=(6, d))))
+    mean, variance = dense_row_predict(state, x, y, 0.25, xq)
+    got = model.predict(xq)
+    np.testing.assert_allclose(got.mean, mean, rtol=0.0, atol=1e-9 * np.abs(mean).max())
+    np.testing.assert_allclose(got.variance, variance, rtol=1e-9)
+
+    # the model sees lambda only through each state's total, and the rows in
+    # any order: moving lambda within a state, or permuting the rows, keeps it
+    share = rng.uniform(0.1, 1.0, size=n)
+    share /= np.bincount(inverse, weights=share)[inverse]
+    moved = VhgprState(
+        state.kernel_f, state.kernel_g, state.mu0,
+        np.bincount(inverse, weights=state.variational_lambda)[inverse] * share,
+    )
+    order = rng.permutation(n)
+    permuted = VhgprState(
+        state.kernel_f, state.kernel_g, state.mu0, state.variational_lambda[order]
+    )
+    scale = np.abs(got.mean).max()
+    for other in (
+        VhgprModel.from_state(moved, x, y, target_offset=0.25),
+        VhgprModel.from_state(permuted, x[order], y[order], target_offset=0.25),
+    ):
+        again = other.predict(xq)
+        np.testing.assert_allclose(again.mean, got.mean, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(again.variance, got.variance, rtol=1e-12)
