@@ -39,6 +39,8 @@ from .signals import Signal
 
 DEFAULT_N_USE = 2500
 
+_EPS = float(np.finfo(float).eps)
+
 COLUMN_NAMES = ("damage", "load", "switch")
 
 # headers a DI CSV may carry: the input columns of a D-column dataset, then di
@@ -119,7 +121,8 @@ def normalized_di(
         DI    = sum (Yu[t] - Y0[t])
 
     as_written mode divides by y0[t] per index instead of projecting, and
-    raises DegenerateSignalError whenever the baseline has a zero sample.
+    raises DegenerateSignalError whenever the baseline has a zero sample:
+    one with |y0[t]| <= eps * max|y0|, whose quotient would swamp the sum.
     """
     if mode not in ("projection", "as_written"):
         raise InvalidArgumentError(f"unknown mode {mode!r}")
@@ -132,11 +135,13 @@ def normalized_di(
         raise DegenerateSignalError("baseline signal has zero energy")
     yu_n = yu / np.sqrt(eu)
     cross = float(np.sum(y0 * yu_n))
-    if mode == "as_written" and np.any(y0 == 0.0):
-        raise DegenerateSignalError(
-            "as_written mode divides by the baseline per index and the "
-            "baseline contains zero samples"
-        )
+    if mode == "as_written":
+        magnitude = np.abs(y0)
+        if np.any(magnitude <= _EPS * magnitude.max()):
+            raise DegenerateSignalError(
+                "as_written mode divides by the baseline per index and the "
+                "baseline contains zero samples (|y0[t]| <= eps * max|y0|)"
+            )
     # a tiny baseline overflows the quotient; build_di_dataset's finiteness
     # check reports that, so numpy need not warn of it
     with np.errstate(all="ignore"):

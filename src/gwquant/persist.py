@@ -18,12 +18,13 @@ repr round-trips float64 exactly; ``train_inputs`` has one column per
 covariate, damage first. Building a model from its text decodes it, factors
 its matrices and grids its training damages, deterministically, so equal
 text gives an equal model: ``load_model`` keeps the last
-``_MODEL_MEMO_SIZE`` models it built, keyed by the file's text, and returns
-the kept one, read-only, when a file holds the same text again.
+``_MODEL_MEMO_SIZE`` models it built, keyed by the file's bytes, and returns
+the kept one, read-only, when a file holds the same bytes again.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -102,27 +103,47 @@ _SCHEMAS = {
 _COMMON = {"target_offset": _scalar, "train_inputs": _matrix, "train_targets": _vector}
 
 
+def _non_ascii_line(lines) -> int | None:
+    """The number of the first line that is not ASCII, lines read as latin-1,
+    which decodes any byte and splits lines as the ASCII reader does."""
+    return next((n for n, line in enumerate(lines, start=1) if not line.isascii()), None)
+
+
 @contextmanager
-def open_ascii(path, error=InvalidArgumentError):
+def open_ascii(path, error=InvalidArgumentError, raw=False):
     """The text file at path, opened to be read as ASCII and streamed like open.
 
     A non-ASCII byte raises ``error("not ASCII text", line, path)``, which
     reads ``<path>: line N: not ASCII text``, in place of a UnicodeDecodeError;
-    a path that holds a NUL byte raises ``error`` too.
+    a path that holds a NUL byte raises ``error`` too. With raw, the file is
+    opened in binary mode, and ``_ascii_text`` reads its bytes as this reads
+    the text.
     """
     try:
-        fh = open(path, "r", encoding="ascii")
+        fh = open(path, "rb") if raw else open(path, "r", encoding="ascii")
     except ValueError as exc:  # a NUL byte in the path
         raise error(f"cannot open ({exc})", path=path) from None
     with fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            # text mode decodes whole blocks, so the line is found afresh;
-            # latin-1 decodes any byte and splits lines as the ASCII reader does
+            # text mode decodes whole blocks, so the line is found afresh
             with open(path, "r", encoding="latin-1") as text:
-                line = next((n for n, ln in enumerate(text, start=1) if not ln.isascii()), None)
+                line = _non_ascii_line(text)
             raise error("not ASCII text", line, path) from None
+
+
+def _ascii_text(data: bytes, path, error=InvalidArgumentError) -> str:
+    """The text that open_ascii reads from the file at path, whose bytes are data.
+
+    Newlines are translated as text mode translates them; a non-ASCII byte
+    raises ``error("not ASCII text", line, path)``.
+    """
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="ascii").read()
+    except UnicodeDecodeError:
+        line = _non_ascii_line(io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+        raise error("not ASCII text", line, path) from None
 
 
 def read_json(path, kind: str, error=InvalidArgumentError, text: str | None = None):
@@ -236,9 +257,9 @@ def save_model(path, model, seed: int | None = None) -> None:
 
 # How many built models load_model keeps, the least recently used dropped first.
 _MODEL_MEMO_SIZE = 4
-# file text -> the read-only model built from it, least recently used first;
+# file bytes -> the read-only model built from them, least recently used first;
 # a lookup, build and update hold the lock, so threads never see it half done
-_model_memo: dict[str, SgprModel | VhgprModel] = {}
+_model_memo: dict[bytes, SgprModel | VhgprModel] = {}
 _model_memo_lock = threading.Lock()
 
 
@@ -255,21 +276,24 @@ def _read_only(model):
 def load_model(path):
     """The model saved at path; malformed JSON raises an error naming the file.
 
-    A model built from text loaded before is returned again: it is shared
-    with every caller that loaded that text, so its arrays are read-only. A
-    model is built under numpy's raising error state, as ``cli.main`` runs
-    commands, so what is kept does not depend on the caller's error state;
-    a failed build keeps nothing.
+    The file is read on every call, as bytes; a model built from the same
+    bytes before is returned again: it is shared with every caller that
+    loaded them, so its arrays are read-only. The bytes are decoded and
+    checked as ASCII text only when a model is built from them. A model is
+    built under numpy's raising error state, as ``cli.main`` runs commands,
+    so what is kept does not depend on the caller's error state; a failed
+    build keeps nothing.
     """
-    with open_ascii(path, SchemaMismatchError) as fh:
-        text = fh.read()
+    with open_ascii(path, SchemaMismatchError, raw=True) as fh:
+        data = fh.read()
     with _model_memo_lock:
-        model = _model_memo.pop(text, None)
+        model = _model_memo.pop(data, None)
         if model is None:
+            text = _ascii_text(data, path, SchemaMismatchError)
             with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))
             if len(_model_memo) >= _MODEL_MEMO_SIZE:
                 del _model_memo[next(iter(_model_memo))]
-        _model_memo[text] = model
+        _model_memo[data] = model
     return model

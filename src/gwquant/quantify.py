@@ -15,7 +15,12 @@ The candidate grid defaults to the unique training states.
 One scoring core, ``score_test_dis``, scores a whole vector of test DIs at
 once: the grid's predictive moments, a blocked search for each DI's nearest
 training target, whose variance the model holds (``row_variance``), and the
-CDF differences as one (n_test x n_grid) array. A grid state the model was
+CDF differences as one (n_test x n_grid) array. Per request it does only the
+work that depends on the test DIs: it reads the model's 1-D targets and row
+variances as they are, looks each grid row up in the model's moments as
+the tuple the grid holds, and computes both interval ends' CDFs apart, with
+the same elementwise operations as ``gaussian_cdf`` but without re-checking
+the model's own variances. A grid state the model was
 trained at takes the moments the model holds (``state_moments``); the
 other states, refined damages or an untrained load, take one predict
 together, so a training state scores alike in every grid. It returns arrays
@@ -57,6 +62,8 @@ DEFAULT_LOW_CONFIDENCE_THRESHOLD = 0.05
 # distances held at once by the nearest-target search (test DIs x rows)
 _SEARCH_BLOCK = 1 << 16
 
+_SQRT2 = np.sqrt(2.0)
+
 
 @dataclass
 class StateProbabilityTable:
@@ -94,16 +101,17 @@ def gaussian_cdf(s, mean, variance):
     """Gaussian CDF at s, computed through the complementary error function.
 
     Broadcasts over array arguments; returns a float for all-scalar input.
+    A variance that is not > 0, NaN included, is refused.
     """
-    if np.any(np.asarray(variance) <= 0):
+    if not np.all(np.asarray(variance) > 0):
         raise InvalidArgumentError("variance must be > 0")
     z = (np.asarray(s, dtype=float) - mean) / np.sqrt(variance)
-    out = 0.5 * erfc(-z / np.sqrt(2.0))
+    out = 0.5 * erfc(-z / _SQRT2)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
-    """Assemble model queries over canonical columns damage, load, switch.
+def _query_rows(grid: StateGrid, fixed_covariates, ndim: int) -> list[tuple]:
+    """Model queries over canonical columns damage, load, switch, as tuples.
 
     Each row is a grid state followed by the fixed values the model takes
     after the grid's columns, in canonical order.
@@ -136,7 +144,7 @@ def _query_matrix(grid: StateGrid, fixed_covariates, ndim: int) -> np.ndarray:
             f"covariates {extra} not used by a {ndim}-input model"
         )
     tail = tuple(values[c] for c in needed[width:])
-    return np.array([state + tail for state in grid.states])
+    return [state + tail for state in grid.states]
 
 
 def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarray:
@@ -146,32 +154,36 @@ def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarr
     stays within that reference class, so the other class's predictive
     moments are never read.
     """
-    targets = np.asarray(model.train_targets, dtype=float).ravel()
-    rows = np.arange(targets.size)
+    targets, rows = model.train_targets, None
     if switch is not None and model.ndim >= 3:
-        rows = rows[np.asarray(model.train_inputs)[:, 2] == switch]
+        rows = np.flatnonzero(model.train_inputs[:, 2] == switch)
         if rows.size == 0:
             raise CovariateMismatchError(f"no training rows with switch={switch:g}")
-    candidates = targets[rows]
-    step = max(1, _SEARCH_BLOCK // rows.size)
+        targets = targets[rows]
+    step = max(1, _SEARCH_BLOCK // targets.size)
     nearest = np.empty(test_dis.size, dtype=int)
     for start in range(0, test_dis.size, step):
         block = test_dis[start : start + step, None]
         # argmin takes the first minimum: the smallest row among equal distances
-        nearest[start : start + step] = rows[np.abs(candidates - block).argmin(axis=1)]
-    return nearest
+        nearest[start : start + step] = np.abs(targets - block).argmin(axis=1)
+    return nearest if rows is None else rows[nearest]
 
 
-def _grid_moments(model, queries: np.ndarray) -> np.ndarray:
+def _grid_moments(model, queries: list[tuple]) -> np.ndarray:
     """(mean, variance) rows at the query rows: a training state's from the
     model's state_moments, the other rows from one predict, in query order."""
-    moments = [model.state_moments.get(row) for row in map(tuple, queries.tolist())]
+    moments = list(map(model.state_moments.get, queries))
     missing = [i for i, m in enumerate(moments) if m is None]
     if missing:
-        predicted = model.predict(queries[missing])
+        predicted = model.predict(np.array([queries[i] for i in missing]))
         for i, m, v in zip(missing, predicted.mean.tolist(), predicted.variance.tolist()):
             moments[i] = (m, v)
     return np.array(moments).T
+
+
+def _cdf(s: np.ndarray, mean: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """gaussian_cdf(s, mean, root**2) without its check, operation for operation."""
+    return 0.5 * erfc(-((s - mean) / root) / _SQRT2)
 
 
 @dataclass(frozen=True)
@@ -221,21 +233,24 @@ def score_test_dis(
     """Score a 1-D array of test DIs over the grid: the core of every entry point."""
     if not np.isfinite(test_dis).all():
         raise InvalidArgumentError("test_di must be finite")
-    queries = _query_matrix(grid, fixed_covariates, model.ndim)
+    queries = _query_rows(grid, fixed_covariates, model.ndim)
     nearest = _nearest_rows(model, test_dis, (fixed_covariates or {}).get("switch"))
-    y_closest = np.asarray(model.train_targets, dtype=float).ravel()[nearest]
+    y_closest = model.train_targets[nearest]
     v_closest = model.row_variance[nearest]
     half_width = (2.0 * np.sqrt(v_closest))[:, None]
-    bounds = np.stack((test_dis[:, None] + half_width, test_dis[:, None] - half_width))
 
+    # gaussian_cdf at the two interval ends, without its variance check: the
+    # variances are the model's own
     mean, variance = _grid_moments(model, queries)
-    upper, lower = gaussian_cdf(bounds, mean, variance)
-    probs = (upper - lower).clip(0.0, 1.0)
+    root = np.sqrt(variance)
+    centre = test_dis[:, None]
+    upper = _cdf(centre + half_width, mean, root)
+    probs = (upper - _cdf(centre - half_width, mean, root)).clip(0.0, 1.0)
 
     # grid states are sorted, so the first maximum is the smallest damage
     # then load among ties
     best = probs.argmax(axis=1)
-    top = probs[np.arange(best.size), best]
+    top = probs.max(axis=1)
     return Scores(grid.states, test_dis, y_closest, v_closest, probs, best, top < threshold)
 
 
@@ -271,7 +286,8 @@ def state_probabilities(
 
 def single_state_scores(model, grid: StateGrid, test_dis, known_load, threshold) -> Scores:
     """The scores of predict_single_state: a damage-only grid, the load fixed if known."""
-    if any(len(s) != 1 for s in grid.states):
+    # a StateGrid's states are all of one width
+    if len(grid.states[0]) != 1:
         raise InvalidArgumentError("predict_single_state expects a damage-only grid")
     fixed = {} if known_load is None else {"load": float(known_load)}
     return score_test_dis(model, grid, test_dis, fixed, threshold)

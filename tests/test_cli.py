@@ -1610,7 +1610,13 @@ BAD_INPUTS = {
         lambda p, t: _cell_di_argv(
             t, ["1e-320\n1\n2\n", "1\n2\n1\n"], "--kind", "normalized", "--mode", "as-written"
         ),
-        "DI value must be finite",
+        "DegenerateSignalError: as_written mode divides by the baseline per index",
+    ),
+    "as-written-tiny-baseline-sample": (
+        lambda p, t: _cell_di_argv(
+            t, ["1e-17\n1\n2\n", "1\n2\n1\n"], "--kind", "normalized", "--mode", "as-written"
+        ),
+        "baseline contains zero samples (|y0[t]| <= eps * max|y0|)",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Damage-index formula oracles and dataset assembly tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,26 @@ class TestNormalizedDi:
     def test_as_written_zero_baseline_sample_raises(self):
         with pytest.raises(DegenerateSignalError, match="zero samples"):
             normalized_di(sig([1.0, 0.0, 2.0]), sig([1.0, 1.0, 1.0]), 3, mode="as_written")
+
+    @pytest.mark.parametrize("tiny", [1e-17, -1e-17, 1e-300, 5e-324, 4.4e-16])
+    def test_as_written_refuses_a_baseline_sample_within_eps_of_zero(self, tiny):
+        # without the refusal 1e-17 gave a DI of -3.5e16 here and 1e-300 one
+        # of -3.5e299; 4.4e-16 is eps * 2, the largest magnitude refused here
+        assert abs(tiny) <= np.finfo(float).eps * 2.0
+        with pytest.raises(DegenerateSignalError, match=re.escape("|y0[t]| <= eps * max|y0|")):
+            normalized_di(sig([tiny, 1.0, 2.0]), sig([1.0, 1.0, 1.0]), 3, mode="as_written")
+
+    def test_as_written_keeps_a_baseline_sample_just_above_eps(self):
+        y0 = np.array([np.nextafter(np.finfo(float).eps * 2.0, 1.0), 1.0, 2.0])
+        yu = np.array([1.0, 1.0, 1.0])
+        got = normalized_di(sig(y0), sig(yu), 3, mode="as_written")
+        yu_n = yu / math.sqrt(float(np.sum(yu**2)))
+        cross = float(np.sum(y0 * yu_n))
+        e0 = float(np.sum(y0**2))
+        expected = sum(yu_n[t] - cross / (y0[t] * e0) for t in range(3))
+        assert math.isfinite(got) and got == pytest.approx(expected, rel=1e-12)
+        # projection mode divides by no sample, so it keeps every baseline
+        assert math.isfinite(normalized_di(sig([1e-300, 1.0, 2.0]), sig(yu), 3))
 
     def test_degenerate_signals_rejected(self):
         with pytest.raises(DegenerateSignalError):

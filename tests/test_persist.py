@@ -2,11 +2,12 @@
 
 The decoder must accept the same JSON values as the object-array decoder it
 replaced, with the same array bit for bit, and reject the same values with
-the same message. load_model must build each distinct file text once, keep
-no failure, and hand out models no caller can change.
+the same message. load_model must build each distinct file once, keyed by
+its bytes, keep no failure, and hand out models no caller can change.
 """
 
 import json
+import shutil
 import sys
 import threading
 
@@ -20,7 +21,7 @@ import gwquant.vhgpr
 from gwquant import persist
 from gwquant.errors import SchemaMismatchError
 from gwquant.kernels import KernelParams
-from gwquant.persist import _numbers, load_model, save_model
+from gwquant.persist import _numbers, load_model, open_ascii, save_model
 from gwquant.sgpr import SgprModel
 from gwquant.vhgpr import VhgprModel, VhgprState
 
@@ -157,6 +158,68 @@ def test_a_second_load_of_the_same_text_builds_nothing(memo, tmp_path):
     (tmp_path / "copy.json").write_text((tmp_path / "sgpr.json").read_text())
     assert load_model(tmp_path / "copy.json") is load_model(tmp_path / "sgpr.json")
     assert memo == built
+
+
+def test_a_byte_identical_copy_is_a_memo_hit(memo, tmp_path):
+    save_model(tmp_path / "model.json", _vhgpr())
+    first = load_model(tmp_path / "model.json")
+    built = dict(memo)
+    shutil.copyfile(tmp_path / "model.json", tmp_path / "copy.json")
+    assert load_model(tmp_path / "copy.json") is first
+    assert memo == built
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda data: data[:-1] + b" ",  # the last newline made a space
+        lambda data: data.replace(b"\n", b"\r\n"),  # the same text in text mode
+        lambda data: data.replace(b'"d": 1', b'"d": 1 ', 1),
+    ],
+    ids=["trailing-space", "crlf", "inner-space"],
+)
+def test_a_file_one_byte_apart_is_built_again(memo, tmp_path, change):
+    path = tmp_path / "model.json"
+    save_model(path, _sgpr())
+    first = load_model(path)
+    data = path.read_bytes()
+    path.write_bytes(change(data))
+    assert path.read_bytes() != data
+    second = load_model(path)
+    assert second is not first
+    assert memo["builds"] == 2
+    xq = np.array([[0.5], [2.5]])
+    assert first.predict(xq).mean.tobytes() == second.predict(xq).mean.tobytes()
+    # both are kept: each set of bytes finds its own model
+    path.write_bytes(data)
+    assert load_model(path) is first
+    assert memo["builds"] == 2
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_non_ascii_model_file_names_its_line_as_open_ascii_does(memo, tmp_path, newline):
+    path = tmp_path / "model.json"
+    save_model(path, _sgpr())
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2] + "\u00e9"
+    path.write_bytes(newline.join(lines).encode("latin-1"))
+    with pytest.raises(SchemaMismatchError) as read:
+        with open_ascii(path, SchemaMismatchError) as fh:
+            fh.read()
+    assert str(read.value) == f"{path}: line 3: not ASCII text"
+    for _ in range(2):
+        with pytest.raises(SchemaMismatchError) as loaded:
+            load_model(path)
+        assert str(loaded.value) == str(read.value)
+        assert loaded.value.line == 3
+    assert persist._model_memo == {} and memo["builds"] == 0
+
+
+def test_a_path_with_a_nul_byte_is_refused(memo, tmp_path):
+    path = str(tmp_path / "model\0.json")
+    with pytest.raises(SchemaMismatchError, match="cannot open"):
+        load_model(path)
+    assert persist._model_memo == {}
 
 
 def test_a_rewritten_file_is_read_afresh(memo, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gwquant.sgpr
-from gwquant import persist
+from gwquant import persist, quantify
 from gwquant.cli import main
 from gwquant.damage_index import COLUMN_NAMES
 from gwquant.errors import (
@@ -27,15 +27,16 @@ from gwquant.persist import load_model, save_model
 from gwquant.quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     StateGrid,
-    _query_matrix,
+    _query_rows,
     gaussian_cdf,
     predict_single_state,
     predict_two_states,
+    score_test_dis,
     state_probabilities,
     summarize_predictions,
 )
 from gwquant.sgpr import OptimizerConfig, PredictiveMoments, SgprModel, train_sgpr
-from gwquant.vhgpr import train_vhgpr
+from gwquant.vhgpr import VhgprModel, VhgprState, train_vhgpr
 
 TWO_SIGMA_MASS = math.erf(math.sqrt(2.0))  # Phi(2) - Phi(-2)
 
@@ -92,6 +93,12 @@ class TestGaussianCdf:
         with pytest.raises(InvalidArgumentError):
             gaussian_cdf(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("variance", [-1.0, -0.0, math.nan, [1.0, math.nan], [math.nan, -1.0]])
+    def test_a_variance_not_above_zero_nan_included_is_refused(self, variance):
+        # NaN <= 0 is False, so a check for <= 0 let a NaN variance through
+        with pytest.raises(InvalidArgumentError, match="variance must be > 0"):
+            gaussian_cdf(0.1, 0.0, variance)
+
 
 def two_state_stub(v_closest=0.04, means=(0.0, 1.0), variances=(0.04, 0.04)):
     moments = {
@@ -103,7 +110,7 @@ def two_state_stub(v_closest=0.04, means=(0.0, 1.0), variances=(0.04, 0.04)):
 
 
 def _column_query_matrix(grid, fixed_covariates, ndim):
-    """The query matrix built column by column: the oracle of _query_matrix."""
+    """The query matrix built column by column: the oracle of _query_rows."""
     fixed = dict(fixed_covariates or {})
     unknown = set(fixed) - set(COLUMN_NAMES)
     if unknown:
@@ -124,6 +131,14 @@ def _column_query_matrix(grid, fixed_covariates, ndim):
     if extra:
         raise CovariateMismatchError(f"covariates {extra} not used by a {ndim}-input model")
     return np.column_stack([columns[c] for c in needed])
+
+
+def _query_row_matrix(grid, fixed_covariates, ndim):
+    """_query_rows as a matrix, after checking that each row is a tuple of
+    floats, as the state_moments keys are."""
+    rows = _query_rows(grid, fixed_covariates, ndim)
+    assert all(type(row) is tuple and set(map(type, row)) == {float} for row in rows)
+    return np.array(rows)
 
 
 def _query_outcome(build, grid, fixed, ndim):
@@ -235,7 +250,7 @@ class TestStateProbabilities:
     )
     def test_query_matrix_equals_the_column_oracle(self, states, width, fixed, ndim):
         grid = StateGrid([s[:width] for s in states])
-        assert _query_outcome(_query_matrix, grid, dict(fixed), ndim) == _query_outcome(
+        assert _query_outcome(_query_row_matrix, grid, dict(fixed), ndim) == _query_outcome(
             _column_query_matrix, grid, dict(fixed), ndim
         )
 
@@ -899,4 +914,135 @@ def test_a_non_finite_fixed_covariate_is_refused_before_any_arithmetic(value, or
     with np.errstate(all="raise"), pytest.raises(InvalidArgumentError, match=message):
         state_probabilities(sgpr, grid, 0.21, {"switch": value})
     with pytest.raises(InvalidArgumentError, match=message):
-        _query_matrix(grid, {"switch": value}, 3)
+        _query_rows(grid, {"switch": value}, 3)
+
+
+# score_test_dis against the formulation it replaced, kept as its reference
+
+
+def _stacked_scores(model, grid, test_dis, fixed, threshold):
+    """The scoring core as first written: a query matrix whose rows go back
+    to tuples, nearest rows mapped through arange, and both interval ends
+    stacked into one gaussian_cdf call. Returns Scores' fields in order."""
+    fixed = fixed or {}
+    tail = tuple(float(fixed[c]) for c in COLUMN_NAMES[len(grid.states[0]) : model.ndim])
+    queries = np.array([state + tail for state in grid.states])
+
+    targets = np.asarray(model.train_targets, dtype=float).ravel()
+    rows = np.arange(targets.size)
+    if fixed.get("switch") is not None and model.ndim >= 3:
+        rows = rows[np.asarray(model.train_inputs)[:, 2] == fixed["switch"]]
+    candidates = targets[rows]
+    step = max(1, quantify._SEARCH_BLOCK // rows.size)
+    nearest = np.empty(test_dis.size, dtype=int)
+    for start in range(0, test_dis.size, step):
+        block = test_dis[start : start + step, None]
+        nearest[start : start + step] = rows[np.abs(candidates - block).argmin(axis=1)]
+    y_closest = targets[nearest]
+    v_closest = model.row_variance[nearest]
+    half_width = (2.0 * np.sqrt(v_closest))[:, None]
+    bounds = np.stack((test_dis[:, None] + half_width, test_dis[:, None] - half_width))
+
+    moments = [model.state_moments.get(row) for row in map(tuple, queries.tolist())]
+    missing = [i for i, m in enumerate(moments) if m is None]
+    if missing:
+        predicted = model.predict(queries[missing])
+        for i, m, v in zip(missing, predicted.mean.tolist(), predicted.variance.tolist()):
+            moments[i] = (m, v)
+    mean, variance = np.array(moments).T
+    upper, lower = gaussian_cdf(bounds, mean, variance)
+    probs = (upper - lower).clip(0.0, 1.0)
+    best = probs.argmax(axis=1)
+    top = probs[np.arange(best.size), best]
+    return grid.states, test_dis, y_closest, v_closest, probs, best, top < threshold
+
+
+def _random_model(rng, x, y):
+    """An SGPR or a VHGPR model of random hyperparameters on rows x, y."""
+    d = x.shape[1]
+    kernel = KernelParams(rng.normal(0.0, 0.5), rng.normal(0.0, 0.5, d))
+    if rng.random() < 0.5:
+        return SgprModel.from_hyperparams(kernel, rng.uniform(-6.0, -1.0), x, y)
+    kernel_g = KernelParams(rng.normal(-1.0, 0.5), rng.normal(0.0, 0.5, d))
+    state = VhgprState(kernel, kernel_g, rng.uniform(-5.0, -2.0), rng.uniform(0.0, 2.0, len(x)))
+    return VhgprModel.from_state(state, x, y)
+
+
+def _scoring_cases(rng, draw_layout):
+    """(name, model, grid, fixed covariates) over random replicate layouts and
+    both-class layouts: training grids, refined grids, an untrained load and
+    the two switch-filtered grids of a two-state request."""
+    for i in range(12):
+        x, y = draw_layout(rng)
+        y[rng.integers(len(y))] = y[0]  # an equal target at another row: a tied distance
+        model = _random_model(rng, x, y)
+        name = f"layout{i}-{type(model).__name__}-d{model.ndim}"
+        if model.ndim == 1:
+            yield name, model, model.damage_grid, None
+            yield name + "-refined", model, model.damage_grid.refine(2), None
+        elif model.ndim == 2:
+            full = StateGrid.from_training_inputs(x)
+            yield name, model, full, None
+            yield name + "-refined", model, full.refine(1), None
+            yield name + "-trained-load", model, model.damage_grid, {"load": float(x[0, 1])}
+            untrained = float(x[:, 1].max()) + 1.0
+            yield name + "-untrained-load", model, model.damage_grid, {"load": untrained}
+        else:
+            fixed = {"switch": float(x[0, 2])}
+            yield name + "-switch", model, StateGrid.from_training_inputs(x), fixed
+    for i in range(4):
+        x, y = eq20_layout(
+            [0.0, 1.0, 2.0], [0.0, 5.0], lambda d, w: d + 0.02 * w, lambda d, w: 0.3 * w + 0.05 * d,
+            reps=3, noise=0.05, rng=rng,
+        )
+        y[[4, 30]] = y[[0, 21]]
+        model = _random_model(rng, x, y)
+        name = f"both-classes{i}-{type(model).__name__}"
+        yield name + "-step1", model, StateGrid.from_training_inputs(x), {"switch": 1.0}
+        damage = float(rng.choice([0.0, 1.0, 2.0]))
+        step2 = StateGrid([(damage, 0.0), (damage, 5.0)])
+        yield name + "-step2", model, step2, {"switch": 2.0}
+
+
+def _scored_dis(rng, model, fixed, size):
+    """size test DIs: the searched targets themselves, points equally far from
+    two of them, draws across their range and far points that tie many."""
+    targets = np.asarray(model.train_targets)
+    if fixed and "switch" in fixed:
+        targets = targets[model.train_inputs[:, 2] == fixed["switch"]]
+    pool = [
+        *targets.tolist(),
+        *_equidistant_points(targets),
+        *rng.uniform(targets.min() - 1.0, targets.max() + 1.0, 8).tolist(),
+        1e18, -1e18,
+    ]
+    return np.array(rng.choice(pool, size))
+
+
+def test_the_scoring_core_equals_its_stacked_reference_bit_for_bit(
+    rng, replicate_layout, monkeypatch
+):
+    # a small search block, so that batches fall on both sides of one block
+    monkeypatch.setattr(quantify, "_SEARCH_BLOCK", 64)
+    seen = set()
+    for name, model, grid, fixed in _scoring_cases(rng, replicate_layout):
+        searched = np.asarray(model.train_targets)
+        if fixed and "switch" in fixed:
+            searched = searched[model.train_inputs[:, 2] == fixed["switch"]]
+        step = max(1, quantify._SEARCH_BLOCK // searched.size)
+        for size in sorted({1, max(1, step - 1), step, step + 1, 3 * step + 2}):
+            seen.add("one block" if size <= step else "blocks")
+            test_dis = _scored_dis(rng, model, fixed, size)
+            got = score_test_dis(model, grid, test_dis, fixed, DEFAULT_LOW_CONFIDENCE_THRESHOLD)
+            want = _stacked_scores(model, grid, test_dis, fixed, DEFAULT_LOW_CONFIDENCE_THRESHOLD)
+            assert got.states == want[0], name
+            for field_name, expected in zip(
+                ("test_dis", "closest_dis", "closest_variances", "probabilities", "best",
+                 "low_confidence"),
+                want[1:],
+            ):
+                value = getattr(got, field_name)
+                assert value.dtype == expected.dtype, (name, field_name)
+                assert value.shape == expected.shape, (name, field_name)
+                assert value.tobytes() == expected.tobytes(), (name, field_name, size)
+    assert seen == {"one block", "blocks"}
