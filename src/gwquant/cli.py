@@ -77,7 +77,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, open_ascii
-from .persist import read_json, save_model
+from .persist import read_json, save_model, write_staged
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     single_state_scores,
@@ -275,13 +275,13 @@ def _config(args) -> SimpleNamespace:
         config = SimpleNamespace(**{name: getattr(whole, name) for name in names})
     else:
         config = SimpleNamespace(**{name: _DEFAULTS[name]() for name in names})
-    env = os.environ.get(SEED_ENV_VAR)
     for section, seed_field in sections.items():
         for name in _SECTION_FIELDS[section]:
             text = getattr(args, name)
             if text is not None:
                 _overlay(config, section, name, _flag(name), text)
-        if seed_field is not None and env is not None:
+        env = None if seed_field is None else os.environ.get(SEED_ENV_VAR)
+        if env is not None:
             _overlay(config, section, seed_field, SEED_ENV_VAR, env)
     return config
 
@@ -401,8 +401,8 @@ def _fan_out_worker(fn, items, sender) -> None:
 
 
 def _write_signal_file(cell) -> None:
-    path, signals, comment = cell
-    atomic_write_text(path, signals_to_csv_text(signals, comment=comment))
+    staging, signals, comment = cell
+    write_staged(staging, signals_to_csv_text(signals, comment=comment))
 
 
 def cmd_simulate(args) -> int:
@@ -412,9 +412,9 @@ def cmd_simulate(args) -> int:
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
     cells, manifest = [], []
-    # each cell is written to a staging file, then renamed into place in cell
-    # order: from the first cell that fails, no later cell is left, as when
-    # one process writes the cells in turn
+    # each cell is written into its own staging file, then renamed into place
+    # in cell order: from the first cell that fails, no later cell is left, as
+    # when one process writes the cells in turn
     renamed = 0
     try:
         for damage in config.damage_grid:
@@ -585,6 +585,24 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=8)
+def _tables_skeleton(ids: tuple, states: tuple) -> tuple[tuple[str, ...], str]:
+    """(each state's argmax object, a table's text up to its probabilities' end
+    as a %-template) of a grid's states; ids are the states' ids.
+
+    Equal floats can be written apart (0.0 and -0.0), so the ids key the
+    skeleton to these very state tuples, which the cache keeps alive: a grid
+    a model holds is written once, and a grid made afresh once per request.
+    """
+    members = [
+        f'"damage": {s[0]!r}, "load": {"null" if len(s) == 1 else repr(s[1])}'
+        for s in states
+    ]
+    argmax = tuple("{" + m + "}" for m in members)
+    entries = ", ".join("{" + m + ', "p": %r}' for m in members)
+    return argmax, '{"argmax": %s, "low_confidence": %s, "probabilities": [' + entries + "], "
+
+
 def _predictions_json(scores, step1_reference_load=None) -> str:
     """json.dumps(tables, sort_keys=True) of the scored tables, written from the arrays.
 
@@ -595,21 +613,13 @@ def _predictions_json(scores, step1_reference_load=None) -> str:
     as a list. Every number is a float, written by its repr as json writes
     it: each grid's text is one %-template, filled with each row's floats.
     """
-
-    members = [
-        f'"damage": {s[0]!r}, "load": {"null" if len(s) == 1 else repr(s[1])}'
-        for s in scores.states
-    ]
-    argmax = ["{" + m + "}" for m in members]
-    entries = ", ".join("{" + m + ', "p": %r}' for m in members)
+    states = tuple(scores.states)
+    argmax, head = _tables_skeleton(tuple(map(id, states)), states)
     reference = (
         "" if step1_reference_load is None
         else f'"step1_reference_load": {float(step1_reference_load)!r}, '
     )
-    template = (
-        '{"argmax": %s, "low_confidence": %s, "probabilities": ['
-        + entries + "], " + reference + '"test_di": %r}'
-    )
+    template = head + reference + '"test_di": %r}'
     flags = ("false", "true")
     tables = [
         template % (argmax[k], flags[low], *row, di)
@@ -764,7 +774,7 @@ def cmd_report(args) -> int:
     predictions = payload if isinstance(payload, list) else [payload]
 
     _, rows = read_csv_table(args.true_file, [("damage",), ("damage", "load")])
-    true_states = [tuple(row) for row in rows.tolist()]
+    true_states = rows.tolist()
     if len(true_states) != len(predictions):
         raise InvalidArgumentError(
             f"{len(true_states)} true states vs {len(predictions)} predictions"
@@ -934,19 +944,27 @@ def _plain_args(argv: list) -> argparse.Namespace | None:
         values[flag.dest] = value
     if any(values[dest] is None for dest in required):
         return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), a plain argv read by _plain_args without argparse."""
+    """build_parser().parse_args(argv), a plain argv read by _plain_args without argparse.
+
+    argparse turns a flag's value "--" (as in --out=--) into []; it is taken
+    as written. A plain argv never holds such a value.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    return _plain_args(argv) or build_parser().parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
+    return args
 
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    # argparse turns a flag's value "--" (as in --out=--) into []; take it as written
-    vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
     try:
         # numpy raises on overflow, invalid and divide, and a UserWarning
         # (constant training targets) is raised, in place of a warning line;

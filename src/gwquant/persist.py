@@ -1,12 +1,15 @@
 """The program's outside boundary: files, the numbers read from them, and
 the versioned model files.
 
-gwquant reads every file through ``open_ascii`` (JSON through ``read_json``
-on top of it), renders its DI, manifest and report CSVs with ``csv_text``
-and writes every file with ``atomic_write_text``. Every number read from
-outside must be finite: ``_text_number`` decodes one written as text (a
-cell, a header field, a config value, a flag, ``GWQUANT_SEED``; signal
-samples are checked per section by ``Signal``), ``_numbers`` one in JSON.
+gwquant reads every text file through ``open_ascii`` (JSON through
+``read_json`` on top of it) and a model file's bytes in ``load_model``, both
+opened by ``_open``. It renders its DI, manifest and report CSVs with
+``csv_text`` and writes every file with ``atomic_write_text``, or, where the
+caller stages and renames its own file (``simulate``'s signal files), with
+``write_staged``. Every number read from outside must be finite:
+``_text_number`` decodes one written as text (a cell, a header field, a
+config value, a flag, ``GWQUANT_SEED``; signal samples are checked per
+section by ``Signal``), ``_numbers`` one in JSON.
 
 Models are JSON text; the schema id distinguishes the payloads:
 
@@ -53,12 +56,27 @@ def _text_number(text: str, kind=float):
 _NUMBER_TYPES = {int, float}
 
 
+def _number(value) -> float:
+    """A finite JSON number, not a bool, as a float: the decoder _numbers(0) gives."""
+    if type(value) not in _NUMBER_TYPES:
+        raise ValueError("expected 0-D numbers")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError("an integer beyond a double") from None
+    if not math.isfinite(number):
+        raise ValueError("expected finite numbers")
+    return number
+
+
 def _numbers(ndim: int):
     """Decoder of a finite JSON number (ndim 0) or an ndim-deep list of them, not a bool.
 
     The lists must be rectangular, all lists of one level of one length. An
     empty list ends the depth, as numpy reads it: [] is 1-D and [[]] 2-D.
     """
+    if ndim == 0:
+        return _number
 
     def decode(value):
         shape, items = [], [value]
@@ -76,7 +94,7 @@ def _numbers(ndim: int):
             raise ValueError("an integer beyond a double") from None
         if not np.isfinite(array).all():
             raise ValueError("expected finite numbers")
-        return float(array) if ndim == 0 else array
+        return array
 
     return decode
 
@@ -109,21 +127,23 @@ def _non_ascii_line(lines) -> int | None:
     return next((n for n, line in enumerate(lines, start=1) if not line.isascii()), None)
 
 
+def _open(path, error, mode: str, **more):
+    """open(path, mode, **more); a path that holds a NUL byte raises ``error``."""
+    try:
+        return open(path, mode, **more)
+    except ValueError as exc:  # a NUL byte in the path
+        raise error(f"cannot open ({exc})", path=path) from None
+
+
 @contextmanager
-def open_ascii(path, error=InvalidArgumentError, raw=False):
+def open_ascii(path, error=InvalidArgumentError):
     """The text file at path, opened to be read as ASCII and streamed like open.
 
     A non-ASCII byte raises ``error("not ASCII text", line, path)``, which
     reads ``<path>: line N: not ASCII text``, in place of a UnicodeDecodeError;
-    a path that holds a NUL byte raises ``error`` too. With raw, the file is
-    opened in binary mode, and ``_ascii_text`` reads its bytes as this reads
-    the text.
+    a path that holds a NUL byte raises ``error`` too.
     """
-    try:
-        fh = open(path, "rb") if raw else open(path, "r", encoding="ascii")
-    except ValueError as exc:  # a NUL byte in the path
-        raise error(f"cannot open ({exc})", path=path) from None
-    with fh:
+    with _open(path, error, "r", encoding="ascii") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -163,6 +183,8 @@ def read_json(path, kind: str, error=InvalidArgumentError, text: str | None = No
 
 
 def _csv_cell(value) -> str:
+    if type(value) is float:
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, str):
@@ -183,6 +205,13 @@ def csv_text(header: str, rows, comment: str | None = None) -> str:
     lines.append(header)
     lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def write_staged(path, text: str) -> None:
+    """Write text, as ASCII, over the staging file at path, which its caller
+    made (as atomic_write_text makes its own) and renames into place."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -284,7 +313,8 @@ def load_model(path):
     so what is kept does not depend on the caller's error state; a failed
     build keeps nothing.
     """
-    with open_ascii(path, SchemaMismatchError, raw=True) as fh:
+    # unbuffered: the file is read whole, in one call
+    with _open(path, SchemaMismatchError, "rb", buffering=0) as fh:
         data = fh.read()
     with _model_memo_lock:
         model = _model_memo.pop(data, None)

@@ -13,19 +13,22 @@ V{y_closest} the model's predictive variance at that training row's inputs.
 The candidate grid defaults to the unique training states.
 
 One scoring core, ``score_test_dis``, scores a whole vector of test DIs at
-once: the grid's predictive moments, a blocked search for each DI's nearest
-training target, whose variance the model holds (``row_variance``), and the
-CDF differences as one (n_test x n_grid) array. Per request it does only the
-work that depends on the test DIs: it reads the model's 1-D targets and row
+once: the grid's predictive moments, a search for each DI's nearest
+training target (in blocks only when the batch is too large for one),
+whose variance the model holds (``row_variance``), and the CDF differences
+as one (n_test x n_grid) array. Per request it does only the work that
+depends on the test DIs: it reads the model's 1-D targets and row
 variances as they are, looks each grid row up in the model's moments as
-the tuple the grid holds, and computes both interval ends' CDFs apart, with
-the same elementwise operations as ``gaussian_cdf`` but without re-checking
-the model's own variances. A grid state the model was
-trained at takes the moments the model holds (``state_moments``); the
-other states, refined damages or an untrained load, take one predict
-together, so a training state scores alike in every grid. It returns arrays
-(``Scores``): the test DIs, the nearest targets and their variances, the
-probability matrix, each row's argmax column and low-confidence flag. A DI
+the tuple the grid holds, and computes both interval ends' CDFs in one
+call, with the quotients of ``gaussian_cdf``, bit for bit, but without
+re-checking the model's own variances. A grid state the model was trained
+at takes the moments the model holds (``state_moments``); the other
+states, refined damages or an untrained load, take one predict together,
+so a training state scores alike in every grid. A two-state request scores
+the model's own grids (``damage_load_grid`` and ``load_grid``, kept since
+its build) unless it gives others. It returns arrays (``Scores``): the
+test DIs, the nearest targets and their variances, the probability
+matrix, each row's argmax column and low-confidence flag. A DI
 scored in a batch therefore gets the table it gets alone, bit for bit.
 state_probabilities, predict_single_state and predict_two_states build
 their StateProbabilityTables from those arrays; the CLI writes its JSON text
@@ -63,6 +66,8 @@ DEFAULT_LOW_CONFIDENCE_THRESHOLD = 0.05
 _SEARCH_BLOCK = 1 << 16
 
 _SQRT2 = np.sqrt(2.0)
+
+_COLUMNS = frozenset(COLUMN_NAMES)
 
 
 @dataclass
@@ -117,7 +122,7 @@ def _query_rows(grid: StateGrid, fixed_covariates, ndim: int) -> list[tuple]:
     after the grid's columns, in canonical order.
     """
     fixed = dict(fixed_covariates or {})
-    unknown = set(fixed) - set(COLUMN_NAMES)
+    unknown = fixed.keys() - _COLUMNS
     if unknown:
         raise CovariateMismatchError(f"unknown fixed covariates {sorted(unknown)}")
     width = len(grid.states[0])
@@ -128,10 +133,9 @@ def _query_rows(grid: StateGrid, fixed_covariates, ndim: int) -> list[tuple]:
             raise CovariateMismatchError(
                 f"covariate {name!r} is fixed but already present in the grid"
             )
-        value = float(value)
+        value = values[name] = float(value)
         if not math.isfinite(value):
             raise InvalidArgumentError(f"fixed covariate {name!r} must be finite, got {value!r}")
-        values[name] = value
     needed = COLUMN_NAMES[:ndim]
     missing = [c for c in needed[width:] if c not in values]
     if missing:
@@ -161,29 +165,44 @@ def _nearest_rows(model, test_dis: np.ndarray, switch: float | None) -> np.ndarr
             raise CovariateMismatchError(f"no training rows with switch={switch:g}")
         targets = targets[rows]
     step = max(1, _SEARCH_BLOCK // targets.size)
-    nearest = np.empty(test_dis.size, dtype=int)
-    for start in range(0, test_dis.size, step):
-        block = test_dis[start : start + step, None]
-        # argmin takes the first minimum: the smallest row among equal distances
-        nearest[start : start + step] = np.abs(targets - block).argmin(axis=1)
+    # argmin takes the first minimum: the smallest row among equal distances
+    if test_dis.size <= step:
+        nearest = np.abs(targets - test_dis[:, None]).argmin(axis=1)
+    else:
+        nearest = np.concatenate([
+            np.abs(targets - test_dis[start : start + step, None]).argmin(axis=1)
+            for start in range(0, test_dis.size, step)
+        ])
     return nearest if rows is None else rows[nearest]
 
 
-def _grid_moments(model, queries: list[tuple]) -> np.ndarray:
-    """(mean, variance) rows at the query rows: a training state's from the
-    model's state_moments, the other rows from one predict, in query order."""
+def _grid_moments(model, queries: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, root of the variance) at the query rows: a training state's
+    moments from the model's state_moments, the other rows' from one
+    predict, in query order."""
     moments = list(map(model.state_moments.get, queries))
-    missing = [i for i, m in enumerate(moments) if m is None]
-    if missing:
+    if None in moments:
+        missing = [i for i, m in enumerate(moments) if m is None]
         predicted = model.predict(np.array([queries[i] for i in missing]))
         for i, m, v in zip(missing, predicted.mean.tolist(), predicted.variance.tolist()):
             moments[i] = (m, v)
-    return np.array(moments).T
+    mean, variance = np.array(moments).T
+    return mean, np.sqrt(variance)
 
 
 def _cdf(s: np.ndarray, mean: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """gaussian_cdf(s, mean, root**2) without its check, operation for operation."""
-    return 0.5 * erfc(-((s - mean) / root) / _SQRT2)
+    """gaussian_cdf(s, mean, root**2) without its check, bit for bit.
+
+    (mean - s) is -(s - mean) exactly, as IEEE rounding is symmetric, so this
+    takes gaussian_cdf's quotients with one negation fewer; each step after
+    the first writes into its input.
+    """
+    z = mean - s
+    z /= root
+    z /= _SQRT2
+    cdf = erfc(z, out=z)
+    cdf *= 0.5
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -237,15 +256,13 @@ def score_test_dis(
     nearest = _nearest_rows(model, test_dis, (fixed_covariates or {}).get("switch"))
     y_closest = model.train_targets[nearest]
     v_closest = model.row_variance[nearest]
-    half_width = (2.0 * np.sqrt(v_closest))[:, None]
-
-    # gaussian_cdf at the two interval ends, without its variance check: the
-    # variances are the model's own
-    mean, variance = _grid_moments(model, queries)
-    root = np.sqrt(variance)
-    centre = test_dis[:, None]
-    upper = _cdf(centre + half_width, mean, root)
-    probs = (upper - _cdf(centre - half_width, mean, root)).clip(0.0, 1.0)
+    # the interval ends y* + 2 sd and y* - 2 sd, as y* - 2 sd is y* + (-2 sd)
+    # exactly, and gaussian_cdf at both in one call, without its variance
+    # check: the variances are the model's own
+    ends = test_dis + np.multiply.outer((2.0, -2.0), np.sqrt(v_closest))
+    mean, root = _grid_moments(model, queries)
+    upper, lower = _cdf(ends[..., None], mean, root)
+    probs = np.subtract(upper, lower, out=upper).clip(0.0, 1.0, out=upper)
 
     # grid states are sorted, so the first maximum is the smallest damage
     # then load among ties
@@ -325,16 +342,20 @@ def two_state_scores(
         )
     if not class1_test_dis:
         raise InvalidArgumentError("class1_test_dis must be non-empty")
-    if damage_grid is None:
-        damage_grid = np.unique(model.train_inputs[:, 0])
-    if load_grid is None:
-        load_grid = np.unique(model.train_inputs[:, 1])
-    damage_grid = [float(d) for d in damage_grid]
-    load_grid = [float(w) for w in load_grid]
-    if not damage_grid or not load_grid:
-        raise InvalidArgumentError("damage and load grids must be non-empty")
+    if damage_grid is None and load_grid is None:
+        # the model's own: its training damages by its training loads
+        grid, load_grid = model.damage_load_grid, model.load_grid
+    else:
+        if damage_grid is None:
+            damage_grid = np.unique(model.train_inputs[:, 0])
+        if load_grid is None:
+            load_grid = model.load_grid
+        damage_grid = [float(d) for d in damage_grid]
+        load_grid = [float(w) for w in load_grid]
+        if not damage_grid or not load_grid:
+            raise InvalidArgumentError("damage and load grids must be non-empty")
+        grid = StateGrid([(d, w) for d in damage_grid for w in load_grid])
 
-    grid = StateGrid([(d, w) for d in damage_grid for w in load_grid])
     class1 = np.array([di for _, di in class1_test_dis], dtype=float)
     step1 = score_test_dis(model, grid, class1, {"switch": 1.0}, threshold)
     chosen = int(np.argmax(step1.probabilities.max(axis=1)))
@@ -397,7 +418,7 @@ def summarize_predictions(true_states: list[tuple], predicted_states: list[tuple
     groups: dict[tuple, list[float]] = {}
     errors = []
     for i, (true_state, pred) in enumerate(zip(true_states, predicted_states)):
-        true_state = tuple(float(v) for v in true_state)
+        true_state = tuple(map(float, true_state))
         if len(pred) != len(true_state):
             raise DimensionMismatchError(
                 f"prediction {i} has {len(pred)} values, its true state {len(true_state)}"

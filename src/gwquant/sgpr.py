@@ -179,8 +179,11 @@ class GpPosterior:
     unique row (a tuple of floats) to its predictive (mean, variance), and
     row_variance, the variance at each training row, so replicates share
     theirs exactly. damage_grid is the StateGrid of the training damages,
-    the states a test DI is scored against by default. Subclasses supply
-    noise_at(xq), the noise variance at the query rows.
+    the states a test DI is scored against by default. A (damage, load,
+    switch) model also holds the grids of a two-state request: load_grid,
+    its training loads, and damage_load_grid, the StateGrid of every
+    training damage with every training load (both None for other models).
+    Subclasses supply noise_at(xq), the noise variance at the query rows.
     """
 
     kernel: KernelParams
@@ -193,6 +196,8 @@ class GpPosterior:
     row_variance: np.ndarray = field(init=False, repr=False, compare=False)
     state_moments: MappingProxyType = field(init=False, repr=False, compare=False)
     damage_grid: StateGrid = field(init=False, repr=False, compare=False)
+    load_grid: tuple[float, ...] | None = field(init=False, repr=False, compare=False)
+    damage_load_grid: StateGrid | None = field(init=False, repr=False, compare=False)
 
     @property
     def ndim(self) -> int:
@@ -203,7 +208,8 @@ class GpPosterior:
         """Factorize K_f + diag(noise / c) at the unique rows of replicates =
         _replicates(x), noise a float or one per unique row, solve it against
         the state means of y - target_offset, predict the moments at each
-        training state and grid the training damages."""
+        training state and grid the training damages (and, with a switch
+        column, the training damages by the training loads)."""
         unique, inverse, counts = replicates
         f_rows = KernelRows.prepare(unique, kernel)
         means = np.bincount(inverse, weights=y - target_offset) / counts
@@ -215,6 +221,11 @@ class GpPosterior:
             map(tuple, unique.tolist()), zip(moments.mean.tolist(), moments.variance.tolist())
         )))
         model.damage_grid = StateGrid.from_training_inputs(unique, include_load=False)
+        model.load_grid = model.damage_load_grid = None
+        if x.shape[1] == 3:
+            damages, loads = (np.unique(x[:, c]).tolist() for c in (0, 1))
+            model.load_grid = tuple(loads)
+            model.damage_load_grid = StateGrid([(d, w) for d in damages for w in loads])
         return model
 
     def predict(self, xq) -> PredictiveMoments:

@@ -346,7 +346,8 @@ def _read_sections(text: str) -> list[Signal] | None:
             while lines and not lines[-1]:
                 lines.pop()
             state, rate = _parse_header(_HEADER_PREFIX + header, 0, None)
-            signals.append(Signal(np.array(list(map(float, lines))), rate, state))
+            # float's grammar: numpy converts each str line through float
+            signals.append(Signal(np.array(lines, dtype=float), rate, state))
     except ValueError:  # float's, and SignalParseError and InvalidArgumentError
         return None
     return signals

@@ -613,6 +613,10 @@ class _HashedModel:
         rows = map(tuple, self.train_inputs.tolist())
         self.state_moments = {row: self._pick(row) for row in rows}
         self.row_variance = self.predict(self.train_inputs).variance
+        if ndim == 3:  # the two-state grids, as a built model holds them
+            damages, loads = (np.unique(self.train_inputs[:, c]).tolist() for c in (0, 1))
+            self.load_grid = tuple(loads)
+            self.damage_load_grid = StateGrid([(d, w) for d in damages for w in loads])
 
     def _pick(self, row):
         return self.moments[hash(row) % len(self.moments)]
@@ -737,6 +741,28 @@ def test_any_scores_text_equals_the_json_oracle(states, data, reference):
         payload["step1_reference_load"] = reference
         oracle = json.dumps(payload, sort_keys=True)
         assert cli._predictions_json(scores, step1_reference_load=reference) == oracle
+
+
+def test_each_grid_in_turn_is_written_with_its_own_text():
+    """The skeleton kept for a grid never serves another: grids in turn, grids
+    of equal values whose zeros differ in sign, an equal grid made afresh, each
+    with and without a reference load, give the oracle text."""
+    grids = [
+        [(0.0,), (1.0,)], [(-0.0,), (1.0,)], [(0.0, 5.0), (2.0, -0.0)],
+        [(-0.0, 5.0), (2.0, 0.0)], [(0.0,), (1.0,), (2.5,)], [(0.0,), (1.0,)],
+    ]
+    for states in grids + grids[::-1]:
+        m = len(states)
+        scores = Scores(
+            states, np.array([0.125]), np.zeros(1), np.ones(1),
+            np.array([[0.5 / m] * (m - 1) + [0.5]]), np.array([m - 1]), np.array([m == 3]),
+        )
+        for reference in (None, -0.0, 2.5):
+            payload = _table_payload(scores.tables()[0])
+            if reference is not None:
+                payload["step1_reference_load"] = reference
+            oracle = json.dumps(payload, sort_keys=True)
+            assert cli._predictions_json(scores, step1_reference_load=reference) == oracle
 
 
 class TestReport:
@@ -881,6 +907,14 @@ _FLAG_WORDS = sorted(
 _VALUE_WORDS = ["m.json", "-0.5", "5", "--", "true", "-x", "--bogus", "--model", "--out=--"]
 
 
+def _top_level_parse(argv):
+    """build_parser().parse_args(argv), a flag's value "--" taken as written, as
+    main reads it (argparse turns the value of --out=-- into [])."""
+    args = build_parser().parse_args(argv)
+    vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
+    return args
+
+
 def _parse_outcome(parse, argv):
     """(namespace dict or exit code, stdout, stderr) of one parse."""
     out, err = io.StringIO(), io.StringIO()
@@ -894,11 +928,11 @@ def _parse_outcome(parse, argv):
 
 class TestEveryArgvParsedAsTheTopLevelParse:
     """main reads every argv into the namespace, exit code and text of the
-    top-level parser's parse_args."""
+    top-level parser's parse_args, a value "--" as written."""
 
     @pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
     def test_the_parse_equals_the_top_level_parse(self, argv):
-        expected = _parse_outcome(build_parser().parse_args, argv)
+        expected = _parse_outcome(_top_level_parse, argv)
         assert _parse_outcome(cli._parse_args, argv) == expected
 
     def test_the_cases_cover_each_command_and_each_outcome(self):
@@ -914,7 +948,7 @@ class TestEveryArgvParsedAsTheTopLevelParse:
     )
     def test_any_argv_parses_as_the_top_level_parse(self, command, words):
         argv = [command, *words]
-        expected = _parse_outcome(build_parser().parse_args, argv)
+        expected = _parse_outcome(_top_level_parse, argv)
         assert _parse_outcome(cli._parse_args, argv) == expected
 
     def test_main_runs_the_command_on_that_parse(self, monkeypatch):
@@ -964,7 +998,7 @@ class TestPlainArgvsReadFromTheFlagTable:
     @given(case=_table_argvs())
     def test_a_table_argv_parses_as_the_top_level_parse(self, case):
         argv, plain = case
-        expected = _parse_outcome(build_parser().parse_args, argv)
+        expected = _parse_outcome(_top_level_parse, argv)
         assert _parse_outcome(cli._parse_args, argv) == expected
         if plain:
             assert cli._plain_args(argv) is not None
@@ -999,7 +1033,7 @@ class TestPlainArgvsReadFromTheFlagTable:
     def test_only_a_plain_argv_is_read_from_the_table(self, argv, plain):
         namespace = cli._plain_args(argv)
         assert (namespace is not None) == plain
-        expected = _parse_outcome(build_parser().parse_args, argv)
+        expected = _parse_outcome(_top_level_parse, argv)
         if plain:
             assert vars(namespace) == expected[0]
         assert _parse_outcome(cli._parse_args, argv) == expected
@@ -1018,7 +1052,7 @@ class TestPlainArgvsReadFromTheFlagTable:
             ["report", "--pred-file", "p.json", "--true-file", "t.csv", "--box-out", "b.csv",
              "--errors-out", "e.csv"],
         ]
-        expected = [vars(build_parser().parse_args(argv)) for argv in argvs]
+        expected = [vars(_top_level_parse(argv)) for argv in argvs]
         parsed = []
         real = argparse.ArgumentParser.parse_known_args
 
@@ -2096,6 +2130,34 @@ class TestFanOut:
         assert set(trees[0]) == cells_before | ({name} if fail == "rename" else set())
         assert trees[0] == trees[1] == trees[2]
         assert errors[0] == errors[1] == errors[2] and len(errors[0].splitlines()) == 1
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_simulate_leaves_no_temporary_file(
+        self, fail, tmp_path, config_file, cpus, monkeypatch, capfd
+    ):
+        """A cell is written straight into its one staging file: no *.tmp file is
+        left after a run, nor after cell 4 fails once its staging file holds its
+        text, and the cells before it are in place, on any number of workers."""
+        cells = [(d, w) for d in (0.0, 1.0, 2.0, 3.0, 4.0) for w in (0.0, 5.0)]
+        names = [cli._signal_file_name(*c) for c in cells]
+        if fail:
+            write = cli.write_staged
+
+            def failing(path, text):
+                write(path, text)
+                if "# signal damage=2 load=0 " in text:
+                    raise OSError("the disk went away")
+
+            monkeypatch.setattr(cli, "write_staged", failing)
+        for n in (1, 2, 3):
+            cpus(n)
+            workdir = tmp_path / str(n)
+            code = run("simulate", "--config", config_file, "--workdir", workdir)
+            assert code == (1 if fail else 0)
+            left = sorted(p.name for p in workdir.iterdir())
+            assert [name for name in left if name.endswith(".tmp")] == []
+            assert left == sorted(names[:4] if fail else [*names, "manifest.csv"])
+        assert capfd.readouterr().err.count("the disk went away") == (3 if fail else 0)
 
     def test_output_buffered_on_a_pipe_is_printed_once(self, tmp_path, config_file):
         # a forked worker flushes the stdout buffer it inherits when it exits

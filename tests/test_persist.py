@@ -110,6 +110,19 @@ def test_decoder_matches_the_object_array_decoder(ndim, value):
     assert _outcome(_numbers(ndim), value) == _outcome(_object_array_numbers(ndim), value)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 0, 1, -7, 2**1024 - 1, 2**1024, -(2**1024), 10**400, 2.5, -0.0, 5e-324,
+     float("nan"), float("inf"), -float("inf"), np.float64(0.5), np.float64("nan"), np.int64(3),
+     np.bool_(True), np.float32(1.5), "1", None, [1.0], {}],
+    ids=repr,
+)
+def test_a_scalar_is_decoded_as_the_object_array_decoder_decodes_it(value):
+    """_numbers(0) takes a Python int or float without an array: each value,
+    a bool and a numpy scalar among them, is accepted or refused as before."""
+    assert _outcome(_numbers(0), value) == _outcome(_object_array_numbers(0), value)
+
+
 # load_model's memo: one build per distinct file text
 
 

@@ -34,6 +34,7 @@ from gwquant.quantify import (
     score_test_dis,
     state_probabilities,
     summarize_predictions,
+    two_state_scores,
 )
 from gwquant.sgpr import OptimizerConfig, PredictiveMoments, SgprModel, train_sgpr
 from gwquant.vhgpr import VhgprModel, VhgprState, train_vhgpr
@@ -772,6 +773,55 @@ def test_a_built_model_holds_the_grid_of_its_training_damages(
     assert load_model(path).damage_grid.states == states
 
 
+def _switch_hyperparams_model():
+    """A (damage, load, switch) model built by from_hyperparams, unsorted, with
+    loads 0.0 and -0.0 and a damage only one class has."""
+    x = np.array(
+        [(d, w, s) for d in (2.0, 0.0, 0.5) for w in (5.0, 0.0, -0.0) for s in (2.0, 1.0)]
+        + [(3.0, 5.0, 1.0)]
+    )
+    y = 0.1 * x[:, 0] + 0.01 * x[:, 1] + 0.05 * x[:, 2]
+    return SgprModel.from_hyperparams(KernelParams(0.0, np.zeros(3)), -4.0, x, y)
+
+
+@pytest.mark.parametrize("case", ["vhgpr", "sgpr-switch-1", "from-hyperparams", "switch"])
+def test_a_switch_model_holds_its_two_state_grids(case, oracle_cases, tmp_path, monkeypatch):
+    """A (damage, load, switch) model holds its training loads and the grid of
+    every training damage with every training load, with the bits of the grids
+    two_state_scores built from np.unique on each request; other models hold None."""
+    monkeypatch.setattr(persist, "_model_memo", {})
+    model = {
+        "from-hyperparams": _hyperparams_model, "switch": _switch_hyperparams_model
+    }.get(case, lambda: oracle_cases[case][0])()
+    path = tmp_path / "model.json"
+    save_model(path, model)
+    x = model.train_inputs
+    for built in (model, load_model(path)):
+        if x.shape[1] != 3:
+            assert built.load_grid is None and built.damage_load_grid is None
+            continue
+        damages, loads = ([float(v) for v in np.unique(x[:, c])] for c in (0, 1))
+        grid = StateGrid([(d, w) for d in damages for w in loads])
+        assert repr(built.load_grid) == repr(tuple(loads))
+        assert repr(built.damage_load_grid.states) == repr(grid.states)
+
+
+def test_two_state_scores_on_the_kept_grids_equal_the_grids_given(oracle_cases):
+    model = oracle_cases["sgpr-switch-1"][0]
+    x = model.train_inputs
+    class1 = [(0.0, 0.31), (5.0, 0.4)]
+    kept = two_state_scores(model, class1, lambda d: 0.1 * d, None, None, 0.05)
+    for damages, loads in [(np.unique(x[:, 0]), np.unique(x[:, 1])), (None, np.unique(x[:, 1])),
+                           (np.unique(x[:, 0]), None)]:
+        given = two_state_scores(model, class1, lambda d: 0.1 * d, damages, loads, 0.05)
+        assert kept[1] == given[1]
+        for a, b in ((kept[0], given[0]), (kept[2], given[2])):
+            assert repr(a.states) == repr(b.states)
+            for name in ("test_dis", "closest_dis", "closest_variances", "probabilities",
+                         "best", "low_confidence"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 def test_a_build_whose_row_variance_overflows_raises_and_is_not_kept(
     oracle_cases, tmp_path, monkeypatch, capsys
 ):
@@ -1046,3 +1096,21 @@ def test_the_scoring_core_equals_its_stacked_reference_bit_for_bit(
                 assert value.shape == expected.shape, (name, field_name)
                 assert value.tobytes() == expected.tobytes(), (name, field_name, size)
     assert seen == {"one block", "blocks"}
+
+
+def test_one_block_and_blocked_searches_find_the_same_rows(rng, replicate_layout, monkeypatch):
+    """_nearest_rows searches a batch that fits one block without its block
+    loop; any block size gives the rows of the one-block search."""
+    for name, model, _, fixed in _scoring_cases(rng, replicate_layout):
+        switch = (fixed or {}).get("switch")
+        test_dis = _scored_dis(rng, model, fixed, 40)
+        one_block = quantify._nearest_rows(model, test_dis, switch)
+        searched = np.asarray(model.train_targets)
+        if switch is not None:
+            searched = searched[model.train_inputs[:, 2] == switch]
+        for block in (1, searched.size, 3 * searched.size + 1, 40 * searched.size - 1):
+            monkeypatch.setattr(quantify, "_SEARCH_BLOCK", block)
+            blocked = quantify._nearest_rows(model, test_dis, switch)
+            assert blocked.dtype == one_block.dtype, name
+            assert blocked.tolist() == one_block.tolist(), (name, block)
+        monkeypatch.undo()

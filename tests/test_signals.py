@@ -360,8 +360,8 @@ _NUMBERS = st.one_of(
     st.integers(-(10**20), 10**20).map(str),
 )
 _ODD_TOKENS = st.sampled_from(
-    ["1_0", "1 2", "0x1p3", "nan", "inf", "-inf", "1e400", "-0", "5e-324", "1e+308", "x",
-     "1\x0b2", "1\x0c2", "1\x1c2", "1\x1e2", "1\x1f2"]
+    ["1_0", "1 2", "0x1p3", "0x10", "nan", "inf", "-inf", "-Infinity", "1e400", "1e", "-0",
+     "5e-324", "1e+308", "x", "1\x0b2", "1\x0c2", "1\x1c2", "1\x1e2", "1\x1f2"]
 )
 _TOKENS = st.integers(0, 9).flatmap(lambda k: _NUMBERS if k < 9 else _ODD_TOKENS)
 
