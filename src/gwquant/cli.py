@@ -76,7 +76,7 @@ from .errors import (
     GwquantError,
     InvalidArgumentError,
 )
-from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, open_ascii
+from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, read_ascii
 from .persist import read_json, save_model, write_staged
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
@@ -255,8 +255,7 @@ def parse_config(text: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    with open_ascii(path) as fh:
-        return parse_config(fh.read())
+    return parse_config(read_ascii(path))
 
 
 def _config(args) -> SimpleNamespace:
@@ -291,6 +290,7 @@ def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
 
     Each state keeps ceil(train_fraction * k) rows for training, capped at
     k - 1 so that every state with >= 2 rows retains a held-out replicate.
+    Either side with fewer than 2 rows is an error giving both counts.
     """
     rng = np.random.default_rng(seed)
     groups: dict[tuple, list[int]] = {}
@@ -306,6 +306,12 @@ def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
             n_train = min(n_train, k - 1)
         train_idx.extend(idx[:n_train])
         test_idx.extend(idx[n_train:])
+    if min(len(train_idx), len(test_idx)) < 2:
+        raise InvalidArgumentError(
+            f"the per-state split holds out {len(test_idx)} of {dataset.n} rows and "
+            f"trains on {len(train_idx)}, and each side needs at least 2: a state "
+            "needs 2 or more replicates to hold one out"
+        )
     train_idx = sorted(train_idx)
     test_idx = sorted(test_idx)
 
@@ -497,34 +503,34 @@ def _read_workdir_signals(workdir: str):
 def _manifest_rows(manifest: str):
     """The (line number, damage, load, n_signals, file) of each row of manifest, in order.
 
-    A bad header or row, a file listed again or a non-ASCII byte raises
-    once the rows ahead of it are yielded.
+    A non-ASCII byte, wherever it lies, raises before any row is yielded; a
+    bad header or row or a file listed again raises once the rows ahead of
+    it are yielded.
     """
 
     def bad(message):
         return InvalidArgumentError(message, lineno, manifest)
 
     header, first_lines = None, {}
-    with open_ascii(manifest) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if line != MANIFEST_HEADER:
-                    raise bad(f"expected header {MANIFEST_HEADER!r}, got {line!r}")
-                continue
-            try:
-                damage, load, count, name = line.split(",")
-                damage, load = _text_number(damage), _text_number(load)
-                count = _text_number(count, int)
-            except ValueError:
-                raise bad(f"bad row {line!r}") from None
-            if name in first_lines:
-                raise bad(f"{name} is listed again (first on line {first_lines[name]})")
-            first_lines[name] = lineno
-            yield lineno, damage, load, count, name
+    for lineno, line in enumerate(read_ascii(manifest).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = line
+            if line != MANIFEST_HEADER:
+                raise bad(f"expected header {MANIFEST_HEADER!r}, got {line!r}")
+            continue
+        try:
+            damage, load, count, name = line.split(",")
+            damage, load = _text_number(damage), _text_number(load)
+            count = _text_number(count, int)
+        except ValueError:
+            raise bad(f"bad row {line!r}") from None
+        if name in first_lines:
+            raise bad(f"{name} is listed again (first on line {first_lines[name]})")
+        first_lines[name] = lineno
+        yield lineno, damage, load, count, name
 
 
 def cmd_di(args) -> int:
@@ -550,7 +556,10 @@ def _fit_line(metrics) -> str:
 def cmd_train(args) -> int:
     train = _config(args).train
     dataset = read_di_csv(args.di_file)
-    train_set, test_set = split_dataset(dataset, train.train_fraction, train.seed)
+    try:
+        train_set, test_set = split_dataset(dataset, train.train_fraction, train.seed)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(str(exc), path=args.di_file) from None
     optimizer = OptimizerConfig(n_restarts=train.restarts, seed=train.seed)
     trainer = train_sgpr if train.model_kind == "sgpr" else train_vhgpr
     model = trainer(train_set.inputs, train_set.targets, optimizer, train.center_targets)
@@ -744,9 +753,11 @@ def _read_di_column(path) -> np.ndarray:
 def _read_two_state_dis(path):
     """CSV with header class,ref_load,ref_damage,di.
 
-    class=1 rows carry one test DI per class-1 reference load; class=2 rows
-    carry the pre-computed class-2 test DI per candidate damage size. A
-    reference load or damage given twice is an error.
+    class=1 rows carry one test DI per class-1 reference load, whose
+    reference is healthy (ref_damage 0); class=2 rows carry the pre-computed
+    class-2 test DI per candidate damage size, whose reference is unloaded
+    (ref_load 0). A reference load or damage given twice, or a nonzero
+    reference value predict would leave unread, is an error.
     """
     if path is None:
         raise InvalidArgumentError("--two-state requires --test-di-file")
@@ -755,10 +766,20 @@ def _read_two_state_dis(path):
     _, rows = read_csv_table(path, [("class", "ref_load", "ref_damage", "di")])
     for cls, ref_load, ref_damage, di in rows.tolist():
         if cls == 1:
+            if ref_damage != 0:
+                raise InvalidArgumentError(
+                    f"{path}: class-1 ref_damage must be 0 (a healthy reference), "
+                    f"got {ref_damage!r}"
+                )
             if any(load == ref_load for load, _ in class1):
                 raise InvalidArgumentError(f"{path}: repeated class-1 ref_load {ref_load:g}")
             class1.append((ref_load, di))
         elif cls == 2:
+            if ref_load != 0:
+                raise InvalidArgumentError(
+                    f"{path}: class-2 ref_load must be 0 (an unloaded reference), "
+                    f"got {ref_load!r}"
+                )
             if ref_damage in class2:
                 raise InvalidArgumentError(f"{path}: repeated class-2 ref_damage {ref_damage:g}")
             class2[ref_damage] = di

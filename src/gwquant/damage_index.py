@@ -26,6 +26,7 @@ DIs in the last bits, and with them every model trained on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (
     InvalidArgumentError,
     MissingBaselineError,
 )
-from .persist import _text_number, csv_text, open_ascii
+from .persist import _text_number, csv_text, read_ascii
 from .signals import Signal
 
 DEFAULT_N_USE = 2500
@@ -244,74 +245,46 @@ def read_csv_table(path, headers) -> tuple[list[str], np.ndarray]:
     """Column names and rows, a float array with one column per name, of a
     comma-separated table.
 
-    The file must be ASCII text. Blank lines and lines starting with ``#``
-    are skipped. The first line left must be one of ``headers`` (sequences
-    of column names); every later line must have one finite number per
-    column. Errors name the file and, for a bad row or byte, its 1-based
-    line number.
+    The file must be ASCII text. Each line is stripped of surrounding
+    whitespace, and blank lines and lines starting with ``#`` are skipped.
+    The first line left must be one of ``headers`` (sequences of column
+    names); every later line must have one finite number per column. Errors
+    name the file and, for a bad row or byte, its 1-based line number.
 
-    The file is read whole and converted in one array (``_table_array``);
-    where that fails, the line loop (``_table_lines``), the format's one
-    grammar, reads the text instead and raises any error.
+    When every row has one comma fewer than the header has names, all cells
+    are converted in one array. Only where that is refused, or a cell is
+    not finite, are the lines walked again, with their numbers, to raise
+    the first bad row's error.
     """
-    with open_ascii(path) as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    return _table_array(lines, headers) or _table_lines(lines, headers, path)
-
-
-def _table_array(lines: list[str], headers) -> tuple[list[str], np.ndarray] | None:
-    """The table of a file's lines with every cell converted at once, or None.
-
-    Column-0 ``#`` lines may come first, then a header exactly as one of
-    ``headers`` writes it, then one row per line, each cell one that
-    ``float`` takes, all of them finite. Anything else (a blank or comment
-    line after the header, a padded header, a ragged row, a bad or
-    non-finite cell, no rows) returns None.
-    """
-    start = 0
-    while start < len(lines) and lines[start].startswith("#"):
-        start += 1
-    if start == len(lines) or lines[start] not in [",".join(h) for h in headers]:
-        return None
-    names, body = lines[start].split(","), lines[start + 1 :]
-    if body and not body[-1]:  # the newline that ends the last line
-        body.pop()
-    try:
-        # float's grammar: numpy converts each str cell through float
-        rows = np.array([line.split(",") for line in body], dtype=float)
-    except ValueError:  # a bad cell or a ragged row
-        return None
-    if not body or rows.shape[1] != len(names) or not np.isfinite(rows).all():
-        return None
-    return names, rows
-
-
-def _table_lines(lines: list[str], headers, path) -> tuple[list[str], np.ndarray]:
-    """The table of a file's lines, read one line at a time.
-
-    This is the format's grammar: surrounding whitespace is dropped, blank
-    and ``#`` lines may stand anywhere, and every error is raised here.
-    """
-    lines = [(n, ln.strip()) for n, ln in enumerate(lines, start=1)]
-    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
-    names = lines[0][1].split(",") if lines else []
+    lines = list(map(str.strip, read_ascii(path).split("\n")))
+    rows = [line for line in lines if line and line[0] != "#"]
+    names = rows[0].split(",") if rows else []
     if names not in [list(h) for h in headers]:
         expected = " or ".join(repr(",".join(h)) for h in headers)
-        found = repr(lines[0][1]) if lines else "no rows"
+        found = repr(rows[0]) if rows else "no rows"
         raise InvalidArgumentError(f"expected header {expected}, got {found}", path=path)
-    rows = []
-    for lineno, ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(names):
+    shape = (len(rows) - 1, len(names))
+    if set(map(str.count, rows[1:], repeat(","))) <= {shape[1] - 1}:
+        try:
+            # float's grammar: numpy converts each str cell through float
+            table = np.array(",".join(rows[1:]).split(","), dtype=float).reshape(shape)
+            if np.isfinite(table).all():
+                return names, table
+        except ValueError:  # a cell float refuses, or no rows
+            pass
+    cells = []
+    numbered = [(n, line) for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
+    for lineno, line in numbered[1:]:
+        row = line.split(",")
+        if len(row) != len(names):
             raise InvalidArgumentError(
-                f"row has {len(cells)} cells, expected {len(names)}", lineno, path
+                f"row has {len(row)} cells, expected {len(names)}", lineno, path
             )
         try:
-            rows.append([_text_number(c) for c in cells])
+            cells.extend(map(_text_number, row))
         except ValueError:
-            raise InvalidArgumentError(f"bad value in row {ln!r}", lineno, path) from None
-    return names, np.array(rows, dtype=float).reshape(len(rows), len(names))
+            raise InvalidArgumentError(f"bad value in row {line!r}", lineno, path) from None
+    return names, np.array(cells, dtype=float).reshape(shape)
 
 
 def read_di_csv(path) -> DiDataset:

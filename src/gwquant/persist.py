@@ -1,15 +1,17 @@
 """The program's outside boundary: files, the numbers read from them, and
 the versioned model files.
 
-gwquant reads every text file through ``open_ascii`` (JSON through
-``read_json`` on top of it) and a model file's bytes in ``load_model``, both
-opened by ``_open``. It renders its DI, manifest and report CSVs with
-``csv_text`` and writes every file with ``atomic_write_text``, or, where the
-caller stages and renames its own file (``simulate``'s signal files), with
-``write_staged``. Every number read from outside must be finite:
-``_text_number`` decodes one written as text (a cell, a header field, a
-config value, a flag, ``GWQUANT_SEED``; signal samples are checked per
-section by ``Signal``), ``_numbers`` one in JSON.
+gwquant reads every input file the same way: its bytes in one call
+(``_read_bytes``), decoded as ASCII in one function (``_ascii_text``).
+``read_ascii`` gives a text file's text (JSON through ``read_json`` on top
+of it); ``load_model`` keys its memo by a model file's bytes and decodes
+them only when it builds a model. gwquant renders its DI, manifest and
+report CSVs with ``csv_text`` and writes every file with
+``atomic_write_text``, or, where the caller stages and renames its own file
+(``simulate``'s signal files), with ``write_staged``. Every number read
+from outside must be finite: ``_text_number`` decodes one written as text
+(a cell, a header field, a config value, a flag, ``GWQUANT_SEED``; signal
+samples are checked per section by ``Signal``), ``_numbers`` one in JSON.
 
 Models are JSON text; the schema id distinguishes the payloads:
 
@@ -33,7 +35,6 @@ import math
 import os
 import tempfile
 import threading
-from contextlib import contextmanager
 from dataclasses import fields
 from itertools import chain
 
@@ -121,49 +122,40 @@ _SCHEMAS = {
 _COMMON = {"target_offset": _scalar, "train_inputs": _matrix, "train_targets": _vector}
 
 
-def _non_ascii_line(lines) -> int | None:
-    """The number of the first line that is not ASCII, lines read as latin-1,
-    which decodes any byte and splits lines as the ASCII reader does."""
-    return next((n for n, line in enumerate(lines, start=1) if not line.isascii()), None)
-
-
-def _open(path, error, mode: str, **more):
-    """open(path, mode, **more); a path that holds a NUL byte raises ``error``."""
+def _read_bytes(path, error) -> bytes:
+    """The bytes of the file at path, in one unbuffered read; a path that
+    holds a NUL byte raises ``error``."""
     try:
-        return open(path, mode, **more)
+        fh = open(path, "rb", buffering=0)
     except ValueError as exc:  # a NUL byte in the path
         raise error(f"cannot open ({exc})", path=path) from None
+    with fh:
+        return fh.read()
 
 
-@contextmanager
-def open_ascii(path, error=InvalidArgumentError):
-    """The text file at path, opened to be read as ASCII and streamed like open.
+def _ascii_text(data: bytes, path, error) -> str:
+    """The ASCII text of data, the bytes of the file at path.
 
-    A non-ASCII byte raises ``error("not ASCII text", line, path)``, which
-    reads ``<path>: line N: not ASCII text``, in place of a UnicodeDecodeError;
-    a path that holds a NUL byte raises ``error`` too.
-    """
-    with _open(path, error, "r", encoding="ascii") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            # text mode decodes whole blocks, so the line is found afresh
-            with open(path, "r", encoding="latin-1") as text:
-                line = _non_ascii_line(text)
-            raise error("not ASCII text", line, path) from None
-
-
-def _ascii_text(data: bytes, path, error=InvalidArgumentError) -> str:
-    """The text that open_ascii reads from the file at path, whose bytes are data.
-
-    Newlines are translated as text mode translates them; a non-ASCII byte
-    raises ``error("not ASCII text", line, path)``.
+    Newlines are translated as text mode translates them; a non-ASCII byte,
+    wherever it lies, raises ``error("not ASCII text", line, path)``, which
+    reads ``<path>: line N: not ASCII text``.
     """
     try:
         return io.TextIOWrapper(io.BytesIO(data), encoding="ascii").read()
     except UnicodeDecodeError:
-        line = _non_ascii_line(io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+        # latin-1 decodes any byte and splits lines as the ASCII decoder does
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+        line = next(n for n, text in enumerate(lines, start=1) if not text.isascii())
         raise error("not ASCII text", line, path) from None
+
+
+def read_ascii(path, error=InvalidArgumentError) -> str:
+    """The text of the ASCII file at path, read whole.
+
+    A non-ASCII byte raises ``error`` naming the file and the byte's line;
+    a path that holds a NUL byte raises ``error`` too.
+    """
+    return _ascii_text(_read_bytes(path, error), path, error)
 
 
 def read_json(path, kind: str, error=InvalidArgumentError, text: str | None = None):
@@ -174,8 +166,7 @@ def read_json(path, kind: str, error=InvalidArgumentError, text: str | None = No
     the file.
     """
     if text is None:
-        with open_ascii(path, error) as fh:
-            text = fh.read()
+        text = read_ascii(path, error)
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -313,9 +304,7 @@ def load_model(path):
     so what is kept does not depend on the caller's error state; a failed
     build keeps nothing.
     """
-    # unbuffered: the file is read whole, in one call
-    with _open(path, SchemaMismatchError, "rb", buffering=0) as fh:
-        data = fh.read()
+    data = _read_bytes(path, SchemaMismatchError)
     with _model_memo_lock:
         model = _model_memo.pop(data, None)
         if model is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SignalParseError
-from .persist import _text_number, open_ascii
+from .persist import _text_number, read_ascii
 
 ROLES = ("baseline", "test")
 
@@ -301,22 +301,16 @@ def signals_to_csv_text(signals: list[Signal], comment: str | None = None) -> st
 def read_signals_csv(path) -> list[Signal]:
     """Parse a signal CSV file.
 
-    The file is read whole, then a section at a time; where that fails, the
-    line loop, the format's one grammar, reads the text instead.
+    The file is read whole, as ASCII text, then a section at a time; where
+    that fails, the line loop, the format's one grammar, reads the text
+    instead.
 
     Every error is a SignalParseError that names the file and a line: the
-    offending line (a bad sample, header or non-ASCII byte), or the
-    section's header line when the section as a whole is bad (no samples, a
-    non-finite sample, a bad sample rate).
+    offending line (a bad sample or header), the line of a non-ASCII byte
+    wherever it lies, or the section's header line when the section as a
+    whole is bad (no samples, a non-finite sample, a bad sample rate).
     """
-    try:
-        with open_ascii(path, SignalParseError) as fh:
-            text = fh.read()
-    except SignalParseError:
-        # streamed, a bad line ahead of the non-ASCII byte's decode block is
-        # what the error names, as when the file is read line by line
-        with open_ascii(path, SignalParseError) as fh:
-            return _read_lines(fh, path)
+    text = read_ascii(path, SignalParseError)
     signals = _read_sections(text)
     if signals is None:
         signals = _read_lines(text.split("\n"), path)
@@ -354,7 +348,7 @@ def _read_sections(text: str) -> list[Signal] | None:
 
 
 def _read_lines(lines, path) -> list[Signal]:
-    """The signals of an iterable of a file's lines, read one line at a time.
+    """The signals of a file's lines, read one at a time.
 
     This is the file's grammar: blank lines and ``#`` comments may stand
     anywhere, surrounding whitespace is dropped, and every SignalParseError

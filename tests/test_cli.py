@@ -1850,6 +1850,20 @@ BAD_INPUTS.update({
         ),
         "--two-state takes no quantify.grid_refine (--grid-refine), got 2",
     ),
+    # a class-1 reference is healthy and a class-2 one unloaded: another
+    # reference value would be left unread
+    "two-state-class1-ref-damage-7": (
+        lambda p, t: _two_state_argv(
+            {"model_file": _switch_model(t)}, t, "1,0,7,0.1\n1,5,0,0.2\n2,0,0,0.1\n2,0,1,0.3\n"
+        ),
+        "two.csv: class-1 ref_damage must be 0 (a healthy reference), got 7.0",
+    ),
+    "two-state-class2-ref-load-3": (
+        lambda p, t: _two_state_argv(
+            {"model_file": _switch_model(t)}, t, "1,0,0,0.1\n1,5,0,0.2\n2,3,0,0.1\n2,0,1,0.3\n"
+        ),
+        "two.csv: class-2 ref_load must be 0 (an unloaded reference), got 3.0",
+    ),
     "two-state-repeated-class2-damage": (
         lambda p, t: _switch_two_state_argv(t, extra_rows="2,0,1,0.25\n"),
         "two.csv: repeated class-2 ref_damage 1",
@@ -1896,6 +1910,16 @@ BAD_INPUTS.update({
         lambda p, t: ["simulate", "--workdir", t / "out", "--n-samples", 10**15],
         "MemoryError: Unable to allocate",
     ),
+    # one state of two replicates holds one out; the three single ones none
+    "train-split-holds-out-one-row": (
+        lambda p, t: [
+            "train", "--di-file",
+            _write(t, "five.csv", "damage,di\n0,0.1\n0,0.11\n1,0.2\n2,0.3\n3,0.35\n"),
+            "--model-file", t / "model.json",
+        ],
+        "five.csv: the per-state split holds out 1 of 5 rows and trains on 4, and each side "
+        "needs at least 2: a state needs 2 or more replicates to hold one out",
+    ),
     "train-constant-targets": (
         lambda p, t: [
             "train", "--di-file", _write(t, "di.csv", "damage,di\n0,0.1\n0,0.1\n1,0.1\n1,0.1\n"),
@@ -1926,6 +1950,22 @@ def test_bad_input_exits_one_with_one_error_line(case, pipeline, tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and fragment in err[0]
+
+
+# a text decoder reads a file 8 KiB at a time: the byte is the error whether
+# the bad row ahead of it is in its block or blocks before it
+@pytest.mark.parametrize("blocks", [0, 1, 3])
+def test_a_non_ascii_byte_in_a_manifest_is_the_error_wherever_it_lies(blocks, tmp_path, capsys):
+    filler = b"# filler\n" * (blocks * 8192 // 9 + 1)
+    manifest = b"damage,load,n_signals,file\n0,0,x,cell.csv\n" + filler + b"# \xe9\n"
+    argv = _cell_di_argv(tmp_path, ["1\n", "2\n"], manifest=manifest)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    path = os.path.join(argv[2], "manifest.csv")
+    line = 3 + filler.count(b"\n")
+    assert capsys.readouterr().err == (
+        f"error: InvalidArgumentError: {path}: line {line}: not ASCII text\n"
+    )
 
 
 # simulate writes, and di reads, its signal files on forked workers; the

@@ -21,7 +21,7 @@ import gwquant.vhgpr
 from gwquant import persist
 from gwquant.errors import SchemaMismatchError
 from gwquant.kernels import KernelParams
-from gwquant.persist import _numbers, load_model, open_ascii, save_model
+from gwquant.persist import _numbers, load_model, read_ascii, save_model
 from gwquant.sgpr import SgprModel
 from gwquant.vhgpr import VhgprModel, VhgprState
 
@@ -210,15 +210,14 @@ def test_a_file_one_byte_apart_is_built_again(memo, tmp_path, change):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-def test_a_non_ascii_model_file_names_its_line_as_open_ascii_does(memo, tmp_path, newline):
+def test_a_non_ascii_model_file_names_its_line_as_read_ascii_does(memo, tmp_path, newline):
     path = tmp_path / "model.json"
     save_model(path, _sgpr())
     lines = path.read_text().splitlines()
     lines[2] = lines[2] + "\u00e9"
     path.write_bytes(newline.join(lines).encode("latin-1"))
     with pytest.raises(SchemaMismatchError) as read:
-        with open_ascii(path, SchemaMismatchError) as fh:
-            fh.read()
+        read_ascii(path, SchemaMismatchError)
     assert str(read.value) == f"{path}: line 3: not ASCII text"
     for _ in range(2):
         with pytest.raises(SchemaMismatchError) as loaded:

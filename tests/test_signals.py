@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gwquant import signals as signals_module
 from gwquant.errors import InvalidArgumentError, SignalParseError
-from gwquant.persist import open_ascii
+from gwquant.persist import read_ascii
 from gwquant.signals import (
     Signal,
     SimulationConfig,
@@ -243,16 +243,20 @@ class TestSignalCsv:
             read_signals_csv(path)
         assert str(excinfo.value) == f"{path}: line 4: not ASCII text"
 
-    def test_a_bad_line_well_ahead_of_a_non_ascii_byte_is_the_error(self, tmp_path):
-        # the byte lies more than one 8 KiB decode block after the bad line
-        path = tmp_path / "late_latin.csv"
+    # a text decoder reads a file 8 KiB at a time: the byte is the error
+    # whether the bad line ahead of it is in its block or blocks before it
+    @pytest.mark.parametrize("blocks", [0, 1, 3])
+    def test_a_non_ascii_byte_after_a_bad_line_is_the_error(self, tmp_path, blocks):
+        filler = b"0.25\n" * (blocks * 8192 // 5 + 1)
+        path = tmp_path / "latin.csv"
         path.write_bytes(
             b"# signal damage=1 load=0 replicate=0 role=test sample_rate=1e6\n"
-            b"x\n" + b"0.25\n" * 3000 + b"\xe9\n"
+            b"x\n" + filler + b"\xe9\n"
         )
         with pytest.raises(SignalParseError) as excinfo:
             read_signals_csv(path)
-        assert str(excinfo.value) == f"{path}: line 2: bad amplitude 'x'"
+        line = 3 + filler.count(b"\n")
+        assert str(excinfo.value) == f"{path}: line {line}: not ASCII text"
 
     def test_missing_header_key_is_schema_error(self, tmp_path):
         path = tmp_path / "schema.csv"
@@ -436,9 +440,8 @@ def _outcome(read, path):
 
 
 def _line_loop(path):
-    """The oracle: the line loop alone, over the file streamed line by line."""
-    with open_ascii(path, SignalParseError) as fh:
-        return signals_module._read_lines(fh, path)
+    """The oracle: the line loop alone, over the file's lines."""
+    return signals_module._read_lines(read_ascii(path, SignalParseError).split("\n"), path)
 
 
 @settings(
