@@ -15,14 +15,18 @@ predictive moments at each of its training states (state_moments), so
 scoring a training state makes no predict.
 
 Hyperparameters (output variance, ARD length scales, noise variance) are
-optimized in log space by minimizing the negative log marginal likelihood
+optimized in log space by minimizing the negative log marginal likelihood on
+the same summary, the state means ybar and within-state sums of squares SS_u,
 
-    nlml = 0.5 y^T (K + sn2 I)^-1 y + 0.5 log|K + sn2 I| + n/2 log 2pi
+    nlml = -log N(ybar | 0, K_u + diag(sn2 / c))
+           + 1/2 sum_u [(c_u - 1) log(2 pi sn2) + SS_u / sn2 + log c_u],
 
-with its analytic gradient, using L-BFGS-B restarted from perturbed
-initializations. The prior mean is fixed at zero; an optional target offset
-(subtract mean(y) before training, add it back at prediction) is available
-for data that is far from zero.
+with its analytic gradient at O(N + n_u^3), using L-BFGS-B restarted from
+perturbed initializations. If sn2 < eps * s2_f at a replicated state, every
+noise gets + 1e-10 (s2_f + mean row noise), the first jitter of the row
+matrix's Cholesky (gaussian_nll). The prior mean is fixed at zero; an
+optional target offset (subtract mean(y) before training, add it back at
+prediction) is available for data that is far from zero.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ from .kernels import (
     cross_covariance,
     kernel_matrix_grads,
 )
-from .linalg import chol_logdet, chol_solve, robust_cholesky, solve_lower
+from .linalg import _JITTER_START, chol_logdet, chol_solve, robust_cholesky, solve_lower
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 # Objective value used when a trial point cannot be factorized; large enough
 # that the line search backs off, finite so L-BFGS-B keeps going.
@@ -167,6 +172,11 @@ def _replicates(x: np.ndarray):
     return unique, inverse.ravel(), counts
 
 
+def _state_means(replicates, y: np.ndarray) -> np.ndarray:
+    _, inverse, counts = replicates
+    return np.bincount(inverse, weights=y) / counts
+
+
 @dataclass
 class GpPosterior:
     """Posterior of f under K_f + diag(R); SGPR is the case R = sn2 I.
@@ -212,7 +222,7 @@ class GpPosterior:
         column, the training damages by the training loads)."""
         unique, inverse, counts = replicates
         f_rows = KernelRows.prepare(unique, kernel)
-        means = np.bincount(inverse, weights=y - target_offset) / counts
+        means = _state_means(replicates, y - target_offset)
         l, alpha = _factor(cross_covariance(unique, f_rows), noise / counts, means)
         model = cls(kernel, x, y, target_offset, l, alpha, f_rows, **fields)
         moments = model.predict(unique)
@@ -267,37 +277,43 @@ class SgprModel(GpPosterior):
         return self.noise_variance
 
 
-def gaussian_nll(k: np.ndarray, r: np.ndarray, y: np.ndarray):
-    """-log N(y | 0, K + diag(r)) and M = alpha alpha^T - (K + diag(r))^-1.
+def gaussian_nll(k: np.ndarray, r: np.ndarray, replicates, y: np.ndarray, s2: float):
+    """-log N(y | 0, K + R) on the replicate summary, M and e.
 
-    M carries the gradient: d(-log N)/dtheta = -0.5 tr(M d(K + diag(r))/dtheta).
+    k is K and r the noise r_u at the states of replicates = _replicates(x).
+    M = alpha alpha^T - (K + diag(r / c))^-1 gives the kernel gradient,
+    d(-log N)/dtheta = -0.5 tr(M dK/dtheta), and e_u = 2 d(log N)/dr_u. If
+    a state with c_u >= 2 has r_u < eps * s2 (s2 the kernel's output
+    variance), every r_u gets + 1e-10 (s2 + sum c_u r_u / N); e holds it fixed.
     """
-    n = y.size
-    l, alpha = _factor(k, r, y)
-    value = 0.5 * float(y @ alpha) + 0.5 * chol_logdet(l) + 0.5 * n * _LOG_2PI
-    return value, np.outer(alpha, alpha) - chol_solve(l, np.eye(n))
+    _, inverse, counts = replicates
+    means = _state_means(replicates, y)
+    ss = np.bincount(inverse, weights=(y - means[inverse]) ** 2)
+    rule = np.any(r[counts > 1] < _EPS * s2)
+    rj = r + _JITTER_START * (s2 + float(counts @ r) / y.size) if rule else r
+    l, alpha = _factor(k, rj / counts, means)
+    value = 0.5 * float(means @ alpha) + 0.5 * chol_logdet(l) + 0.5 * y.size * _LOG_2PI
+    value += 0.5 * float(np.sum((counts - 1) * np.log(rj) + ss / rj + np.log(counts)))
+    m = np.outer(alpha, alpha) - chol_solve(l, np.eye(counts.size))
+    return value, m, np.diag(m) / counts - (counts - 1 - ss / rj) / rj
 
 
 def sgpr_nlml(params: KernelParams, log_noise_variance: float, x, y):
-    """Negative log marginal likelihood and its analytic gradient.
+    """Negative log marginal likelihood (gaussian_nll) and its analytic gradient.
 
     The gradient is with respect to the packed log parameters
-    [log_output_variance, log_length_scales (D), log_noise_variance] via
-    d(nlml)/dtheta = -0.5 tr((alpha alpha^T - Ky^-1) dKy/dtheta).
+    [log_output_variance, log_length_scales (D), log_noise_variance].
     """
     x = _as_2d(x)
     y = np.asarray(y, dtype=float).ravel()
-    n = x.shape[0]
-    if n < 1 or y.size != n:
+    if x.shape[0] < 1 or y.size != x.shape[0]:
         raise InvalidArgumentError("need n >= 1 training rows with matching targets")
-    noise = float(np.exp(log_noise_variance))
-    k, k_grads = kernel_matrix_grads(x, params)
-    value, m = gaussian_nll(k, np.full(n, noise), y)
-    grad = np.empty(params.ndim + 2)
-    for j, dk in enumerate(k_grads):
-        grad[j] = -0.5 * float(np.sum(m * dk))
-    grad[-1] = -0.5 * float(np.trace(m)) * noise
-    return value, grad
+    replicates = unique, _, counts = _replicates(x)
+    k, k_grads = kernel_matrix_grads(unique, params)
+    noise = np.full(counts.size, float(np.exp(log_noise_variance)))
+    value, m, e = gaussian_nll(k, noise, replicates, y, params.output_variance)
+    grad = [-0.5 * float(np.sum(m * dk)) for dk in k_grads]
+    return value, np.array(grad + [-0.5 * float(np.sum(e)) * noise[0]])
 
 
 def _unpack(theta: np.ndarray):

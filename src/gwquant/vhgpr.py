@@ -7,26 +7,26 @@ The observation noise variance is exp(g(x)) with its own GP prior
         - KL(N(g | mu, Sigma) || N(g | mu0 1, K_g))
 
 where, at the bound's maxima, the variational posterior is reparametrized
-through a nonnegative diagonal Lambda:
+through a nonnegative diagonal Lambda, one lambda per row. Replicates share
+g, so M sees Lambda only through each state's total Lambda_u and is computed
+at the n_u unique states with counts c_u, at O(N + n_u^3):
 
-    mu        = K_g (Lambda - I/2) 1 + mu0 1
-    Sigma^-1  = K_g^-1 + Lambda
-    R_ii      = exp(mu_i - Sigma_ii / 2)
+    mu_u      = K_g (Lambda_u - c/2) + mu0
+    Sigma^-1  = K_g^-1 + diag(Lambda_u)
+    r_u       = exp(mu_u - Sigma_uu / 2)
 
-All internal algebra is written against A = I + Lambda^1/2 K_g Lambda^1/2
-(always well conditioned), so that neither K_g^-1 nor Lambda^-1 is formed
-and Lambda = 0 is an admissible point:
+log N is sgpr.gaussian_nll's on the replicate summary, jitter rule included,
+and tr(Sigma) is sum_u c_u Sigma_uu. All internal algebra is written against
+A = I + Lambda^1/2 K_g Lambda^1/2 (always well conditioned), so that neither
+K_g^-1 nor Lambda^-1 is formed and Lambda = 0 is an admissible point:
 
     S     = Lambda^1/2 A^-1 Lambda^1/2   ( = (K_g + Lambda^-1)^-1 )
     Sigma = K_g - K_g S K_g
-    KL    = 1/2 (v^T K_g v - tr(Lambda Sigma) + log|A|),  v = lambda - 1/2.
+    KL    = 1/2 (v^T K_g v - Lambda^T diag(Sigma) + log|A|),  v = Lambda_u - c/2.
 
-Lambda itself is optimized through a softplus transform, jointly with both
-kernels' log hyperparameters and mu0 in a single quasi-Newton run.
-
-A built model is conditioned on its unique training states: replicates
-share g, so q(g) there takes each state's lambda total Lambda_u and count
-c_u, mu_u = K_g (Lambda_u - c/2) + mu0, and r_u / c_u is its noise in f.
+Each lambda is optimized through a softplus transform, jointly with both
+kernels' log hyperparameters and mu0 in a single quasi-Newton run. A built
+model is conditioned on the same states, r_u / c_u its noise in f.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ def _posterior(kg: np.ndarray, lam: np.ndarray, counts: np.ndarray, mu0: float) 
 def mv_bound(state: VhgprState, x, y):
     """Negated marginal variational bound and its analytic gradient.
 
-    The gradient is with respect to the packed free parameters
-    [kernel_f logs (D+1), kernel_g logs (D+1), mu0, rho (n)] where
-    variational_lambda = softplus(rho) keeps Lambda nonnegative.
+    The gradient is with respect to the packed free parameters [kernel_f logs
+    (D+1), kernel_g logs (D+1), mu0, rho (n)], variational_lambda =
+    softplus(rho); each row of a state gets the state's d/dLambda_u.
     """
     x = _as_2d(x)
     y = np.asarray(y, dtype=float).ravel()
@@ -206,46 +206,30 @@ def mv_bound(state: VhgprState, x, y):
 
     lam = state.variational_lambda
     _check_lambda(lam, n)
-    kg, kg_grads = kernel_matrix_grads(x, state.kernel_g)
-    post = _posterior(kg, lam, np.ones(n), state.mu0)
-    u_g, v = post["u_g"], post["v"]
-    sigma_diag, r = post["sigma_diag"], post["r"]
+    replicates = unique, inverse, counts = _replicates(x)
+    lam_u = np.bincount(inverse, weights=lam)
+    kg, kg_grads = kernel_matrix_grads(unique, state.kernel_g)
+    post = _posterior(kg, lam_u, counts, state.mu0)
+    u_g, v, sigma_diag = post["u_g"], post["v"], post["sigma_diag"]
     s = u_g.T @ u_g  # (K_g + Lambda^-1)^-1, valid at Lambda = 0
-
-    kf, kf_grads = kernel_matrix_grads(x, state.kernel_f)
-    nll, m = gaussian_nll(kf, r, y)
-
-    # Sigma = K_g - K_g S K_g; only the trace terms need more than its diag
     kg_s = kg @ s
-    sigma = kg - kg_s @ kg
+    sigma = kg - kg_s @ kg  # only the trace terms need more than its diag
 
-    kl = 0.5 * (
-        float(v @ (kg @ v)) - float(lam @ sigma_diag) + chol_logdet(post["chol_a"])
-    )
-    bound = -nll - 0.25 * float(np.sum(sigma_diag)) - kl
+    kf, kf_grads = kernel_matrix_grads(unique, state.kernel_f)
+    nll, m, e = gaussian_nll(kf, post["r"], replicates, y, state.kernel_f.output_variance)
+    kl = 0.5 * (float(v @ (kg @ v)) - float(lam_u @ sigma_diag) + chol_logdet(post["chol_a"]))
+    bound = -nll - 0.25 * float(np.sum(counts * sigma_diag)) - kl
 
-    # --- gradient of the bound ---
-    b_mat = 0.5 * m
-    b = np.diag(b_mat) * r  # dM/dmu_i
-    c = -0.5 * b - 0.25 + 0.5 * lam  # dM/dSigma_ii (diagonal sensitivity)
-
-    grad_f = np.array([float(np.sum(b_mat * dk)) for dk in kf_grads])
-
-    p_t = np.eye(n) - s @ kg  # transpose of I - K_g S
-    g_g = (
-        np.outer(b, v)
-        + (p_t * c[None, :]) @ p_t.T
-        - 0.5 * np.outer(v, v)
-        - 0.5 * s
-    )
-    grad_g = np.array([float(np.sum(g_g * dk)) for dk in kg_grads])
-
-    grad_mu0 = float(np.sum(b))
+    # --- gradient of the bound: b is dM/dmu_u, c dM/dSigma_uu ---
+    b = 0.5 * e * post["r"]
+    c = -0.5 * b - 0.25 * counts + 0.5 * lam_u
+    grad_f = [0.5 * float(np.sum(m * dk)) for dk in kf_grads]
+    p_t = np.eye(counts.size) - s @ kg  # transpose of I - K_g S
+    g_g = np.outer(b, v) + (p_t * c[None, :]) @ p_t.T - 0.5 * np.outer(v, v) - 0.5 * s
+    grad_g = [float(np.sum(g_g * dk)) for dk in kg_grads]
     grad_lam = kg @ (b - v) - (sigma**2) @ c
-    grad_rho = grad_lam * (-np.expm1(-lam))
-
-    grad = np.concatenate((grad_f, grad_g, [grad_mu0], grad_rho))
-    return -bound, -grad
+    grad_rho = grad_lam[inverse] * (-np.expm1(-lam))
+    return -bound, -np.concatenate((grad_f, grad_g, [np.sum(b)], grad_rho))
 
 
 def train_vhgpr(
