@@ -8,14 +8,12 @@ with output variance ``s2`` and one characteristic length scale ``l_d`` per
 input dimension. Both are kept in log space so positivity holds by
 construction.
 
-Every cross-covariance is computed by ``cross_covariance`` against a
-``KernelRows``: one side's rows scaled by the length scales, their squared
-norms and ``s2`` as a float, computed once. ``kernel_matrix`` prepares its
-second argument afresh; a built model prepares its unique training rows
-once (``GpPosterior.f_rows``), so a predict pays only for its query rows.
-The operations and their order are the same either way, so both give the
-same bits:
+Every cross-covariance is computed by ``kernel_matrix``, in one order of
+operations; ``se_kernel`` evaluates one entry, as a reference. A built model
+keeps its unique training rows (``GpPosterior.unique_inputs``), and a
+predict calls ``kernel_matrix`` between its query rows and those:
 
+    sa, sb = xa / l, xb / l
     d2 = (|sa|^2 + |sb|^2) - (2 sa) @ sb^T,   k = s2 * exp(-0.5 * max(d2, 0))
 """
 
@@ -98,55 +96,26 @@ def se_kernel(a, b, params: KernelParams) -> float:
     return params.output_variance * float(np.exp(-0.5 * np.dot(z, z)))
 
 
-@dataclass(frozen=True)
-class KernelRows:
-    """Fixed rows x_b of a cross-covariance, prepared once for one kernel.
-
-    scaled is x_b / l, sq_norms its squared row norms and output_variance
-    s2 as a float; all arrays are read-only.
-    """
-
-    length_scales: np.ndarray
-    scaled: np.ndarray
-    sq_norms: np.ndarray
-    output_variance: float
-
-    @classmethod
-    def prepare(cls, x, params: KernelParams) -> "KernelRows":
-        """The rows of x (2-d, one column per length scale) prepared for params."""
-        x = _as_2d(x)
-        if x.shape[1] != params.ndim:
-            raise DimensionMismatchError(
-                f"inputs have {x.shape[1]} columns but kernel has {params.ndim} length scales"
-            )
-        length_scales = params.length_scales
-        scaled = x / length_scales
-        rows = cls(length_scales, scaled, np.sum(scaled**2, axis=1), params.output_variance)
-        for array in (length_scales, scaled, rows.sq_norms):
-            array.flags.writeable = False
-        return rows
-
-
-def cross_covariance(xq: np.ndarray, rows: KernelRows) -> np.ndarray:
-    """Kernel matrix between the 2-d query rows xq and prepared rows, shape (nq, nb).
-
-    xq must have the rows' column count; callers check it.
-    """
-    sa = xq / rows.length_scales
-    # (a-b)^2 = a^2 + b^2 - 2ab, clipped against tiny negative round-off
-    d2 = (sa**2).sum(axis=1)[:, None] + rows.sq_norms[None, :] - 2.0 * sa @ rows.scaled.T
-    return rows.output_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
-
-
 def kernel_matrix(xa, xb, params: KernelParams) -> np.ndarray:
-    """Cross-covariance matrix with entry (i, j) = se_kernel(xa[i], xb[j])."""
+    """Cross-covariance matrix with entry (i, j) = se_kernel(xa[i], xb[j]).
+
+    Both inputs must have one column per length scale.
+    """
     xa = _as_2d(xa)
     xb = _as_2d(xb)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionMismatchError(
             f"column counts differ: {xa.shape[1]} vs {xb.shape[1]}"
         )
-    return cross_covariance(xa, KernelRows.prepare(xb, params))
+    if xb.shape[1] != params.ndim:
+        raise DimensionMismatchError(
+            f"inputs have {xb.shape[1]} columns but kernel has {params.ndim} length scales"
+        )
+    length_scales = params.length_scales
+    sa, sb = xa / length_scales, xb / length_scales
+    # (a-b)^2 = a^2 + b^2 - 2ab, clipped against tiny negative round-off
+    d2 = (sa**2).sum(axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :] - 2.0 * sa @ sb.T
+    return params.output_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
 
 
 def kernel_matrix_grads(x, params: KernelParams):

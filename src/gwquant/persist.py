@@ -268,6 +268,12 @@ def model_from_dict(payload):
         raise SchemaMismatchError(
             f"{schema} model lacks the input column 'damage': its train_inputs has no column"
         )
+    for key, value in zip(decoders, hyperparams):
+        if isinstance(value, KernelParams) and value.ndim != x.shape[1]:
+            raise SchemaMismatchError(
+                f"{schema} model has {x.shape[1]} input columns but {key!r} has "
+                f"{value.ndim} length scales"
+            )
     return cls.from_hyperparams(*hyperparams, x, y, target_offset=offset)
 
 

@@ -6,10 +6,9 @@ gwquant.vhgpr finds R variationally, this module uses R = sn2 I. R is one
 r_u per state, so a model is conditioned on its n_u unique training states:
 their mean targets with noise r_u / c_u, c_u the state's replicate count,
 give the posterior that all rows give (Binois et al., JCGS 2018). A
-posterior prepares its unique training rows for k_f once, when it is built
-(f_rows, a kernels.KernelRows), so a predict computes the kernel of its
-query rows only, with the same bits as kernel_matrix against those rows. It
-also holds the grid of its training damages (damage_grid, a StateGrid, the
+posterior keeps those unique rows (unique_inputs), and a predict computes
+k_f between its query rows and them with kernels.kernel_matrix. It also
+holds the grid of its training damages (damage_grid, a StateGrid, the
 candidate states gwquant.quantify scores a test DI against) and the
 predictive moments at each of its training states (state_moments), so
 scoring a training state makes no predict.
@@ -45,13 +44,7 @@ from .errors import (
     NotPositiveDefiniteError,
     OptimizerFailureError,
 )
-from .kernels import (
-    KernelParams,
-    KernelRows,
-    _as_2d,
-    cross_covariance,
-    kernel_matrix_grads,
-)
+from .kernels import KernelParams, _as_2d, kernel_matrix, kernel_matrix_grads
 from .linalg import _JITTER_START, chol_logdet, chol_solve, robust_cholesky, solve_lower
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -182,17 +175,17 @@ class GpPosterior:
     """Posterior of f under K_f + diag(R); SGPR is the case R = sn2 I.
 
     train_inputs and train_targets keep the rows the model was built from.
-    chol_factor factorizes K_f + diag(r_u / c_u) at the n_u unique training
-    rows, alpha solves it against each state's mean offset-corrected target
-    and f_rows holds the unique rows prepared for the kernel. One predict
-    over the unique rows gives state_moments, a read-only map from each
-    unique row (a tuple of floats) to its predictive (mean, variance), and
-    row_variance, the variance at each training row, so replicates share
-    theirs exactly. damage_grid is the StateGrid of the training damages,
-    the states a test DI is scored against by default. A (damage, load,
-    switch) model also holds the grids of a two-state request: load_grid,
-    its training loads, and damage_load_grid, the StateGrid of every
-    training damage with every training load (both None for other models).
+    unique_inputs holds, read-only, the n_u unique training rows: chol_factor
+    factorizes K_f + diag(r_u / c_u) at them and alpha solves it against
+    each state's mean offset-corrected target. One predict over the unique
+    rows gives state_moments, a read-only map from each unique row (a tuple
+    of floats) to its predictive (mean, variance), and row_variance, the
+    variance at each training row, so replicates share theirs exactly.
+    damage_grid is the StateGrid of the training damages, the states a test
+    DI is scored against by default. A (damage, load, switch) model also
+    holds the grids of a two-state request: load_grid, its training loads,
+    and damage_load_grid, the StateGrid of every training damage with every
+    training load (both None for other models).
     Subclasses supply noise_at(xq), the noise variance at the query rows.
     """
 
@@ -202,7 +195,7 @@ class GpPosterior:
     target_offset: float
     chol_factor: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
-    f_rows: KernelRows = field(repr=False, compare=False)
+    unique_inputs: np.ndarray = field(repr=False, compare=False)
     row_variance: np.ndarray = field(init=False, repr=False, compare=False)
     state_moments: MappingProxyType = field(init=False, repr=False, compare=False)
     damage_grid: StateGrid = field(init=False, repr=False, compare=False)
@@ -221,10 +214,10 @@ class GpPosterior:
         training state and grid the training damages (and, with a switch
         column, the training damages by the training loads)."""
         unique, inverse, counts = replicates
-        f_rows = KernelRows.prepare(unique, kernel)
+        unique.flags.writeable = False
         means = _state_means(replicates, y - target_offset)
-        l, alpha = _factor(cross_covariance(unique, f_rows), noise / counts, means)
-        model = cls(kernel, x, y, target_offset, l, alpha, f_rows, **fields)
+        l, alpha = _factor(kernel_matrix(unique, unique, kernel), noise / counts, means)
+        model = cls(kernel, x, y, target_offset, l, alpha, unique, **fields)
         moments = model.predict(unique)
         model.row_variance = moments.variance[inverse]
         model.state_moments = MappingProxyType(dict(zip(
@@ -416,10 +409,10 @@ def sgpr_predict(model: GpPosterior, xq) -> PredictiveMoments:
         raise DimensionMismatchError(
             f"query has {xq.shape[1]} columns, model expects {model.ndim}"
         )
-    k_star = cross_covariance(xq, model.f_rows)
+    k_star = kernel_matrix(xq, model.unique_inputs, model.kernel)
     mean = k_star @ model.alpha + model.target_offset
     v = solve_lower(model.chol_factor, k_star.T)
-    latent = model.f_rows.output_variance - (v**2).sum(axis=0)
+    latent = model.kernel.output_variance - (v**2).sum(axis=0)
     variance = np.maximum(latent, 0.0) + model.noise_at(xq)
     return PredictiveMoments(mean, variance, xq)
 

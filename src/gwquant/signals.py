@@ -185,8 +185,10 @@ def _received_samples(config: SimulationConfig, burst: np.ndarray, damage: float
 def simulate_dataset(config: SimulationConfig, damage_grid, load_grid) -> list[Signal]:
     """Synthesize replicate signals for every (damage, load) grid cell.
 
-    Deterministic given ``config.rng_seed``; the generator is owned by this
-    call and never shared.
+    The signals come in damage -> load -> replicate order: each cell's
+    ``config.n_replicates`` signals in one run, the cells in grid order with
+    the load varying fastest. Deterministic given ``config.rng_seed``; the
+    generator is owned by this call and never shared.
     """
     damage_grid = [float(d) for d in damage_grid]
     load_grid = [float(w) for w in load_grid]

@@ -36,13 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError
-from .kernels import (
-    KernelParams,
-    KernelRows,
-    _as_2d,
-    cross_covariance,
-    kernel_matrix_grads,
-)
+from .kernels import KernelParams, _as_2d, kernel_matrix, kernel_matrix_grads
 from .linalg import chol_logdet, robust_cholesky, solve_lower
 from .sgpr import (
     GpPosterior,
@@ -110,9 +104,9 @@ class VhgprState:
 class VhgprModel(GpPosterior):
     """Trained heteroscedastic model; kernel is k_f, the rest describe g.
 
-    variational_lambda keeps one lambda per training row. g_rows holds the
-    unique training rows prepared for k_g and centered_lambda each state's
-    Lambda_u - c_u/2, both computed once for noise_at.
+    variational_lambda keeps one lambda per training row, and
+    centered_lambda each state's Lambda_u - c_u/2, computed once for
+    noise_at, which evaluates k_g against unique_inputs.
     """
 
     kernel_g: KernelParams
@@ -121,7 +115,6 @@ class VhgprModel(GpPosterior):
     # u_g = L_A^-1 diag(sqrt Lambda_u) so that S = u_g^T u_g; this is the
     # Lambda=0-safe equivalent of factorizing K_g + Lambda^-1
     u_g: np.ndarray = field(repr=False)
-    g_rows: KernelRows = field(repr=False, compare=False)
     centered_lambda: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
@@ -130,13 +123,12 @@ class VhgprModel(GpPosterior):
         y = np.asarray(y, dtype=float).ravel()
         _check_lambda(state.variational_lambda, x.shape[0])
         replicates = unique, inverse, counts = _replicates(x)
-        g_rows = KernelRows.prepare(unique, state.kernel_g)
         totals = np.bincount(inverse, weights=state.variational_lambda)
-        post = _posterior(cross_covariance(unique, g_rows), totals, counts, state.mu0)
+        post = _posterior(kernel_matrix(unique, unique, state.kernel_g), totals, counts, state.mu0)
         return cls._conditioned(
             state.kernel_f, x, y, target_offset, replicates, post["r"],
             kernel_g=state.kernel_g, mu0=state.mu0, variational_lambda=state.variational_lambda,
-            u_g=post["u_g"], g_rows=g_rows, centered_lambda=post["v"],
+            u_g=post["u_g"], centered_lambda=post["v"],
         )
 
     @classmethod
@@ -152,10 +144,10 @@ class VhgprModel(GpPosterior):
 
     def noise_at(self, xq: np.ndarray) -> np.ndarray:
         """exp(mu* + sigma*^2 / 2), the mean noise variance under q(g)."""
-        kg_star = cross_covariance(xq, self.g_rows)
+        kg_star = kernel_matrix(xq, self.unique_inputs, self.kernel_g)
         mu_star = kg_star @ self.centered_lambda + self.mu0
         quad = ((self.u_g @ kg_star.T) ** 2).sum(axis=0)
-        sig2_star = np.maximum(self.g_rows.output_variance - quad, 0.0)
+        sig2_star = np.maximum(self.kernel_g.output_variance - quad, 0.0)
         return np.exp((mu_star + 0.5 * sig2_star).clip(-_EXP_CLIP, _EXP_CLIP))
 
 

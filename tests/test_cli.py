@@ -1155,6 +1155,21 @@ class TestModelMemo:
         assert "lacks the input column 'damage'" in err[0]
         assert persist._model_memo == {}
 
+    @pytest.mark.parametrize(
+        "case",
+        ["sgpr-model-kernel-too-wide", "vhgpr-model-kernel-f-too-wide",
+         "vhgpr-model-kernel-g-too-narrow"],
+    )
+    def test_a_model_file_of_the_wrong_kernel_width_is_refused_and_not_kept(
+        self, case, pipeline, tmp_path, capsys
+    ):
+        build_argv, fragment = BAD_INPUTS[case]
+        assert run(*build_argv(pipeline, tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: SchemaMismatchError: ") and fragment in err[0]
+        assert persist._model_memo == {}
+
     def test_a_rewritten_model_file_is_read_afresh(self, pipeline, tmp_path, capsys):
         path = tmp_path / "model.json"
         text = Path(pipeline["model_file"]).read_text()
@@ -1291,6 +1306,11 @@ def _vhgpr_model_file(tmp_path):
     return path
 
 
+def _kernel_of_width(width):
+    """A model file's kernel with width length scales."""
+    return {"log_output_variance": 0.0, "log_length_scales": [0.0] * width}
+
+
 def _write(tmp_path, name, content):
     """tmp_path / name holding content, a str or the exact bytes."""
     path = tmp_path / name
@@ -1403,6 +1423,22 @@ BAD_INPUTS = {
             _vhgpr_model_file(t), t, variational_lambda=[0.5] * 5 + [-0.5]
         ),
         "variational_lambda entries must be >= 0",
+    ),
+    # a kernel of another width than train_inputs is refused where the file is read
+    "sgpr-model-kernel-too-wide": (
+        lambda p, t: _edited_model(p["model_file"], t, kernel=_kernel_of_width(3)),
+        "SchemaMismatchError: gwquant.sgpr.v1 model has 2 input columns but 'kernel' "
+        "has 3 length scales",
+    ),
+    "vhgpr-model-kernel-f-too-wide": (
+        lambda p, t: _edited_model(_vhgpr_model_file(t), t, kernel_f=_kernel_of_width(2)),
+        "SchemaMismatchError: gwquant.vhgpr.v1 model has 1 input columns but 'kernel_f' "
+        "has 2 length scales",
+    ),
+    "vhgpr-model-kernel-g-too-narrow": (
+        lambda p, t: _edited_model(_vhgpr_model_file(t), t, kernel_g=_kernel_of_width(0)),
+        "SchemaMismatchError: gwquant.vhgpr.v1 model has 1 input columns but 'kernel_g' "
+        "has 0 length scales",
     ),
     "empty-truth-file": (
         lambda p, t: _report_argv(t, "[]", "# no rows\n"), "expected header"

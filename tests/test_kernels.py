@@ -15,8 +15,6 @@ from gwquant.errors import (
 )
 from gwquant.kernels import (
     KernelParams,
-    KernelRows,
-    cross_covariance,
     kernel_matrix,
     kernel_matrix_grads,
     se_kernel,
@@ -111,7 +109,7 @@ _CELLS = st.one_of(
     log_variance=st.floats(-5.0, 5.0),
     data=st.data(),
 )
-def test_cross_covariance_is_the_old_formula_bit_for_bit(d, nq, nb, log_variance, data):
+def test_kernel_matrix_is_the_old_formula_bit_for_bit(d, nq, nb, log_variance, data):
     params = KernelParams(log_variance, data.draw(arrays(float, d, elements=st.floats(-4, 4))))
     xb = data.draw(arrays(float, (nb, d), elements=_CELLS))
     # queries drawn afresh or taken from the fixed rows, where d2 is 0 up to round-off
@@ -122,19 +120,16 @@ def test_cross_covariance_is_the_old_formula_bit_for_bit(d, nq, nb, log_variance
         )
     )
     expected = _kernel_oracle(xq, xb, params)
-    assert np.array_equal(cross_covariance(xq, KernelRows.prepare(xb, params)), expected)
     assert np.array_equal(kernel_matrix(xq, xb, params), expected)
     assert np.array_equal(kernel_matrix(xb, xb, params), _kernel_oracle(xb, xb, params))
 
 
-def test_prepared_rows_are_read_only_and_checked(rng):
+def test_kernel_matrix_refuses_inputs_of_another_width_than_the_kernel(rng):
     params = KernelParams(0.3, [0.1, -0.2])
-    rows = KernelRows.prepare(rng.normal(size=(4, 2)), params)
-    assert rows.output_variance == params.output_variance
-    for array in (rows.length_scales, rows.scaled, rows.sq_norms):
-        assert not array.flags.writeable
-    with pytest.raises(DimensionMismatchError, match="3 columns but kernel has 2"):
-        KernelRows.prepare(rng.normal(size=(4, 3)), params)
+    for columns in (1, 3):
+        x = rng.normal(size=(4, columns))
+        with pytest.raises(DimensionMismatchError, match=f"{columns} columns but kernel has 2"):
+            kernel_matrix(x, x, params)
 
 
 def test_kernel_grads_match_finite_differences(rng):

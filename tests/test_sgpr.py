@@ -316,7 +316,7 @@ def test_a_model_on_replicates_predicts_what_the_dense_row_algebra_gives(seed, r
     model = SgprModel.from_hyperparams(kernel, log_noise, x, y, target_offset=0.25)
     n_u = len(np.unique(x, axis=0))
     assert model.chol_factor.shape == (n_u, n_u)
-    assert model.alpha.size == model.f_rows.scaled.shape[0] == n_u
+    assert model.alpha.size == model.unique_inputs.shape[0] == n_u
     xq = np.vstack((x, rng.uniform(-1.0, 5.0, size=(6, d))))
     mean, variance = dense_sgpr_predict(kernel, log_noise, x, y, 0.25, xq)
     got = model.predict(xq)

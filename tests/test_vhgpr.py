@@ -450,7 +450,7 @@ def test_a_model_on_replicates_predicts_what_the_dense_row_algebra_gives(seed, r
     n_u, inverse = len(states), inverse.ravel()
     assert model.chol_factor.shape == model.u_g.shape == (n_u, n_u)
     assert model.alpha.size == model.centered_lambda.size == n_u
-    assert model.f_rows.scaled.shape[0] == model.g_rows.scaled.shape[0] == n_u
+    assert model.unique_inputs.shape[0] == n_u
     xq = np.vstack((x, rng.uniform(-1.0, 5.0, size=(6, d))))
     mean, variance = dense_row_predict(state, x, y, 0.25, xq)
     got = model.predict(xq)
