@@ -1,10 +1,14 @@
-"""Dense N x N row-level objectives, kept as test oracles.
+"""Dense N x N row-level objectives and the kernel formula, kept as test oracles.
 
 sgpr_nlml and mv_bound here are the row-level formulations of gwquant's
 training objectives, with gaussian_nll, the likelihood term they share: every
 matrix is over all N training rows, replicates included, and one evaluation
 costs O(N^3). gwquant computes the same values and gradients on the replicate
 summary of the rows; these bodies are what its tests compare against.
+
+kernel_oracle is the squared-exponential kernel written out in
+kernels.kernel_matrix's order of operations: the bit-for-bit oracle of every
+kernel and predict test.
 """
 
 import numpy as np
@@ -14,6 +18,22 @@ from gwquant.kernels import KernelParams, _as_2d, kernel_matrix_grads
 from gwquant.linalg import chol_logdet, chol_solve
 from gwquant.sgpr import _LOG_2PI, _factor
 from gwquant.vhgpr import VhgprState, _check_lambda, _posterior
+
+
+def scaled_sqdist(xa, xb, length_scales):
+    """Matrix of sum_d ((xa_i,d - xb_j,d)/l_d)^2, clipped at 0."""
+    sa = xa / length_scales
+    sb = xb / length_scales
+    d2 = (
+        np.sum(sa**2, axis=1)[:, None]
+        + np.sum(sb**2, axis=1)[None, :]
+        - 2.0 * sa @ sb.T
+    )
+    return np.maximum(d2, 0.0)
+
+
+def kernel_oracle(xa, xb, params):
+    return params.output_variance * np.exp(-0.5 * scaled_sqdist(xa, xb, params.length_scales))
 
 
 def gaussian_nll(k: np.ndarray, r: np.ndarray, y: np.ndarray):

@@ -20,6 +20,7 @@ from gwquant.kernels import (
     se_kernel,
 )
 from gwquant.linalg import robust_cholesky
+from oracles import kernel_oracle
 
 
 def test_se_kernel_zero_distance_returns_output_variance():
@@ -79,23 +80,6 @@ def test_kernel_matrix_column_mismatch(rng):
         kernel_matrix(rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), params)
 
 
-def _scaled_sqdist(xa, xb, length_scales):
-    """Matrix of sum_d ((xa_i,d - xb_j,d)/l_d)^2, as the kernel computed it
-    before its rows were prepared: the bit-for-bit oracle."""
-    sa = xa / length_scales
-    sb = xb / length_scales
-    d2 = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * sa @ sb.T
-    )
-    return np.maximum(d2, 0.0)
-
-
-def _kernel_oracle(xa, xb, params):
-    return params.output_variance * np.exp(-0.5 * _scaled_sqdist(xa, xb, params.length_scales))
-
-
 _CELLS = st.one_of(
     st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, 5.0, 1e-300, 0.1 + 0.2])
 )
@@ -119,9 +103,9 @@ def test_kernel_matrix_is_the_old_formula_bit_for_bit(d, nq, nb, log_variance, d
             st.lists(st.integers(0, nb - 1), min_size=1, max_size=nq).map(lambda i: xb[i]),
         )
     )
-    expected = _kernel_oracle(xq, xb, params)
+    expected = kernel_oracle(xq, xb, params)
     assert np.array_equal(kernel_matrix(xq, xb, params), expected)
-    assert np.array_equal(kernel_matrix(xb, xb, params), _kernel_oracle(xb, xb, params))
+    assert np.array_equal(kernel_matrix(xb, xb, params), kernel_oracle(xb, xb, params))
 
 
 def test_kernel_matrix_refuses_inputs_of_another_width_than_the_kernel(rng):

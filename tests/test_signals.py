@@ -1,6 +1,8 @@
 """Signal synthesis and CSV ingestion tests."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,6 +347,117 @@ class TestSignalCsvWriter:
         samples = samples[np.isfinite(samples)]
         text = signals_to_csv_text([Signal(samples, 1e6)])
         assert text.split("\n", 1)[1] == "".join(f"{value:.17g}\n" for value in samples)
+
+
+def _one_per_value(values) -> str:
+    return "".join(f"{value:.17g}\n" for value in np.asarray(values, dtype=float).tolist())
+
+
+def _rendered(values) -> str:
+    """The sample lines signals_to_csv_text writes for one signal of values."""
+    return signals_to_csv_text([Signal(values, 1e6)]).split("\n", 1)[1]
+
+
+def _both_signs(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+class TestSampleKernel:
+    """The %.17g kernel against one f-string per value, at its edges."""
+
+    def test_neighbours_of_every_power_of_ten_the_fast_path_covers(self):
+        # 1e-10 and 1e1 lie beyond the fast range's two ends
+        values = []
+        for k in range(-10, 2):
+            power = float(f"1e{k}")
+            below, above = np.nextafter(power, 0.0), np.nextafter(power, np.inf)
+            values += [np.nextafter(below, 0.0), below, power, above, np.nextafter(above, np.inf)]
+        values = _both_signs(values)
+        assert _rendered(values) == _one_per_value(values)
+
+    def test_round_up_carries_into_the_next_decade(self):
+        # the doubles below a power of ten whose 17 digits round up to it:
+        # 14 in all of float64, none in the fast range, so each one takes the
+        # fallback. The 9.99999999999999999e<k> literals are the nearest
+        # doubles to 10**k, whose digits do not carry
+        carries = []
+        for k in range(-323, 309):
+            power = Fraction(10) ** k
+            below = float(power)
+            if Fraction(below) >= power:
+                below = float(np.nextafter(below, 0.0))
+            if below and Fraction(f"{below:.17g}") == power:
+                carries.append(below)
+        assert len(carries) == 14 and 1e-14 in carries and 1e-305 in carries
+        low, high = signals_module._FAST_LOW, signals_module._FAST_HIGH
+        assert not any(low <= c < high for c in carries)
+        literals = [float(f"9.99999999999999999e{k}") for k in range(-12, 3)]
+        values = _both_signs(carries + literals + [9.9999999999999995e-08])
+        assert _rendered(values) == _one_per_value(values)
+        assert "1e-14\n" in _rendered(values) and "9.9999999999999995e-08\n" in _rendered(values)
+
+    def test_exact_ties_round_half_to_even(self):
+        # j * 2**q with 18 significant digits ends in a 5: its 17 digits are
+        # a tie, rounded to the even neighbour, up about half the time
+        ties = [
+            j * 2.0**q
+            for q in range(-70, 4)
+            for j in range(1, 1024, 2)
+            if len(Decimal(j * 2.0**q).normalize().as_tuple().digits) == 18
+        ]
+        ups = [x for x in ties if Decimal(f"{x:.17g}") > Decimal(x)]
+        assert len(ties) > 500 and len(ups) > 100
+        values = _both_signs(ties)
+        assert _rendered(values) == _one_per_value(values)
+
+    def test_values_at_and_just_past_the_fast_range_bounds(self):
+        low, high = signals_module._FAST_LOW, signals_module._FAST_HIGH
+        values = _both_signs(
+            [
+                low, np.nextafter(low, 0.0), np.nextafter(low, np.inf),
+                high, np.nextafter(high, 0.0), np.nextafter(high, np.inf),
+            ]
+        )
+        assert _rendered(values) == _one_per_value(values)
+
+    def test_zeros_subnormals_and_the_largest_doubles(self):
+        tiny = np.finfo(float).smallest_subnormal
+        values = _both_signs(
+            [0.0, tiny, 2 * tiny, 3 * tiny, 1e-310, np.finfo(float).smallest_normal,
+             np.finfo(float).max, np.nextafter(np.finfo(float).max, 0.0)]
+        )
+        assert _rendered(values) == _one_per_value(values)
+        assert _rendered([0.0, -0.0]) == "0\n-0\n"
+
+    def test_a_signal_mixing_fast_and_fallback_rows(self, rng):
+        fast = rng.normal(0.0, 0.01, 200)
+        fallback = rng.normal(0.0, 1e30, 200)
+        values = np.where(rng.random(200) < 0.5, fast, fallback)
+        values[::17] = 0.0
+        assert _rendered(values) == _one_per_value(values)
+
+    def test_a_one_sample_signal(self):
+        for value in (0.5, -3.25e-7, 123.0, -0.0):
+            assert _rendered([value]) == _one_per_value([value])
+
+    def test_sections_across_chunk_bounds(self, rng):
+        chunk = signals_module._CHUNK
+        signals = [
+            Signal(rng.normal(0.0, 0.1, n), 1e6, StateLabel(0.0, 0.0, i, "test"))
+            for i, n in enumerate([1, chunk - 2, 3, chunk, 2 * chunk + 1, 1])
+        ]
+        expected = "\n".join(
+            signals_module._format_header(sig) + "\n" + _one_per_value(sig.samples)
+            for sig in signals
+        )
+        assert signals_to_csv_text(signals) == expected
+
+    def test_a_million_random_bit_patterns(self, rng):
+        bits = rng.integers(0, 2**64 - 1, size=1_000_000, dtype=np.uint64, endpoint=True)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert _rendered(values) == _one_per_value(values)
 
 
 # --- the section reader against the line loop -------------------------------

@@ -22,6 +22,7 @@ from gwquant.vhgpr import (
     train_vhgpr,
     vhgpr_predict,
 )
+from oracles import kernel_oracle
 
 FAST_OPT = OptimizerConfig(n_restarts=2, seed=0)
 
@@ -357,28 +358,20 @@ def test_vhgpr_persistence_round_trip(tmp_path, rng):
     assert np.array_equal(a.variance, b.variance)
 
 
-def _kernel_before(xa, xb, params):
-    """kernel_matrix as computed before a model prepared its rows."""
-    sa = xa / params.length_scales
-    sb = xb / params.length_scales
-    d2 = np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)[None, :] - 2.0 * sa @ sb.T
-    return params.output_variance * np.exp(-0.5 * np.maximum(d2, 0.0))
-
-
-def _predict_before(model, xq):
-    """(mean, variance) of sgpr_predict and noise_at as computed before a model
-    prepared its rows, over the model's unique training rows: the bit-for-bit
+def _predict_oracle(model, xq):
+    """(mean, variance) of sgpr_predict and noise_at, written out over the
+    model's unique training rows with the kernel oracle: the bit-for-bit
     oracle."""
     xq = _as_2d(xq)
     states, inverse, counts = np.unique(
         model.train_inputs, axis=0, return_inverse=True, return_counts=True
     )
-    k_star = _kernel_before(xq, states, model.kernel)
+    k_star = kernel_oracle(xq, states, model.kernel)
     mean = k_star @ model.alpha + model.target_offset
     v = solve_lower(model.chol_factor, k_star.T)
     latent = model.kernel.output_variance - np.sum(v**2, axis=0)
     if isinstance(model, VhgprModel):
-        kg_star = _kernel_before(xq, states, model.kernel_g)
+        kg_star = kernel_oracle(xq, states, model.kernel_g)
         totals = np.bincount(inverse.ravel(), weights=model.variational_lambda)
         mu_star = kg_star @ (totals - 0.5 * counts) + model.mu0
         quad = np.sum((model.u_g @ kg_star.T) ** 2, axis=0)
@@ -391,7 +384,7 @@ def _predict_before(model, xq):
 
 @pytest.mark.parametrize("kind", ["sgpr", "vhgpr"])
 @pytest.mark.parametrize("seed", range(8))
-def test_predict_equals_the_unprepared_predict_bit_for_bit(kind, seed, tmp_path):
+def test_predict_equals_the_oracle_predict_bit_for_bit(kind, seed, tmp_path):
     rng = np.random.default_rng(seed)
     d = 1 + seed % 3
     states = rng.uniform(0.0, 4.0, size=(1 + seed, d))
@@ -409,7 +402,7 @@ def test_predict_equals_the_unprepared_predict_bit_for_bit(kind, seed, tmp_path)
     queries = [rng.uniform(-1.0, 5.0, size=(7, d)), x, x[:1], states]
     for m in (model, loaded):
         for xq in queries:
-            mean, variance = _predict_before(m, xq)
+            mean, variance = _predict_oracle(m, xq)
             got = sgpr_predict(m, xq)
             assert np.array_equal(got.mean, mean)
             assert np.array_equal(got.variance, variance)
