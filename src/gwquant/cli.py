@@ -31,7 +31,9 @@ atomically (temp file + rename).
 ``simulate`` writes, and ``di`` reads, its signal files on up to as many
 forked worker processes as the process has usable CPUs (``_fan_out``). There
 is no setting: the output bytes and every error message are those of one
-process working alone.
+process working alone. ``di`` checks its whole manifest before it opens a
+signal file; ``simulate`` stages the cells in one temporary directory of
+the workdir and renames them into place in cell order.
 
 Each command's flags are declared once, in ``_COMMAND_FLAGS``, from which
 the argparse parser is built. ``main`` reads a plain argv, a command and
@@ -78,7 +80,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, read_ascii
-from .persist import read_json, save_model, write_staged
+from .persist import _MAX_COUNT, read_json, save_model, write_staged
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     single_state_scores,
@@ -151,6 +153,8 @@ class QuantifyConfig:
     def __post_init__(self):
         if self.grid_refine < 0:
             raise InvalidArgumentError("grid_refine must be >= 0")
+        if self.grid_refine > _MAX_COUNT:
+            raise InvalidArgumentError(f"grid_refine must be <= {_MAX_COUNT}")
         if not 0.0 <= self.low_confidence_threshold <= 1.0:
             raise InvalidArgumentError("low_confidence_threshold must be in [0, 1]")
 
@@ -414,8 +418,8 @@ def _fan_out_worker(fn, items, sender) -> None:
 
 
 def _write_signal_file(cell) -> None:
-    staging, signals, comment = cell
-    write_staged(staging, signals_to_csv_text(signals, comment=comment))
+    staged, signals, comment = cell
+    write_staged(staged, signals_to_csv_text(signals, comment=comment))
 
 
 def cmd_simulate(args) -> int:
@@ -425,27 +429,20 @@ def cmd_simulate(args) -> int:
 
     signals = simulate_dataset(sim, config.damage_grid, config.load_grid)
     cells, manifest = [], []
-    # each cell is written into its own staging file, then renamed into place
-    # in cell order: from the first cell that fails, no later cell is left, as
-    # when one process writes the cells in turn
-    renamed = 0
     n = sim.n_replicates
-    try:
+    # workers write the cells into one staging directory, and the cells are
+    # renamed into place in cell order: from the first cell that fails, no
+    # later cell is left, as when one process writes the cells in turn;
+    # leaving the with block removes the staged cells a failure leaves
+    with tempfile.TemporaryDirectory(dir=workdir) as stage:
         for i, (damage, load) in enumerate(product(config.damage_grid, config.load_grid)):
             # simulate_dataset's signals come cell by cell, in this order
             cell = signals[i * n : (i + 1) * n]
             name = _signal_file_name(damage, load)
-            fd, staging = tempfile.mkstemp(dir=workdir, suffix=".tmp")
-            os.close(fd)
-            cells.append((staging, cell, f"seed={sim.rng_seed}"))
+            cells.append((os.path.join(stage, name), cell, f"seed={sim.rng_seed}"))
             manifest.append((damage, load, len(cell), name))
-        for (staging, _, _), row, _ in zip(cells, manifest, _fan_out(_write_signal_file, cells)):
-            os.replace(staging, os.path.join(workdir, row[-1]))
-            renamed += 1
-    finally:
-        for staging, _, _ in cells[renamed:]:
-            if os.path.exists(staging):
-                os.unlink(staging)
+        for (staged, _, _), row, _ in zip(cells, manifest, _fan_out(_write_signal_file, cells)):
+            os.replace(staged, os.path.join(workdir, row[-1]))
     text = csv_text(MANIFEST_HEADER, manifest, comment=f"seed={sim.rng_seed}")
     atomic_write_text(os.path.join(workdir, "manifest.csv"), text)
     print(f"wrote {len(signals)} signals to {workdir}")
@@ -458,22 +455,14 @@ def _read_workdir_signals(workdir: str):
     After ``#`` and blank lines, the first line must be MANIFEST_HEADER. A
     row names a distinct file that holds exactly n_signals signals, all at
     the row's (damage, load); no (damage, load, replicate, role) comes twice,
-    in one file or across rows. Errors name manifest.csv and the line.
-
-    The files of the rows ahead of the first bad one are read by
-    ``_fan_out``; the rows are then checked in order, and the bad row's error
-    raised after them, as reading one row at a time would.
+    in one file or across rows. Errors name manifest.csv and the line. The
+    whole manifest is checked before any signal file is opened; the files
+    are then read by ``_fan_out`` and checked in row order.
     """
     manifest = os.path.join(workdir, "manifest.csv")
     if not os.path.exists(manifest):
         raise InvalidArgumentError(f"no manifest.csv in {workdir}")
-
-    rows, error = [], None
-    try:
-        for row in _manifest_rows(manifest):
-            rows.append(row)
-    except InvalidArgumentError as exc:
-        error = exc
+    rows = _manifest_rows(manifest)
 
     def bad(message):
         return InvalidArgumentError(message, lineno, manifest)
@@ -497,25 +486,22 @@ def _read_workdir_signals(workdir: str):
                 )
             first_files[state] = name
         signals.extend(held)
-    if error is not None:
-        raise error
     if not signals:
         raise InvalidArgumentError("lists no signals", path=manifest)
     return signals
 
 
-def _manifest_rows(manifest: str):
+def _manifest_rows(manifest: str) -> list:
     """The (line number, damage, load, n_signals, file) of each row of manifest, in order.
 
-    A non-ASCII byte, wherever it lies, raises before any row is yielded; a
-    bad header or row or a file listed again raises once the rows ahead of
-    it are yielded.
+    A non-ASCII byte, wherever it lies, is the error; else the first bad
+    header or row, or file listed again.
     """
 
     def bad(message):
         return InvalidArgumentError(message, lineno, manifest)
 
-    header, first_lines = None, {}
+    header, rows, first_lines = None, [], {}
     for lineno, line in enumerate(read_ascii(manifest).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -534,7 +520,8 @@ def _manifest_rows(manifest: str):
         if name in first_lines:
             raise bad(f"{name} is listed again (first on line {first_lines[name]})")
         first_lines[name] = lineno
-        yield lineno, damage, load, count, name
+        rows.append((lineno, damage, load, count, name))
+    return rows
 
 
 def cmd_di(args) -> int:

@@ -54,6 +54,12 @@ def _text_number(text: str, kind=float):
     return value
 
 
+# a count of array values no machine holds (2**53 float64 values are 64 PiB),
+# the bound of a count setting: numpy refuses some larger counts with a
+# ValueError, not a MemoryError
+_MAX_COUNT = 2**53
+
+
 _NUMBER_TYPES = {int, float}
 
 
@@ -199,8 +205,8 @@ def csv_text(header: str, rows, comment: str | None = None) -> str:
 
 
 def write_staged(path, text: str) -> None:
-    """Write text, as ASCII, over the staging file at path, which its caller
-    made (as atomic_write_text makes its own) and renames into place."""
+    """Write text, as ASCII, to a new file at path, which lies in its caller's
+    staging directory; the caller renames it into place."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SignalParseError
-from .persist import _text_number, read_ascii
+from .persist import _MAX_COUNT, _text_number, read_ascii
 
 ROLES = ("baseline", "test")
 
@@ -104,6 +104,8 @@ class SimulationConfig:
             raise InvalidArgumentError("n_cycles must be >= 1")
         if self.n_samples < 1:
             raise InvalidArgumentError("n_samples must be >= 1")
+        if self.n_samples > _MAX_COUNT:
+            raise InvalidArgumentError(f"n_samples must be <= {_MAX_COUNT}")
         if self.n_replicates < 1:
             raise InvalidArgumentError("n_replicates must be >= 1")
         if self.noise_floor_std < 0:
@@ -152,8 +154,14 @@ def tone_burst(
         )
     if n_cycles < 1:
         raise InvalidArgumentError("n_cycles must be >= 1")
-    burst_len = int(round(n_cycles * sample_rate / center_frequency))
-    if n_samples < math.ceil(n_cycles * sample_rate / center_frequency):
+    span = n_cycles * sample_rate / center_frequency  # the burst's length in samples
+    if not math.isfinite(span):
+        raise InvalidArgumentError(
+            "n_cycles * sample_rate / center_frequency overflows "
+            f"({n_cycles} * {sample_rate!r} / {center_frequency!r})"
+        )
+    burst_len = int(round(span))
+    if n_samples < math.ceil(span):
         raise InvalidArgumentError(
             f"n_samples={n_samples} cannot hold a {burst_len}-sample burst"
         )

@@ -1946,6 +1946,32 @@ BAD_INPUTS.update({
         lambda p, t: ["simulate", "--workdir", t / "out", "--n-samples", 10**15],
         "MemoryError: Unable to allocate",
     ),
+    # a count beyond 2**53 is refused by name, before numpy sees it (numpy
+    # raises a ValueError for some); a count that fits but builds too many
+    # states, such as --grid-refine 10**8, is not run here: it works until
+    # the machine runs out of memory
+    "simulate-n-samples-1e23": (
+        lambda p, t: ["simulate", "--workdir", t / "out", "--n-samples", 10**23],
+        f"--n-samples: n_samples must be <= {2**53}",
+    ),
+    "predict-grid-refine-1e23": (
+        lambda p, t: _predict_argv(
+            p, "--test-di", 0.1, "--known-load", 5, "--grid-refine", 10**23
+        ),
+        f"--grid-refine: grid_refine must be <= {2**53}",
+    ),
+    # a burst length in samples that overflows a double is named
+    "simulate-burst-length-overflows": (
+        lambda p, t: [
+            "simulate", "--workdir", t / "out",
+            "--sample-rate", "1e308", "--center-frequency", "1e307",
+        ],
+        "n_cycles * sample_rate / center_frequency overflows (5 * 1e+308 / 1e+307)",
+    ),
+    "config-center-frequency-1e-320": (
+        lambda p, t: _simulate_argv(t, "simulation.center_frequency = 1e-320"),
+        "n_cycles * sample_rate / center_frequency overflows",
+    ),
     # one state of two replicates holds one out; the three single ones none
     "train-split-holds-out-one-row": (
         lambda p, t: [
@@ -2117,8 +2143,8 @@ class TestFanOut:
         "row-check-before-bad-file": (
             "0,0,2,a.csv\n0,0,1,b.csv\n", "line 2: a.csv holds 1 signals, the row lists 2"
         ),
-        "bad-file-before-bad-row": (
-            "0,0,1,b.csv\n0,0,1,a.csv\nx,0,1,c.csv\n", "b.csv: line 3: bad amplitude 'x'"
+        "bad-row-after-bad-file": (
+            "0,0,1,b.csv\n0,0,1,a.csv\nx,0,1,c.csv\n", "line 4: bad row 'x,0,1,c.csv'"
         ),
     }
 
@@ -2142,6 +2168,28 @@ class TestFanOut:
             errors.append(capfd.readouterr().err)
         assert errors[0] == errors[1]
         assert len(errors[0].splitlines()) == 1 and fragment in errors[0]
+
+    @pytest.mark.parametrize(
+        "rows, fragment",
+        [
+            ("0,0,1,a.csv\nx,0,1,b.csv\n", "line 3: bad row 'x,0,1,b.csv'"),
+            ("0,0,1,a.csv\n1,0,1,a.csv\n", "line 3: a.csv is listed again (first on line 2)"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_bad_manifest_opens_no_signal_file(
+        self, rows, fragment, n, tmp_path, cpus, monkeypatch, capfd
+    ):
+        """The whole manifest is checked before a signal file is read, in a
+        worker or here: a bad row after good ones costs no read."""
+        files = {"manifest.csv": "damage,load,n_signals,file\n" + rows, "a.csv": _section(0)}
+        argv = _workdir_di_argv(tmp_path, files)
+        cpus(n)
+        log = tmp_path / "reads.txt"
+        _log_pids(monkeypatch, "read_signals_csv", log)
+        assert run(*argv) == 1
+        assert fragment in capfd.readouterr().err
+        assert not log.exists()  # each read_signals_csv call, here or in a worker, logs a line
 
     @pytest.mark.parametrize(
         "case",
@@ -2201,7 +2249,7 @@ class TestFanOut:
             assert run("simulate", "--config", config_file, "--workdir", workdir) == 1
             trees.append({p.name: p.is_dir() or p.read_bytes() for p in workdir.iterdir()})
             err = capfd.readouterr().err.replace(str(workdir), "WORKDIR")
-            errors.append(re.sub(r"tmp\w+\.tmp", "TMP", err))
+            errors.append(re.sub(r"tmp\w+/", "STAGE/", re.sub(r"tmp\w+\.tmp", "TMP", err)))
         cells_before = {cli._signal_file_name(*c) for c in cells[:k]}
         assert set(trees[0]) == cells_before | ({name} if fail == "rename" else set())
         assert trees[0] == trees[1] == trees[2]
@@ -2211,9 +2259,10 @@ class TestFanOut:
     def test_simulate_leaves_no_temporary_file(
         self, fail, tmp_path, config_file, cpus, monkeypatch, capfd
     ):
-        """A cell is written straight into its one staging file: no *.tmp file is
-        left after a run, nor after cell 4 fails once its staging file holds its
-        text, and the cells before it are in place, on any number of workers."""
+        """Each cell is written straight into its file in one staging directory: no
+        tmp* entry, file or directory, is left after a run, nor after cell 4 fails
+        once its staged file holds its text, and the cells before it are in
+        place, on any number of workers."""
         cells = [(d, w) for d in (0.0, 1.0, 2.0, 3.0, 4.0) for w in (0.0, 5.0)]
         names = [cli._signal_file_name(*c) for c in cells]
         if fail:
@@ -2231,7 +2280,7 @@ class TestFanOut:
             code = run("simulate", "--config", config_file, "--workdir", workdir)
             assert code == (1 if fail else 0)
             left = sorted(p.name for p in workdir.iterdir())
-            assert [name for name in left if name.endswith(".tmp")] == []
+            assert [name for name in left if name.startswith("tmp") or ".tmp" in name] == []
             assert left == sorted(names[:4] if fail else [*names, "manifest.csv"])
         assert capfd.readouterr().err.count("the disk went away") == (3 if fail else 0)
 
