@@ -25,8 +25,8 @@ config line, the flag or ``GWQUANT_SEED``.
 The environment variable ``GWQUANT_SEED`` overrides any configured or
 flag-provided seed. Every subcommand is deterministic given identical
 inputs and seed. Files pass through ``persist``: every input file must be
-ASCII text, every number read must be finite, and output files are written
-atomically (temp file + rename).
+ASCII text, every number read must be finite, and every output file is
+staged in a temporary directory beside it and renamed into place.
 
 ``simulate`` writes, and ``di`` reads, its signal files on up to as many
 forked worker processes as the process has usable CPUs (``_fan_out``). There
@@ -83,7 +83,7 @@ from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_mo
 from .persist import _MAX_COUNT, read_json, save_model, write_staged
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
-    single_state_scores,
+    score_test_dis,
     two_state_scores,
     summarize_predictions,
 )
@@ -719,9 +719,9 @@ def cmd_predict(args) -> int:
         grid = model.damage_grid
         if quantify.grid_refine:
             grid = grid.refine(quantify.grid_refine)
-        scores = single_state_scores(
-            model, grid, np.array(test_dis, dtype=float), known_load, threshold
-        )
+        # the grid is the model's damage grid or a refinement: damage-only
+        fixed = None if known_load is None else {"load": known_load}
+        scores = score_test_dis(model, grid, np.array(test_dis, dtype=float), fixed, threshold)
         text = _predictions_json(scores)
 
     if args.out:

@@ -6,12 +6,17 @@ gwquant reads every input file the same way: its bytes in one call
 ``read_ascii`` gives a text file's text (JSON through ``read_json`` on top
 of it); ``load_model`` keys its memo by a model file's bytes and decodes
 them only when it builds a model. gwquant renders its DI, manifest and
-report CSVs with ``csv_text`` and writes every file with
-``atomic_write_text``, or, where the caller stages and renames its own file
-(``simulate``'s signal files), with ``write_staged``. Every number read
-from outside must be finite: ``_text_number`` decodes one written as text
-(a cell, a header field, a config value, a flag, ``GWQUANT_SEED``; signal
-samples are checked per section by ``Signal``), ``_numbers`` one in JSON.
+report CSVs with ``csv_text``. It writes every file one way: ``write_staged``
+creates it in a temporary directory beside its target, a rename moves it
+into place, and leaving the directory removes what a failure left. So no
+reader sees half a file, and every output has the mode the umask gives a
+new file. ``atomic_write_text`` does this for one file; ``simulate`` stages
+all its signal files in one directory and renames them in cell order.
+
+Every number read from outside must be finite: ``_text_number`` decodes one
+written as text (a cell, a header field, a config value, a flag,
+``GWQUANT_SEED``; signal samples are checked per section by ``Signal``),
+``_numbers`` one in JSON.
 
 Models are JSON text; the schema id distinguishes the payloads:
 
@@ -212,17 +217,13 @@ def write_staged(path, text: str) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write text, as ASCII, to path: staged in a temporary directory beside
+    path, then renamed into place; leaving the with block removes whatever a
+    failure left."""
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as stage:
+        staged = os.path.join(stage, "staged")
+        write_staged(staged, text)
+        os.replace(staged, path)
 
 
 def _encode(value):

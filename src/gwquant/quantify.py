@@ -32,7 +32,7 @@ matrix, each row's argmax column and low-confidence flag. A DI
 scored in a batch therefore gets the table it gets alone, bit for bit.
 state_probabilities, predict_single_state and predict_two_states build
 their StateProbabilityTables from those arrays; the CLI writes its JSON text
-straight from them and builds no table, through ``single_state_scores`` and
+straight from them and builds no table, through ``score_test_dis`` and
 ``two_state_scores``, the cores of the single- and two-state predictions.
 
 Simultaneous damage-size + load prediction runs in two steps over a model
@@ -271,14 +271,6 @@ def score_test_dis(
     return Scores(grid.states, test_dis, y_closest, v_closest, probs, best, top < threshold)
 
 
-def _test_di_array(test_di) -> np.ndarray:
-    """test_di, a number or a 1-D sequence, as an array of that shape."""
-    test_dis = np.asarray(test_di, dtype=float)
-    if test_dis.ndim > 1:
-        raise InvalidArgumentError("test_di must be a number or a 1-D sequence")
-    return test_dis
-
-
 def state_probabilities(
     model,
     grid: StateGrid,
@@ -293,21 +285,14 @@ def state_probabilities(
     toward smaller damage, then smaller load. A table whose best probability
     falls below low_confidence_threshold is flagged.
     """
-    test_dis = _test_di_array(test_di)
+    test_dis = np.asarray(test_di, dtype=float)
+    if test_dis.ndim > 1:
+        raise InvalidArgumentError("test_di must be a number or a 1-D sequence")
     scores = score_test_dis(
         model, grid, test_dis.ravel(), fixed_covariates, low_confidence_threshold
     )
     tables = scores.tables()
     return tables[0] if test_dis.ndim == 0 else tables
-
-
-def single_state_scores(model, grid: StateGrid, test_dis, known_load, threshold) -> Scores:
-    """The scores of predict_single_state: a damage-only grid, the load fixed if known."""
-    # a StateGrid's states are all of one width
-    if len(grid.states[0]) != 1:
-        raise InvalidArgumentError("predict_single_state expects a damage-only grid")
-    fixed = {} if known_load is None else {"load": float(known_load)}
-    return score_test_dis(model, grid, test_dis, fixed, threshold)
 
 
 def predict_single_state(
@@ -319,14 +304,14 @@ def predict_single_state(
 ):
     """Damage-size quantification over a damage-only grid.
 
-    test_di is a number or a 1-D sequence, as in state_probabilities.
+    test_di is a number or a 1-D sequence, as in state_probabilities; the
+    load is fixed at known_load when it is given.
     """
-    test_dis = _test_di_array(test_di)
-    scores = single_state_scores(
-        model, grid, test_dis.ravel(), known_load, low_confidence_threshold
-    )
-    tables = scores.tables()
-    return tables[0] if test_dis.ndim == 0 else tables
+    # a StateGrid's states are all of one width
+    if len(grid.states[0]) != 1:
+        raise InvalidArgumentError("predict_single_state expects a damage-only grid")
+    fixed = None if known_load is None else {"load": known_load}
+    return state_probabilities(model, grid, test_di, fixed, low_confidence_threshold)
 
 
 def two_state_scores(

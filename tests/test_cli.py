@@ -31,7 +31,6 @@ from gwquant.quantify import (
     predict_single_state,
     predict_two_states,
     score_test_dis,
-    single_state_scores,
     state_probabilities,
 )
 from gwquant.sgpr import PredictiveMoments, SgprModel
@@ -336,6 +335,15 @@ class TestDiAndTrain:
         with open(pipeline["di_csv"], "rb") as fh:
             assert fh.read() == di_before
 
+    def test_heldout_file_takes_the_default_heldout_rows(self, pipeline, tmp_path):
+        model, heldout = tmp_path / "model.json", tmp_path / "rows" / "heldout.csv"
+        heldout.parent.mkdir()
+        argv = ("--di-file", pipeline["di_csv"], "--model-file", model, "--heldout-file", heldout)
+        assert run("train", "--config", pipeline["config"], *argv) == 0
+        with open(pipeline["model_file"] + ".heldout.csv", "rb") as fh:
+            assert heldout.read_bytes() == fh.read()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "rows"]
+
 
 def _table_payload(table) -> dict:
     """The dict of one table that predict once handed to json.dumps."""
@@ -438,9 +446,9 @@ class TestPredict:
         dis = [0.0, 0.01, 0.04, 0.09]
         model = load_model(pipeline["model_file"])
         grid = model.damage_grid
-        plain = single_state_scores(model, grid, np.array(dis), 5.0, 0.05)
+        plain = score_test_dis(model, grid, np.array(dis), {"load": 5.0}, 0.05)
         refined_grid = grid.refine(3)
-        refined = single_state_scores(model, refined_grid, np.array(dis), 5.0, 0.05)
+        refined = score_test_dis(model, refined_grid, np.array(dis), {"load": 5.0}, 0.05)
         columns = [refined_grid.states.index(s) for s in grid.states]
         assert refined.probabilities[:, columns].tobytes() == plain.probabilities.tobytes()
 
@@ -458,6 +466,29 @@ class TestPredict:
             # each training damage's entry is the same text in both outputs
             for entry in entries:
                 assert json.dumps(entry, sort_keys=True) in refined_text
+
+    @pytest.mark.parametrize("target", ["a missing directory", "a directory"])
+    def test_an_unwritable_out_exits_one_and_leaves_nothing(
+        self, target, pipeline, tmp_path, capsys
+    ):
+        """The staged file goes with its staging directory: no tmp* entry is
+        left, and a directory named by --out keeps what it held."""
+        if target == "a directory":
+            out = tmp_path / "pred.json"
+            out.mkdir()
+            (out / "kept.txt").write_text("kept\n")
+        else:
+            out = tmp_path / "missing" / "pred.json"
+        argv = ("--model-file", pipeline["model_file"], "--test-di", 0.02, "--known-load", 0)
+        assert run("predict", *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("tmp")] == []
+        if target == "a directory":
+            assert [p.name for p in out.iterdir()] == ["kept.txt"]
+            assert (out / "kept.txt").read_text() == "kept\n"
+        else:
+            assert not out.parent.exists()
 
     def test_schema_mismatch_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -658,10 +689,11 @@ def test_single_state_text_equals_the_json_oracle(
 ):
     model = _HashedModel(rows, 1 if known_load is None else 2, moments)
     grid = StateGrid([(d,) for d in damages]).refine(refine)
+    fixed = None if known_load is None else {"load": known_load}
     with np.errstate(over="ignore"):
-        unflagged = single_state_scores(model, grid, np.array(dis), known_load, 0.0)
+        unflagged = score_test_dis(model, grid, np.array(dis), fixed, 0.0)
         threshold = _threshold(unflagged, pick)
-        scores = single_state_scores(model, grid, np.array(dis), known_load, threshold)
+        scores = score_test_dis(model, grid, np.array(dis), fixed, threshold)
         tables = predict_single_state(
             model, grid, dis, known_load=known_load, low_confidence_threshold=threshold
         )
@@ -805,6 +837,47 @@ class TestReport:
         # mostly correct on well-separated synthetic data
         errors = [float(ln.split(",")[4]) for ln in err_lines[1:]]
         assert np.mean(np.abs(errors) < 0.5) >= 0.8
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=oct)
+def umask(request):
+    """The process umask, set to the param for one test and restored after it."""
+    before = os.umask(request.param)
+    yield request.param
+    os.umask(before)
+
+
+class TestOutputModes:
+    def test_every_output_has_the_umasks_mode(self, umask, tmp_path, config_file):
+        """Each file simulate, di, train, predict --out and report write is a new
+        file of mode 0o666 & ~umask, as open gives any new file."""
+        out = tmp_path / "out"
+        config = ("--config", config_file)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("damage\n1\n")
+        argvs = [
+            ("simulate", *config, "--workdir", out / "work"),
+            ("di", *config, "--workdir", out / "work", "--out", out / "di.csv"),
+            ("train", *config, "--di-file", out / "di.csv", "--model-file", out / "model.json"),
+            (
+                "predict", "--model-file", out / "model.json", "--test-di", 0.02,
+                "--known-load", 0, "--out", out / "pred.json",
+            ),
+            (
+                "report", "--pred-file", out / "pred.json", "--true-file", truth,
+                "--box-out", out / "box.csv", "--errors-out", out / "errors.csv",
+            ),
+        ]
+        for argv in argvs:
+            assert run(*argv) == 0
+        files = [p for p in out.rglob("*") if p.is_file()]
+        names = {p.name for p in files}
+        assert {"manifest.csv", "di.csv", "model.json", "model.json.heldout.csv"} <= names
+        assert {"pred.json", "box.csv", "errors.csv"} <= names
+        assert len(files) == 7 + 10  # and one signal file per grid cell
+        assert {p.name: oct(p.stat().st_mode & 0o777) for p in files} == {
+            name: oct(0o666 & ~umask) for name in names
+        }
 
 
 class TestOneParserPerProcess:

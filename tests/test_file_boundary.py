@@ -278,7 +278,7 @@ def test_each_earlier_flag_sets_the_same_field(command, flag):
 
 
 # the functions that may open a file, and the calls no other function makes
-FILE_OPENERS = {"_read_bytes", "atomic_write_text", "write_staged"}
+FILE_OPENERS = {"_read_bytes", "write_staged"}
 OPENING_CALLS = {"open", "fdopen", "read_text", "read_bytes", "loadtxt", "genfromtxt", "fromfile"}
 
 
