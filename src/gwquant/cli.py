@@ -26,7 +26,8 @@ The environment variable ``GWQUANT_SEED`` overrides any configured or
 flag-provided seed. Every subcommand is deterministic given identical
 inputs and seed. Files pass through ``persist``: every input file must be
 ASCII text, every number read must be finite, and every output file is
-staged in a temporary directory beside it and renamed into place.
+staged in a temporary directory beside it and renamed into place; an error
+names the path given.
 
 ``simulate`` writes, and ``di`` reads, its signal files on up to as many
 forked worker processes as the process has usable CPUs (``_fan_out``). There
@@ -56,7 +57,6 @@ import functools
 import math
 import os
 import sys
-import tempfile
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
@@ -80,7 +80,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .persist import _scalar, _text_number, atomic_write_text, csv_text, load_model, read_ascii
-from .persist import _MAX_COUNT, read_json, save_model, write_staged
+from .persist import _MAX_COUNT, place, read_json, save_model, staging, write_staged
 from .quantify import (
     DEFAULT_LOW_CONFIDENCE_THRESHOLD,
     score_test_dis,
@@ -418,8 +418,8 @@ def _fan_out_worker(fn, items, sender) -> None:
 
 
 def _write_signal_file(cell) -> None:
-    staged, signals, comment = cell
-    write_staged(staged, signals_to_csv_text(signals, comment=comment))
+    stage, target, signals, comment = cell
+    write_staged(stage, target, signals_to_csv_text(signals, comment=comment))
 
 
 def cmd_simulate(args) -> int:
@@ -431,18 +431,17 @@ def cmd_simulate(args) -> int:
     cells, manifest = [], []
     n = sim.n_replicates
     # workers write the cells into one staging directory, and the cells are
-    # renamed into place in cell order: from the first cell that fails, no
-    # later cell is left, as when one process writes the cells in turn;
-    # leaving the with block removes the staged cells a failure leaves
-    with tempfile.TemporaryDirectory(dir=workdir) as stage:
+    # placed in cell order: from the first cell that fails, no later cell is
+    # left, as when one process writes the cells in turn
+    with staging(workdir) as stage:
         for i, (damage, load) in enumerate(product(config.damage_grid, config.load_grid)):
             # simulate_dataset's signals come cell by cell, in this order
             cell = signals[i * n : (i + 1) * n]
             name = _signal_file_name(damage, load)
-            cells.append((os.path.join(stage, name), cell, f"seed={sim.rng_seed}"))
+            cells.append((stage, os.path.join(workdir, name), cell, f"seed={sim.rng_seed}"))
             manifest.append((damage, load, len(cell), name))
-        for (staged, _, _), row, _ in zip(cells, manifest, _fan_out(_write_signal_file, cells)):
-            os.replace(staged, os.path.join(workdir, row[-1]))
+        for (_, target, _, _), _ in zip(cells, _fan_out(_write_signal_file, cells)):
+            place(stage, target)
     text = csv_text(MANIFEST_HEADER, manifest, comment=f"seed={sim.rng_seed}")
     atomic_write_text(os.path.join(workdir, "manifest.csv"), text)
     print(f"wrote {len(signals)} signals to {workdir}")

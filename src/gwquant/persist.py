@@ -7,11 +7,12 @@ gwquant reads every input file the same way: its bytes in one call
 of it); ``load_model`` keys its memo by a model file's bytes and decodes
 them only when it builds a model. gwquant renders its DI, manifest and
 report CSVs with ``csv_text``. It writes every file one way: ``write_staged``
-creates it in a temporary directory beside its target, a rename moves it
-into place, and leaving the directory removes what a failure left. So no
-reader sees half a file, and every output has the mode the umask gives a
-new file. ``atomic_write_text`` does this for one file; ``simulate`` stages
-all its signal files in one directory and renames them in cell order.
+creates it in a temporary directory beside its target (``staging``),
+``place`` renames it into place, and leaving the directory removes what a
+failure left. So no reader sees half a file, every output has the mode the
+umask gives a new file, and an error names the user's path, never a
+staging one. ``atomic_write_text`` does this for one file; ``simulate``
+stages all its signal files in one directory and places them in cell order.
 
 Every number read from outside must be finite: ``_text_number`` decodes one
 written as text (a cell, a header field, a config value, a flag,
@@ -34,6 +35,7 @@ the kept one, read-only, when a file holds the same bytes again.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -209,21 +211,46 @@ def csv_text(header: str, rows, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_staged(path, text: str) -> None:
-    """Write text, as ASCII, to a new file at path, which lies in its caller's
-    staging directory; the caller renames it into place."""
-    with open(path, "w", encoding="ascii") as fh:
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise the OSError of a file call in the block naming path, the user's
+    path, not a staging path random on every run."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
+@contextlib.contextmanager
+def staging(directory):
+    """A new temporary directory in directory to stage files in, removed with what a
+    failure left in it on leaving the with block; an OSError making it names directory."""
+    with _naming(directory):
+        stage = tempfile.TemporaryDirectory(dir=directory)
+    with stage as path:
+        yield path
+
+
+def write_staged(stage, target, text: str) -> None:
+    """Write text, as ASCII, to a new file in stage, the one ``place`` moves
+    to target; an OSError names target."""
+    staged = os.path.join(stage, os.path.basename(target))
+    with _naming(target), open(staged, "w", encoding="ascii") as fh:
         fh.write(text)
+
+
+def place(stage, target) -> None:
+    """Rename target's file staged in stage into place; an OSError names target."""
+    with _naming(target):
+        os.replace(os.path.join(stage, os.path.basename(target)), target)
 
 
 def atomic_write_text(path, text: str) -> None:
     """Write text, as ASCII, to path: staged in a temporary directory beside
-    path, then renamed into place; leaving the with block removes whatever a
-    failure left."""
-    with tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as stage:
-        staged = os.path.join(stage, "staged")
-        write_staged(staged, text)
-        os.replace(staged, path)
+    path, then placed; an OSError names path."""
+    with _naming(path), staging(os.path.dirname(os.path.abspath(path))) as stage:
+        write_staged(stage, path, text)
+        place(stage, path)
 
 
 def _encode(value):

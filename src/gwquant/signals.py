@@ -10,7 +10,9 @@ arrival time.
 :func:`signals_to_csv_text` writes each sample as ``%.17g``, which
 round-trips a float64. Its bytes come from a private numpy kernel that
 prints a value in 1e-9 <= |x| < 10, or a zero, exactly as Python's ``%``
-does, and hands any other value to ``%`` itself (see ``_rows_17g``).
+does, and hands any other value to ``%`` itself (see ``_rows_17g``). The
+text is rendered one section (one signal) at a time, as
+:func:`read_signals_csv` reads it.
 """
 
 from __future__ import annotations
@@ -229,19 +231,15 @@ def simulate_dataset(config: SimulationConfig, damage_grid, load_grid) -> list[S
         noise_std = config.noise_floor_std + config.heteroscedastic_noise_slope * damage
         for load in load_grid:
             clean = _received_samples(config, burst, damage, load)
-            for rep in range(config.n_replicates):
-                samples = clean.copy()
-                if noise_std > 0:
-                    samples += rng.normal(0.0, noise_std, config.n_samples)
-                if config.crosstalk_blank_samples > 0:
-                    samples[: config.crosstalk_blank_samples] = 0.0
-                signals.append(
-                    Signal(
-                        samples,
-                        config.sample_rate,
-                        StateLabel(damage, load, rep, "test"),
-                    )
-                )
+            cell = np.tile(clean, (config.n_replicates, 1))
+            # a noiseless cell draws nothing, and keeps the sign of its zeros
+            if noise_std > 0:
+                cell += rng.normal(0.0, noise_std, cell.shape)
+            cell[:, : config.crosstalk_blank_samples] = 0.0
+            signals.extend(
+                Signal(samples, config.sample_rate, StateLabel(damage, load, rep, "test"))
+                for rep, samples in enumerate(cell)
+            )
     return signals
 
 
@@ -303,18 +301,17 @@ def _parse_header(line: str, lineno: int, path) -> tuple[StateLabel, float]:
 def signals_to_csv_text(signals: list[Signal], comment: str | None = None) -> str:
     """Render signals in the section format; 17 significant digits per sample.
 
-    Each sample line is the bytes of ``f"{value:.17g}\\n"``. The samples of
-    all the sections are rendered together by ``_sample_texts``, whose
-    numpy kernel formats most values without a Python call per value.
+    Each sample line is the bytes of ``f"{value:.17g}\\n"``. A section's
+    samples are rendered on their own, after its header, ``_CHUNK`` values
+    to a call of the numpy kernel ``_rows_17g``, which formats most values
+    without a Python call per value; the rows' pads are then deleted.
     """
-    parts = []
-    if comment:
-        parts.append(f"# {comment}\n")
-    for i, (sig, samples) in enumerate(zip(signals, _sample_texts(signals))):
-        if i:
-            parts.append("\n")
-        parts.append(_format_header(sig) + "\n")
-        parts.append(samples)
+    parts = [f"# {comment}\n"] if comment else []
+    for i, sig in enumerate(signals):
+        parts.append(("\n" if i else "") + _format_header(sig) + "\n")
+        for start in range(0, len(sig), _CHUNK):
+            rows = _rows_17g(sig.samples[start : start + _CHUNK])
+            parts.append(rows.tobytes().translate(None, _PAD).decode("ascii"))
     return "".join(parts)
 
 
@@ -338,7 +335,7 @@ def signals_to_csv_text(signals: list[Signal], comment: str | None = None) -> st
 # and "d.ddde-0K" (k <= -5). Zeros are laid out too. Every other value, and
 # one that fails the decade check, is formatted with "%.17g" into its row.
 
-_CHUNK = 1 << 14  # values per kernel call: bounds its temporary arrays
+_CHUNK = 1 << 14  # values per kernel call, within a section: bounds its temporary arrays
 _FAST_LOW, _FAST_HIGH = 1e-9, 10.0
 _PAD = b"\0"  # the byte a row is padded with, deleted from the text
 
@@ -451,31 +448,6 @@ def _rows_17g(x: np.ndarray) -> np.ndarray:
             line = b"%.17g\n" % value
             cells[i, : len(line)] = np.frombuffer(line, np.uint8)
     return rows
-
-
-def _sample_texts(signals: list[Signal]) -> list[str]:
-    """Each signal's samples as ``"%.17g\\n"`` lines, one str per signal.
-
-    The samples of all the signals are rendered together, ``_CHUNK`` values
-    to a kernel call; a chunk's rows are compacted (their pads deleted) a
-    section's piece at a time.
-    """
-    if not signals:
-        return []
-    values = np.concatenate([sig.samples for sig in signals])
-    ends = np.cumsum([len(sig) for sig in signals]).tolist()
-    texts, pieces, start = [], [], 0
-    for chunk in range(0, values.size, _CHUNK):
-        rows = _rows_17g(values[chunk : chunk + _CHUNK])
-        stop = chunk + len(rows)
-        while start < stop:
-            end = min(ends[len(texts)], stop)
-            pieces.append(rows[start - chunk : end - chunk].tobytes().translate(None, _PAD))
-            start = end
-            if end == ends[len(texts)]:
-                texts.append(b"".join(pieces).decode("ascii"))
-                pieces.clear()
-    return texts
 
 
 def read_signals_csv(path) -> list[Signal]:

@@ -490,6 +490,24 @@ class TestPredict:
         else:
             assert not out.parent.exists()
 
+    @pytest.mark.parametrize("target", ["missing/pred.json", "a directory"])
+    def test_an_unwritable_out_names_the_path_given(
+        self, target, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        """Two identical failing runs print the same one error line, which names
+        --out as given, not a staging path, and leave no tmp* entry."""
+        monkeypatch.chdir(tmp_path)
+        if target == "a directory":
+            (tmp_path / target).mkdir()
+        argv = ("--model-file", pipeline["model_file"], "--test-di", 0.02, "--known-load", 0)
+        errors = []
+        for _ in range(2):
+            assert run("predict", *argv, "--out", target) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].count("\n") == 1
+        assert errors[0].startswith("error: OSError: ") and f"'{target}'" in errors[0]
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith("tmp")] == []
+
     def test_schema_mismatch_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": "gwquant.sgpr.v999"}))
@@ -2306,7 +2324,7 @@ class TestFanOut:
             write = cli._write_signal_file
 
             def failing(cell):
-                state = cell[1][0].state
+                state = cell[2][0].state
                 if (state.damage_size, state.load) == cells[k]:
                     raise OSError(f"no room for {name}")
                 return write(cell)
@@ -2321,12 +2339,12 @@ class TestFanOut:
                 (workdir / name).mkdir()  # a directory where cell k's file goes
             assert run("simulate", "--config", config_file, "--workdir", workdir) == 1
             trees.append({p.name: p.is_dir() or p.read_bytes() for p in workdir.iterdir()})
-            err = capfd.readouterr().err.replace(str(workdir), "WORKDIR")
-            errors.append(re.sub(r"tmp\w+/", "STAGE/", re.sub(r"tmp\w+\.tmp", "TMP", err)))
+            errors.append(capfd.readouterr().err.replace(str(workdir), "WORKDIR"))
         cells_before = {cli._signal_file_name(*c) for c in cells[:k]}
         assert set(trees[0]) == cells_before | ({name} if fail == "rename" else set())
         assert trees[0] == trees[1] == trees[2]
         assert errors[0] == errors[1] == errors[2] and len(errors[0].splitlines()) == 1
+        assert (f"'WORKDIR/{name}'" if fail == "rename" else name) in errors[0]
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_simulate_leaves_no_temporary_file(
@@ -2341,8 +2359,8 @@ class TestFanOut:
         if fail:
             write = cli.write_staged
 
-            def failing(path, text):
-                write(path, text)
+            def failing(stage, target, text):
+                write(stage, target, text)
                 if "# signal damage=2 load=0 " in text:
                     raise OSError("the disk went away")
 

@@ -441,7 +441,7 @@ class TestSampleKernel:
         for value in (0.5, -3.25e-7, 123.0, -0.0):
             assert _rendered([value]) == _one_per_value([value])
 
-    def test_sections_across_chunk_bounds(self, rng):
+    def test_sections_across_chunk_bounds(self, rng, monkeypatch):
         chunk = signals_module._CHUNK
         signals = [
             Signal(rng.normal(0.0, 0.1, n), 1e6, StateLabel(0.0, 0.0, i, "test"))
@@ -451,7 +451,20 @@ class TestSampleKernel:
             signals_module._format_header(sig) + "\n" + _one_per_value(sig.samples)
             for sig in signals
         )
+        calls, rows_17g = [], signals_module._rows_17g
+
+        def spy(x):
+            calls.append(x.copy())
+            return rows_17g(x)
+
+        monkeypatch.setattr(signals_module, "_rows_17g", spy)
         assert signals_to_csv_text(signals) == expected
+        # the calls take the samples in order, at most a chunk each, and no
+        # section ends inside a call: each call's values come from one section
+        sizes = [len(x) for x in calls]
+        assert max(sizes) <= chunk
+        assert np.array_equal(np.concatenate(calls), np.concatenate([s.samples for s in signals]))
+        assert set(np.cumsum([len(s) for s in signals])) <= set(np.cumsum(sizes))
 
     def test_a_million_random_bit_patterns(self, rng):
         bits = rng.integers(0, 2**64 - 1, size=1_000_000, dtype=np.uint64, endpoint=True)
