@@ -2,17 +2,18 @@
 the versioned model files.
 
 gwquant reads every input file the same way: its bytes in one call
-(``_read_bytes``), decoded as ASCII in one function (``_ascii_text``).
+(``_read_bytes``), checked as ASCII in one function (``_ascii_bytes``).
 ``read_ascii`` gives a text file's text (JSON through ``read_json`` on top
-of it); ``load_model`` keys its memo by a model file's bytes and decodes
-them only when it builds a model. gwquant renders its DI, manifest and
-report CSVs with ``csv_text``. It writes every file one way: ``write_staged``
-creates it in a temporary directory beside its target (``staging``),
-``place`` renames it into place, and leaving the directory removes what a
-failure left. So no reader sees half a file, every output has the mode the
-umask gives a new file, and an error names the user's path, never a
-staging one. ``atomic_write_text`` does this for one file; ``simulate``
-stages all its signal files in one directory and places them in cell order.
+of it), ``read_ascii_bytes`` the same text as bytes; ``load_model`` keys
+its memo by a model file's bytes and decodes them only when it builds a
+model. gwquant renders its DI, manifest and report CSVs with ``csv_text``.
+It writes every file one way: ``write_staged`` creates it in a temporary
+directory beside its target (``staging``), ``place`` renames it into
+place, and leaving the directory removes what a failure left. So no reader
+sees half a file, every output has the mode the umask gives a new file,
+and an error names the user's path, never a staging one.
+``atomic_write_text`` does this for one file; ``simulate`` stages all its
+signal files in one directory and places them in cell order.
 
 Every number read from outside must be finite: ``_text_number`` decodes one
 written as text (a cell, a header field, a config value, a flag,
@@ -146,15 +147,17 @@ def _read_bytes(path, error) -> bytes:
         return fh.read()
 
 
-def _ascii_text(data: bytes, path, error) -> str:
-    """The ASCII text of data, the bytes of the file at path.
+def _ascii_bytes(data: bytes, path, error) -> bytes:
+    """The ASCII text of data, the bytes of the file at path, as bytes.
 
     Newlines are translated as text mode translates them; a non-ASCII byte,
     wherever it lies, raises ``error("not ASCII text", line, path)``, which
     reads ``<path>: line N: not ASCII text``.
     """
+    if data.isascii() and b"\r" not in data:
+        return data  # nothing to translate
     try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="ascii").read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="ascii").read().encode("ascii")
     except UnicodeDecodeError:
         # latin-1 decodes any byte and splits lines as the ASCII decoder does
         lines = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
@@ -162,13 +165,18 @@ def _ascii_text(data: bytes, path, error) -> str:
         raise error("not ASCII text", line, path) from None
 
 
-def read_ascii(path, error=InvalidArgumentError) -> str:
-    """The text of the ASCII file at path, read whole.
+def read_ascii_bytes(path, error=InvalidArgumentError) -> bytes:
+    """The text of the ASCII file at path, read whole, as bytes.
 
     A non-ASCII byte raises ``error`` naming the file and the byte's line;
     a path that holds a NUL byte raises ``error`` too.
     """
-    return _ascii_text(_read_bytes(path, error), path, error)
+    return _ascii_bytes(_read_bytes(path, error), path, error)
+
+
+def read_ascii(path, error=InvalidArgumentError) -> str:
+    """The text of the ASCII file at path, read whole: read_ascii_bytes's."""
+    return read_ascii_bytes(path, error).decode("ascii")
 
 
 def read_json(path, kind: str, error=InvalidArgumentError, text: str | None = None):
@@ -348,7 +356,7 @@ def load_model(path):
     with _model_memo_lock:
         model = _model_memo.pop(data, None)
         if model is None:
-            text = _ascii_text(data, path, SchemaMismatchError)
+            text = _ascii_bytes(data, path, SchemaMismatchError).decode("ascii")
             with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 payload = read_json(path, "model", SchemaMismatchError, text)
                 model = _read_only(model_from_dict(payload))

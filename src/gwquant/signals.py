@@ -11,8 +11,14 @@ arrival time.
 round-trips a float64. Its bytes come from a private numpy kernel that
 prints a value in 1e-9 <= |x| < 10, or a zero, exactly as Python's ``%``
 does, and hands any other value to ``%`` itself (see ``_rows_17g``). The
-text is rendered one section (one signal) at a time, as
-:func:`read_signals_csv` reads it.
+text is rendered one section (one signal) at a time.
+
+:func:`read_signals_csv` parses a file's samples all at once, with a second
+numpy kernel that reads each value as ``float`` does, bit for bit, or leaves
+it to ``float`` (see ``_sample_values``). It proves each value it keeps:
+short decimals by Clinger's exact case, and 17-digit ones by giving a
+candidate double the line's digits with the writer's own digit code,
+``_digits_17``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, SignalParseError
-from .persist import _MAX_COUNT, _text_number, read_ascii
+from .persist import _MAX_COUNT, _text_number, read_ascii_bytes
 
 ROLES = ("baseline", "test")
 
@@ -324,25 +330,84 @@ def signals_to_csv_text(signals: list[Signal], comment: str | None = None) -> st
 # in N = x * 10**p = m * 5**p / 2**s, p = 16 - k, s = 53 - e - p, where
 # k = floor(log10 |x|). The product m * 5**p is formed exactly in 32-bit limbs
 # and shifted right by s, rounding half to even on the exact remainder, as
-# dtoa rounds. The decade check 10**16 <= floor(N) < 10**17 is exact, so a
-# log10 that misses k by one only sends its value to the fallback. A value
-# whose N rounds up to 10**17 would carry into the next decade; no double in
-# the fast range does (the tests list the few in float64), and such a value
-# would take the fallback too.
+# dtoa rounds. The decade check 10**16 <= floor(N) is exact, so a k one too
+# high only sends its value to the fallback. A value whose N rounds up to
+# 10**17 would carry into the next decade; no double in the fast range does
+# (the tests list the few in float64), and such a value would take the
+# fallback too. The digits are ``_digits_17``'s, which the reader shares.
 #
 # The fast range is 1e-9 <= |x| < 10: 5**p, p <= 25, fits one uint64, s lies
 # in 33..57, and the layout has three forms, "d.ddd", "0.000ddd" (k >= -4)
 # and "d.ddde-0K" (k <= -5). Zeros are laid out too. Every other value, and
 # one that fails the decade check, is formatted with "%.17g" into its row.
 
-_CHUNK = 1 << 14  # values per kernel call, within a section: bounds its temporary arrays
+_CHUNK = 1 << 14  # values per kernel call: bounds its temporary arrays
 _FAST_LOW, _FAST_HIGH = 1e-9, 10.0
 _PAD = b"\0"  # the byte a row is padded with, deleted from the text
+_K_OFF = 350  # tens[k + _K_OFF] and fives[p + _K_OFF] hold 10**k and 5**p
 
 
 @functools.cache
-def _render_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's read-only lookup tables, built on its first call.
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The digit code's read-only tables, built on its first call.
+
+    - tens: the double nearest 10**k, for every decade a double reaches;
+    - fives: 5**p for the fast range's p = 16 - k, and 0 for every other p,
+      so that a value outside the range gets n = 0 and fails the decade
+      check.
+    """
+    tens = np.array([float(f"1e{k}") for k in range(-_K_OFF, _K_OFF)])
+    fives = np.zeros(2 * _K_OFF, np.uint64)
+    low, high = (round(math.log10(bound)) for bound in (_FAST_LOW, _FAST_HIGH))
+    for k in range(low, high):
+        fives[16 - k + _K_OFF] = 5 ** (16 - k)
+    for table in (tens, fives):
+        table.setflags(write=False)
+    return tens, fives
+
+
+def _digits_17(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits ``"%.17g"`` gives each magnitude in ax.
+
+    Returns (n, k, ok): where ok, the digits are the uint64 n, 10**16 <= n
+    < 10**17, read as n * 10**(k - 16). ok is False outside the fast range
+    and wherever the digits are not proven (a zero among them).
+    """
+    tens, fives = _digit_tables()
+    mant, e = np.frexp(ax)
+    m = (mant * 2.0**53).astype(np.uint64)
+    # floor(log10 2**(e - 1)) (exact for |e| < 2620), then one more where
+    # |x| reaches the next decade's double: never too low, and one too high
+    # only at a double just below its power of ten
+    k = (e - 1) * 315653 >> 20
+    k += ax >= tens.take(k + (_K_OFF + 1))
+    p = 16 - k
+    s = (53 - e - p).astype(np.uint64)
+
+    # m * 5**p = hi * 2**64 + lo, from 32-bit limbs (m < 2**53, 5**p < 2**59)
+    f = fives.take(p + _K_OFF)
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    f_lo, f_hi = f & 0xFFFFFFFF, f >> 32
+    low = m_lo * f_lo
+    cross = m_lo * f_hi + m_hi * f_lo  # < 2**59 + 2**53: no carry out
+    mid = (low >> 32) + (cross & 0xFFFFFFFF)
+    hi = (mid >> 32) + (cross >> 32) + m_hi * f_hi
+    lo = (mid << 32) | (low & 0xFFFFFFFF)
+
+    # n = floor(m * 5**p / 2**s). Where 5**p is not 0, k is the decade or
+    # one above it, so N < 10**17 < 2**57 and hi < 2**s: n is exact
+    n = (hi << (64 - s)) | (lo >> s)
+    ok = n >= 10**16
+    remainder = lo & ((np.uint64(1) << s) - np.uint64(1))
+    half = np.uint64(1) << (s - np.uint64(1))
+    n += (remainder > half) | ((remainder == half) & ((n & 1) == 1))
+    ok &= n < 10**17  # a carry into the next decade: none in the fast range
+    return n, k, ok
+
+
+@functools.cache
+def _render_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The writer's read-only lookup tables, built on its first call.
 
     - groups: the 4 ASCII digits of each g < 10**4 as one little-endian
       uint32, then at 10**4 + g the same digits with their trailing zeros
@@ -350,8 +415,7 @@ def _render_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     - heads: the first 8 bytes of a line (sign, "0." and the zeros of the
       positional form, the first digit, and "." when digits follow it),
       indexed by ((negative * 10 + k + 9) * 10 + first digit) * 2 + has more;
-    - suffixes: "e-0K" for k + 9 in 0..4, pad bytes for the positional k;
-    - powers of 5 up to 5**26.
+    - suffixes: "e-0K" for k + 9 in 0..4, pad bytes for the positional k.
     """
     g = np.arange(10_000)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
@@ -374,10 +438,9 @@ def _render_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
     suffixes = np.zeros(10, "<u4")
     suffixes[:5] = np.frombuffer(b"".join(b"e-0%d" % -k for k in range(-9, -4)), "<u4")
-    powers = np.array([5**p for p in range(27)], np.uint64)
-    for table in (groups, heads, suffixes, powers):
+    for table in (groups, heads, suffixes):
         table.setflags(write=False)
-    return groups, heads, suffixes, powers
+    return groups, heads, suffixes
 
 
 def _rows_17g(x: np.ndarray) -> np.ndarray:
@@ -389,40 +452,15 @@ def _rows_17g(x: np.ndarray) -> np.ndarray:
     word 7. A fallback value's line, at most 25 bytes, fills its row from
     the start.
     """
-    groups, heads, suffixes, powers = _render_tables()
+    groups, heads, suffixes = _render_tables()
     ax = np.abs(x)
-    fast = (ax >= _FAST_LOW) & (ax < _FAST_HIGH)
-    xf = np.where(fast, ax, 1.0)
-    mant, e = np.frexp(xf)
-    m = (mant * 2.0**53).astype(np.uint64)
-    k = np.floor(np.log10(xf)).astype(np.int64)
-    p = 16 - k
-    s = 53 - e - p
+    n, k, ok = _digits_17(ax)
+    # a zero lays out as "0", and so does a fallback row before it is overwritten
+    n *= ok
+    k *= ok
+    ok |= ax == 0
 
-    # m * 5**p = hi * 2**64 + lo, from 32-bit limbs (m < 2**53, 5**p < 2**61)
-    f = powers[p]  # p is 15..26, log10 missing k by one included
-    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
-    f_lo, f_hi = f & 0xFFFFFFFF, f >> 32
-    low, cross1, cross2 = m_lo * f_lo, m_lo * f_hi, m_hi * f_lo
-    mid = (low >> 32) + (cross1 & 0xFFFFFFFF) + (cross2 & 0xFFFFFFFF)
-    hi = (mid >> 32) + (cross1 >> 32) + (cross2 >> 32) + m_hi * f_hi
-    lo = (mid << 32) | (low & 0xFFFFFFFF)
-
-    # n = floor(m * 5**p / 2**s), exact where hi < 2**s
-    shift = np.clip(s, 1, 63).astype(np.uint64)
-    n = (hi << (64 - shift)) | (lo >> shift)
-    ok = fast & (s >= 1) & (s <= 63) & ((hi >> shift) == 0) & (n >= 10**16) & (n < 10**17)
-    remainder = lo & ((np.uint64(1) << shift) - np.uint64(1))
-    half = np.uint64(1) << (shift - np.uint64(1))
-    n += (remainder > half) | ((remainder == half) & ((n & 1) == 1))
-    ok &= n < 10**17  # a carry into the next decade: none in the fast range
-    zero = ax == 0
-    blank = ~ok | zero  # a zero lays out as "0", a fallback row is overwritten
-    n[blank] = 0
-    k[blank] = 0
-    ok |= zero
-
-    n = n.astype(np.int64)
+    n = n.view(np.int64)
     first = n // 10**16
     more = n - first * 10**16
     hi8 = more // 10**8
@@ -434,11 +472,14 @@ def _rows_17g(x: np.ndarray) -> np.ndarray:
     k += 9
     rows.view("<u8")[:, 0] = heads[((np.signbit(x) * 10 + k) * 10 + first) * 2 + (more != 0)]
     # a group with no nonzero digit after it takes its stripped form
-    rows[:, 2] = groups[g0 + 10_000 * ((g1 | g2 | g3) == 0)]
-    rows[:, 3] = groups[g1 + 10_000 * ((g2 | g3) == 0)]
-    rows[:, 4] = groups[g2 + 10_000 * (g3 == 0)]
     rows[:, 5] = groups[g3 + 10_000]
-    rows[:, 6] = suffixes[k]
+    rest = g3 == 0
+    rows[:, 4] = groups[g2 + 10_000 * rest]
+    rest &= g2 == 0
+    rows[:, 3] = groups[g1 + 10_000 * rest]
+    rest &= g1 == 0
+    rows[:, 2] = groups[g0 + 10_000 * rest]
+    rows[:, 6] = suffixes.take(k)
     rows[:, 7] = ord("\n")
     slow = np.flatnonzero(~ok)
     if slow.size:
@@ -450,27 +491,192 @@ def _rows_17g(x: np.ndarray) -> np.ndarray:
     return rows
 
 
+# --- sample reader kernel -------------------------------------------------------
+#
+# read_signals_csv parses a file's sample lines _CHUNK to a call of
+# _sample_values, a numpy kernel for lines
+#     [-]d.ddd[e(+|-)DD]   or   [-]ddd[e(+|-)DD]
+# with at most 22 digits after the point, or in all where there is none,
+# that works on the text's uint64 words. The 24 bytes that end a line's
+# mantissa are three words, whose digit bytes each fold to their value in
+# three multiplications (SWAR, as in Lemire, "Number parsing at a gigabyte
+# per second", 2021). That gives the line as M * 10**q, the integer
+# M < 2**64 exact. A value leaves the kernel only where it is proven to be
+# float(line), in one of two ways, each stated again where it is made:
+# - Clinger's case (Clinger, "How to read floating point numbers
+#   accurately", PLDI 1990).
+# - a digit match: the writer's own digit code, _digits_17, gives a
+#   candidate x the line's digits, and "%.17g" round-trips.
+# Every other line (more than 17 digits, a number outside the fast range
+# that no candidate matches, "1_0", surrounding whitespace) is left to one
+# np.array(lines, dtype=float) call: float's grammar.
+
+_LEAD = 32  # zero bytes before the text in the reader's buffer: a line's window starts in it
+_STEPS = 2  # nextafter steps a candidate may take towards its line
+_Q_OFF = 128  # the index of 10**0 in the reader's power tables
+_ZEROS, _SEVENS, _HIGHS = 0x3030303030303030, 0x7676767676767676, 0x8080808080808080
+
+
+@functools.cache
+def _read_tables() -> tuple[np.ndarray, ...]:
+    """The reader kernel's read-only lookup tables, built on its first call.
+
+    - masks: at [j, f], the bytes of word j of a 24-byte window that hold
+      its last f bytes;
+    - tens: 10**f as uint64 where it fits, to scale the digit before a point;
+    - at q + _Q_OFF, for the q of a line, -121 <= q <= 99:
+      - scale and divisor, doubles: 10**q and 1 for 0 < q <= 22, 1 and
+        10**-q for -22 <= q <= 0, and 1 and 1 elsewhere;
+      - ldivisor: the longdouble 10**-q for -27 <= q <= 0, and 1 elsewhere;
+    - at t + _Q_OFF, for the decimal shift t from a line's M to the 17
+      digits of a decade: shift and limit, 10**t and 10**(17 - t) as
+      uint64 for 0 <= t <= 17, and limit 0 elsewhere.
+    """
+    top = [0] + [(1 << 64) - (1 << (64 - 8 * c)) for c in range(1, 9)]
+    masks = [[top[min(max(f + 8 * j - 16, 0), 8)] for f in range(23)] for j in range(3)]
+    tens = np.array([10**f if f <= 19 else 0 for f in range(23)], np.uint64)
+    q = range(-_Q_OFF, 256 - _Q_OFF)
+    scale = np.array([10.0**i if 0 < i <= 22 else 1.0 for i in q])
+    divisor = np.array([10.0**-i if -22 <= i <= 0 else 1.0 for i in q])
+    ldivisor = np.array([10**-i if -27 <= i <= 0 else 1 for i in q], np.longdouble)
+    shift = np.array([10**t if 0 <= t <= 17 else 0 for t in q], np.uint64)
+    limit = np.array([10 ** (17 - t) if 0 <= t <= 17 else 0 for t in q], np.uint64)
+    tables = np.array(masks, np.uint64), tens, scale, divisor, ldivisor, shift, limit
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _sample_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The values of the lines buf[start:end], and where they are proven.
+
+    buf is a text's _line_buffer. Returns (values, good): where good is
+    False, the line is not read and its value is meaningless.
+    """
+    masks, tens, scale, divisor, ldivisor, _, _ = _read_tables()
+    negative = buf[start] == ord("-")
+    head = start + negative
+    first = buf[head] ^ ord("0")  # the digit before a point, where < 10
+    point = buf[head + 1] == ord(".")
+
+    # an exponent "e+DD" or "e-DD" is the line's last 4 bytes
+    tail = np.ndarray((buf.size - 3,), "<u4", buf, strides=(1,))[end - 4]
+    sign = tail & 0xFFFF
+    digits = (tail >> 16) ^ 0x3030
+    exponent = (sign == 0x2B65) | (sign == 0x2D65)  # "e+", "e-" little-endian
+    exponent &= ((digits + 0x7676) & 0x8080) == 0
+    power = ((digits & 0xFF) * 10 + (digits >> 8)).astype(np.int64)
+    power *= exponent
+    np.negative(power, out=power, where=sign == 0x2D65)
+
+    # the 24 bytes that end the mantissa: three words, from four aligned ones
+    stop = end - 4 * exponent
+    base = (stop - 24) >> 3
+    up = ((stop & 7) << 3).astype(np.uint64)
+    down = 64 - up  # a shift by 64 gives 0 in numpy
+    words = buf.view("<u8")
+    aligned = [words[base + i] for i in range(4)]
+    window = np.empty((3, start.size), np.uint64)
+    for i in range(3):
+        np.bitwise_or(aligned[i] >> up, aligned[i + 1] << down, out=window[i])
+
+    # the digits after the point, or all of them where there is none, end
+    # the window: byte -> digit, the other bytes masked to 0, then each
+    # word's 8 digits fold to their value
+    mantissa = stop - head
+    point &= mantissa >= 2
+    count = mantissa - 2 * point
+    fraction = np.minimum(count, 22)
+    window ^= _ZEROS
+    window &= masks.take(fraction, axis=1)
+    digit_bytes = (np.bitwise_or.reduce(window + _SEVENS, axis=0) & _HIGHS) == 0
+    pairs = window >> 8
+    window *= 10
+    window += pairs  # byte 2i: the two digits 2i, 2i + 1
+    quads = window >> 16
+    quads &= 0x000000FF000000FF
+    quads *= 1 + (10_000 << 32)
+    window &= 0x000000FF000000FF
+    window *= 100 + (1_000_000 << 32)
+    window += quads
+    window >>= 32
+    valid = (mantissa >= 1) & (count <= 22) & digit_bytes
+    valid &= ~point | (first < 10)
+    first *= point
+    # M < 2**64: at most 19 digits, or 20-22 led by zeros after a point
+    valid &= (count + point <= 19) | ((first == 0) & (window[0] < 1000))
+    m = (window[0] * 10**8 + window[1]) * 10**8 + window[2]
+    m += first * tens[fraction]
+    q_index = power - fraction * point + _Q_OFF  # the digits after a point scale M down
+    q = q_index - _Q_OFF
+
+    # Clinger's case: with M <= 2**53 and |q| <= 22, M and 10**|q| are
+    # exact doubles, so M * 10**q and M / 10**-q, each one IEEE operation
+    # and so correctly rounded, are float(line). The other table is 1
+    x = m.astype(np.float64) * scale[q_index] / divisor[q_index]
+    good = valid & (m <= 2**53) & (q >= -22) & (q <= 22)
+
+    # A digit match: where _digits_17, the writer's code, gives a double x
+    # the line's number, "%.17g" % x is the line, and "%.17g" round-trips:
+    # x = float("%.17g" % x) = float(line). The candidate, M / 10**-q in
+    # longdouble rounded to a double, is float(line) or next to it where
+    # longdouble has 64 bits; one that misses steps towards the line,
+    # _STEPS times at most
+    rest = np.flatnonzero(valid & ~good)
+    if rest.size:
+        m, q_index = m[rest], q_index[rest]
+        candidate = (m.astype(np.longdouble) / ldivisor[q_index]).astype(np.float64)
+        hit, miss, grow = _digit_match(candidate, m, q_index)
+        todo = np.flatnonzero(miss)
+        for _ in range(_STEPS):
+            if not todo.size:
+                break
+            candidate[todo] = np.nextafter(candidate[todo], np.where(grow[todo], np.inf, 0.0))
+            hit[todo], missed, grow[todo] = _digit_match(candidate[todo], m[todo], q_index[todo])
+            todo = todo[missed]
+        x[rest] = candidate
+        good[rest] = hit
+    x.view(np.uint64)[...] |= negative.astype(np.uint64) << 63
+    return x, good
+
+
+def _digit_match(x, m, q_index):
+    """Whether the 17 digits "%.17g" gives x are those of m * 10**q.
+
+    Returns (hit, miss, grow): miss where they are not, though the line has
+    at most 17 digits at x's decade, and grow where the line's are larger.
+    """
+    _, _, _, _, _, shift, limit = _read_tables()
+    n, k, ok = _digits_17(x)
+    k *= ok  # keeps t in its table
+    t = q_index + 16 - k
+    line = m * shift[t]  # the line's digits at x's decade, where m < limit[t]
+    ok &= m < limit[t]
+    hit = ok & (line == n)
+    return hit, ok & ~hit, line > n
+
+
 def read_signals_csv(path) -> list[Signal]:
     """Parse a signal CSV file.
 
-    The file is read whole, as ASCII text, then a section at a time; where
-    that fails, the line loop, the format's one grammar, reads the text
-    instead.
+    The file is read whole, as ASCII text, and its samples are parsed all at
+    once; where that fails, the line loop, the format's one grammar, reads
+    the text instead.
 
     Every error is a SignalParseError that names the file and a line: the
     offending line (a bad sample or header), the line of a non-ASCII byte
     wherever it lies, or the section's header line when the section as a
     whole is bad (no samples, a non-finite sample, a bad sample rate).
     """
-    text = read_ascii(path, SignalParseError)
-    signals = _read_sections(text)
+    data = read_ascii_bytes(path, SignalParseError)
+    signals = _read_text(data)
     if signals is None:
-        signals = _read_lines(text.split("\n"), path)
+        signals = _read_lines(data.decode("ascii").split("\n"), path)
     return signals
 
 
-def _read_sections(text: str) -> list[Signal] | None:
-    """The signals of text read a section at a time, or None where that fails.
+def _read_text(data: bytes) -> list[Signal] | None:
+    """The signals of the text data, its samples parsed together, or None.
 
     Each column-0 ``# signal`` line starts a section whose other lines,
     but for the blank lines that end it, are each one sample ``float``
@@ -478,25 +684,79 @@ def _read_sections(text: str) -> list[Signal] | None:
     Anything else (a comment or blank line inside a section, an indented
     header, a bad token, header or section) returns None, and
     ``_read_lines``, the file's one grammar, reads the file instead.
+
+    The sample lines are parsed ``_CHUNK`` to a call of ``_sample_values``,
+    across sections, and the lines it leaves go to one ``np.array`` call.
     """
-    preamble, *sections = ("\n" + text).split("\n" + _HEADER_PREFIX)
-    for line in preamble.split("\n"):
-        line = line.strip()
-        if line and (not line.startswith("#") or line.startswith(_HEADER_PREFIX)):
+    buf, breaks = _line_buffer(data)
+    lines = breaks.size - 1
+
+    def line(i: int) -> str:
+        return data[breaks[i] + 1 - _LEAD : breaks[i + 1] - _LEAD].decode("ascii")
+
+    headers = []
+    for i in np.flatnonzero(buf[breaks[:-1] + 1] == ord("#")).tolist():
+        if line(i).startswith(_HEADER_PREFIX):
+            headers.append(i)
+        elif headers:
+            return None  # a comment inside a section
+    for i in range(headers[0] if headers else lines):
+        text = line(i).strip()
+        if text and (not text.startswith("#") or text.startswith(_HEADER_PREFIX)):
             return None
-    signals = []
+    if not headers:
+        return []
+
+    sections = []
+    for h, following in zip(headers, headers[1:] + [lines]):
+        last = following
+        while last > h + 1 and breaks[last] == breaks[last - 1] + 1:
+            last -= 1  # a blank line ends the section
+        try:
+            state, rate = _parse_header(line(h), 0, None)
+        except ValueError:  # SignalParseError and InvalidArgumentError
+            return None
+        sections.append((state, rate, h + 1, last))
+
+    low = headers[0] + 1
+    sample = np.zeros(lines - low, bool)
+    for _, _, a, b in sections:
+        sample[a - low : b - low] = True
+    values = np.empty(sample.size)
+    good = np.zeros(sample.size, bool)
+    for c in range(0, sample.size, _CHUNK):
+        part = slice(c, c + _CHUNK)
+        starts = breaks[low:-1][part] + 1
+        values[part], good[part] = _sample_values(buf, starts, breaks[low + 1 :][part])
+    rest = np.flatnonzero(sample & ~good)
     try:
-        for section in sections:
-            header, _, body = section.partition("\n")
-            lines = body.split("\n")
-            while lines and not lines[-1]:
-                lines.pop()
-            state, rate = _parse_header(_HEADER_PREFIX + header, 0, None)
+        if rest.size:
             # float's grammar: numpy converts each str line through float
-            signals.append(Signal(np.array(lines, dtype=float), rate, state))
-    except ValueError:  # float's, and SignalParseError and InvalidArgumentError
+            text = data.decode("ascii")
+            cuts = [(breaks[rest + low + i] - _LEAD).tolist() for i in (0, 1)]
+            values[rest] = np.array([text[a + 1 : b] for a, b in zip(*cuts)], dtype=float)
+        return [Signal(values[a - low : b - low], rate, state) for state, rate, a, b in sections]
+    except ValueError:  # float's, and InvalidArgumentError
         return None
-    return signals
+
+
+def _line_buffer(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The text data in the buffer _sample_values reads, and its line breaks.
+
+    The buffer holds data from offset _LEAD, after zero bytes, and ends in
+    at least 8 zero bytes; its size is a multiple of 8. Line i is
+    buf[breaks[i] + 1 : breaks[i + 1]]: breaks are the newlines, found a
+    block of bytes at a time, between _LEAD - 1 and the end of data.
+    """
+    size = len(data)
+    buf = np.zeros((_LEAD + size) // 8 * 8 + 16, np.uint8)
+    body = buf[_LEAD : _LEAD + size]
+    body[:] = np.frombuffer(data, np.uint8)
+    block = _CHUNK * 32
+    newlines = [
+        np.flatnonzero(body[b : b + block] == ord("\n")) + (_LEAD + b) for b in range(0, size, block)
+    ]
+    return buf, np.concatenate([[_LEAD - 1], *newlines, [_LEAD + size]])
 
 
 def _read_lines(lines, path) -> list[Signal]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gwquant import signals as signals_module
 from gwquant.errors import InvalidArgumentError, SignalParseError
-from gwquant.persist import read_ascii
+from gwquant.persist import read_ascii, read_ascii_bytes
 from gwquant.signals import (
     Signal,
     SimulationConfig,
@@ -245,6 +245,21 @@ class TestSignalCsv:
             read_signals_csv(path)
         assert str(excinfo.value) == f"{path}: line 4: not ASCII text"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_read_ascii_bytes_translates_newlines_as_text_mode(self, tmp_path, newline):
+        # an LF file is returned as read, the others go through a text decoder
+        path = tmp_path / "text.csv"
+        path.write_bytes(newline.join(["# a", "1.5", "", "2.5", ""]).encode("ascii"))
+        assert read_ascii_bytes(path) == b"# a\n1.5\n\n2.5\n"
+        assert read_ascii(path) == "# a\n1.5\n\n2.5\n"
+        path.write_bytes(newline.join(["# a", "1.5", "\u00e9", ""]).encode("latin-1"))
+        errors = []
+        for read in (read_ascii, read_ascii_bytes):
+            with pytest.raises(SignalParseError) as excinfo:
+                read(path, SignalParseError)
+            errors.append(str(excinfo.value))
+        assert errors == [f"{path}: line 3: not ASCII text"] * 2
+
     # a text decoder reads a file 8 KiB at a time: the byte is the error
     # whether the bad line ahead of it is in its block or blocks before it
     @pytest.mark.parametrize("blocks", [0, 1, 3])
@@ -471,6 +486,156 @@ class TestSampleKernel:
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
         assert _rendered(values) == _one_per_value(values)
+
+
+def _kernel(lines):
+    """The reader kernel's values, and where it proves them, for lines."""
+    buf, breaks = signals_module._line_buffer("".join(f"{line}\n" for line in lines).encode())
+    chunk, n = signals_module._CHUNK, len(lines)
+    bounds = [(c, min(c + chunk, n)) for c in range(0, n, chunk)]
+    kernel = signals_module._sample_values
+    parts = [kernel(buf, breaks[a:b] + 1, breaks[a + 1 : b + 1]) for a, b in bounds]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _floats(lines) -> np.ndarray:
+    return np.array([float(line) for line in lines])
+
+
+def _section(lines) -> str:
+    header = "# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n"
+    return header + "".join(f"{line}\n" for line in lines)
+
+
+def _assert_read_as_float(tmp_path, lines):
+    """A one-section file of lines reads back as float reads each line, bit
+    for bit, and so does every value the kernel proves."""
+    path = tmp_path / "lines.csv"
+    path.write_text(_section(lines))
+    expected = _floats(lines)
+    assert read_signals_csv(path)[0].samples.tobytes() == expected.tobytes()
+    values, good = _kernel(lines)
+    assert values[good].tobytes() == expected[good].tobytes()
+    return good
+
+
+def _carries() -> list[float]:
+    """The doubles below a power of ten whose 17 digits round up to it."""
+    carries = []
+    for k in range(-323, 309):
+        power = Fraction(10) ** k
+        below = float(power)
+        if Fraction(below) >= power:
+            below = float(np.nextafter(below, 0.0))
+        if below and Fraction(f"{below:.17g}") == power:
+            carries.append(below)
+    return carries
+
+
+class TestSampleReader:
+    """The sample reader against one float per line, bit for bit, sign of
+    zero included; the kernel's proven values are checked on their own."""
+
+    def test_the_writers_text_of_a_million_random_bit_patterns(self, tmp_path, rng):
+        bits = rng.integers(0, 2**64 - 1, size=1_000_000, dtype=np.uint64, endpoint=True)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        lines = signals_to_csv_text([Signal(values, 1e6)]).split("\n")[1:-1]
+        good = _assert_read_as_float(tmp_path, lines)
+        low, high = signals_module._FAST_LOW, signals_module._FAST_HIGH
+        fast = (np.abs(values) >= low) & (np.abs(values) < high)
+        assert good[fast].mean() > 0.999
+
+    def test_the_writers_edge_values(self, tmp_path):
+        carries = _carries()
+        assert len(carries) == 14
+        ties = [
+            j * 2.0**q
+            for q in range(-70, 4)
+            for j in range(1, 1024, 2)
+            if len(Decimal(j * 2.0**q).normalize().as_tuple().digits) == 18
+        ]
+        bounds = []
+        for bound in (signals_module._FAST_LOW, signals_module._FAST_HIGH):
+            below, above = np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)
+            bounds += [np.nextafter(below, 0.0), below, bound, above, np.nextafter(above, np.inf)]
+        tiny, largest = np.finfo(float).smallest_subnormal, np.finfo(float).max
+        extremes = [0.0, tiny, 2 * tiny, 1e-310, np.finfo(float).smallest_normal, largest]
+        values = _both_signs(carries + ties + bounds + extremes)
+        lines = [f"{value:.17g}" for value in values.tolist()]
+        assert "-0" in lines and "0" in lines
+        _assert_read_as_float(tmp_path, lines)
+
+    def test_short_forms(self, tmp_path, rng):
+        x = rng.normal(0.0, 1.0, 300) * 10.0 ** rng.integers(-12, 12, 300)
+        lines = [repr(v) for v in x.tolist()]
+        lines += [f"{v:.6e}" for v in x.tolist()] + [f"{v:.3f}" for v in x.tolist()]
+        lines += [str(i) for i in rng.integers(-(10**18), 10**18, 100).tolist()]
+        lines += ["1.", "+1", "1_0", "-0", "0", "0.0", "-0.0", "1e5", "1E-05", "7e-01", "1e+300"]
+        lines += [" 1.5", "2.5 ", "99999999999999999", "0.10000000000000001", "0.1"]
+        # Clinger's bounds: |q| = 22 and 23, M = 2**53 and 2**53 + 1
+        lines += [f"{m}e{q:+03d}" for m in (1, 3, 7, 123) for q in (-23, -22, 22, 23)]
+        lines += ["9007199254740992", "9007199254740993"]
+        lines += ["9.007199254740993e-5", "-9007199254740992e-22"]
+        # no digit before the point, M past 2**64, a mantissa of 24 bytes
+        lines += ["+.5", " .5", "18446744073709551621", "-1.2345678901234567890123e-05"]
+        good = _assert_read_as_float(tmp_path, lines)
+        # Clinger's case reads the short ones in the kernel
+        assert good[[lines.index(s) for s in ("0.1", "1.", "-0", "7e-01", "1E-05")]].tolist() == [
+            True, True, True, True, False
+        ]
+
+    def test_sections_across_chunk_bounds_in_one_file(self, tmp_path, rng, monkeypatch):
+        chunk = signals_module._CHUNK
+        signals = [
+            Signal(rng.normal(0.0, 0.01, n), 1e6, StateLabel(0.0, 0.0, i, "test"))
+            for i, n in enumerate([1, chunk - 2, chunk, 2 * chunk + 1])
+        ]
+        path = tmp_path / "sections.csv"
+        path.write_text(signals_to_csv_text(signals))
+        calls, sample_values = [], signals_module._sample_values
+
+        def spy(buf, start, end):
+            calls.append(start.size)
+            return sample_values(buf, start, end)
+
+        monkeypatch.setattr(signals_module, "_sample_values", spy)
+        back = read_signals_csv(path)
+        for sig, read in zip(signals, back):
+            lines = [f"{value:.17g}" for value in sig.samples.tolist()]
+            assert read.samples.tobytes() == _floats(lines).tobytes()
+        # the calls run across sections: every line after the first header
+        # (the other headers, the blank lines and the empty last one among
+        # them), _CHUNK to a call
+        lines = path.read_text().count("\n")
+        assert calls == [chunk] * (lines // chunk) + [lines % chunk]
+
+    def test_the_writers_samples_are_all_proven_by_the_kernel(self):
+        rng = np.random.default_rng(1)
+        values = np.concatenate([rng.normal(0.0, 0.003, 20_000), np.zeros(10), -np.zeros(10)])
+        lines = signals_to_csv_text([Signal(values, 1e6)]).split("\n")[1:-1]
+        read, good = _kernel(lines)
+        assert good.all()
+        assert read.tobytes() == values.tobytes()
+
+    def test_a_shortest_repr_file_steps_a_bounded_number_of_times(self, tmp_path, rng, monkeypatch):
+        # a 16-digit repr is float(line) but not its 17 digits, so its
+        # candidate misses: it leaves the nextafter loop after _STEPS rounds
+        values = rng.normal(0.0, 0.005, 5000)
+        calls, digit_match = [], signals_module._digit_match
+
+        def spy(x, m, q_index):
+            calls.append(x.size)
+            return digit_match(x, m, q_index)
+
+        monkeypatch.setattr(signals_module, "_digit_match", spy)
+        lines = [repr(value) for value in values.tolist()]
+        _assert_read_as_float(tmp_path, lines)
+        # two kernel calls, read_signals_csv's and _kernel's, the same rounds each
+        assert len(calls) % 2 == 0
+        first, rounds = calls[0], calls[1 : len(calls) // 2]
+        assert 1 <= len(rounds) <= signals_module._STEPS
+        assert rounds == sorted(rounds, reverse=True) and rounds[0] < first / 4
 
 
 # --- the section reader against the line loop -------------------------------
