@@ -256,7 +256,10 @@ def simulate_dataset(config: SimulationConfig, damage_grid, load_grid) -> list[S
 #     <amplitude>
 #     ...
 # Sections are separated by blank lines. Other '#' lines are comments. A
-# header names each of its five keys once.
+# header names each of its five keys once. Column-0 comments and empty lines
+# may stand anywhere and take the fast reader; a file with an indented
+# header or comment, a whitespace-only line or an error is read line by
+# line, with the same result.
 
 _HEADER_PREFIX = "# signal "
 _HEADER_KEYS = ("damage", "load", "replicate", "role", "sample_rate")
@@ -678,56 +681,44 @@ def read_signals_csv(path) -> list[Signal]:
 def _read_text(data: bytes) -> list[Signal] | None:
     """The signals of the text data, its samples parsed together, or None.
 
-    Each column-0 ``# signal`` line starts a section whose other lines,
-    but for the blank lines that end it, are each one sample ``float``
-    takes. The lines before the first section must be blank or comments.
-    Anything else (a comment or blank line inside a section, an indented
-    header, a bad token, header or section) returns None, and
-    ``_read_lines``, the file's one grammar, reads the file instead.
+    A line is a sample unless it is empty or starts with ``#`` in column 0,
+    so column-0 comments and empty lines may stand anywhere. Each column-0
+    ``# signal`` line starts a section that holds the samples up to the
+    next one. Anything else (an indented header or comment, a
+    whitespace-only line, a sample before the first header, a bad token,
+    header or section) returns None, and ``_read_lines``, the file's one
+    grammar, reads the file instead, with the same result.
 
-    The sample lines are parsed ``_CHUNK`` to a call of ``_sample_values``,
-    across sections, and the lines it leaves go to one ``np.array`` call.
+    The lines after the first header are parsed ``_CHUNK`` to a call of
+    ``_sample_values``, across sections, and the sample lines it leaves go
+    to one ``np.array`` call.
     """
     buf, breaks = _line_buffer(data)
-    lines = breaks.size - 1
+    starts = breaks[:-1] + 1
+    marked = buf[starts] == ord("#")
+    sample = (breaks[1:] > starts) & ~marked
 
     def line(i: int) -> str:
         return data[breaks[i] + 1 - _LEAD : breaks[i + 1] - _LEAD].decode("ascii")
 
-    headers = []
-    for i in np.flatnonzero(buf[breaks[:-1] + 1] == ord("#")).tolist():
-        if line(i).startswith(_HEADER_PREFIX):
-            headers.append(i)
-        elif headers:
-            return None  # a comment inside a section
-    for i in range(headers[0] if headers else lines):
-        text = line(i).strip()
-        if text and (not text.startswith("#") or text.startswith(_HEADER_PREFIX)):
-            return None
+    headers = [i for i in np.flatnonzero(marked).tolist() if line(i).startswith(_HEADER_PREFIX)]
+    if sample[: headers[0] if headers else sample.size].any():
+        return None  # a sample before any header
     if not headers:
         return []
-
-    sections = []
-    for h, following in zip(headers, headers[1:] + [lines]):
-        last = following
-        while last > h + 1 and breaks[last] == breaks[last - 1] + 1:
-            last -= 1  # a blank line ends the section
-        try:
-            state, rate = _parse_header(line(h), 0, None)
-        except ValueError:  # SignalParseError and InvalidArgumentError
-            return None
-        sections.append((state, rate, h + 1, last))
+    try:
+        sections = [_parse_header(line(h), 0, None) for h in headers]
+    except ValueError:  # SignalParseError and InvalidArgumentError
+        return None
+    counts = np.add.reduceat(sample, headers, dtype=np.intp)
 
     low = headers[0] + 1
-    sample = np.zeros(lines - low, bool)
-    for _, _, a, b in sections:
-        sample[a - low : b - low] = True
+    sample = sample[low:]
     values = np.empty(sample.size)
     good = np.zeros(sample.size, bool)
     for c in range(0, sample.size, _CHUNK):
         part = slice(c, c + _CHUNK)
-        starts = breaks[low:-1][part] + 1
-        values[part], good[part] = _sample_values(buf, starts, breaks[low + 1 :][part])
+        values[part], good[part] = _sample_values(buf, starts[low:][part], breaks[low + 1 :][part])
     rest = np.flatnonzero(sample & ~good)
     try:
         if rest.size:
@@ -735,7 +726,8 @@ def _read_text(data: bytes) -> list[Signal] | None:
             text = data.decode("ascii")
             cuts = [(breaks[rest + low + i] - _LEAD).tolist() for i in (0, 1)]
             values[rest] = np.array([text[a + 1 : b] for a, b in zip(*cuts)], dtype=float)
-        return [Signal(values[a - low : b - low], rate, state) for state, rate, a, b in sections]
+        parts = np.split(values[sample], np.cumsum(counts[:-1]))
+        return [Signal(part, rate, state) for (state, rate), part in zip(sections, parts)]
     except ValueError:  # float's, and InvalidArgumentError
         return None
 
@@ -745,18 +737,14 @@ def _line_buffer(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 
     The buffer holds data from offset _LEAD, after zero bytes, and ends in
     at least 8 zero bytes; its size is a multiple of 8. Line i is
-    buf[breaks[i] + 1 : breaks[i + 1]]: breaks are the newlines, found a
-    block of bytes at a time, between _LEAD - 1 and the end of data.
+    buf[breaks[i] + 1 : breaks[i + 1]]: breaks are the newlines, between
+    _LEAD - 1 and the end of data.
     """
     size = len(data)
     buf = np.zeros((_LEAD + size) // 8 * 8 + 16, np.uint8)
-    body = buf[_LEAD : _LEAD + size]
-    body[:] = np.frombuffer(data, np.uint8)
-    block = _CHUNK * 32
-    newlines = [
-        np.flatnonzero(body[b : b + block] == ord("\n")) + (_LEAD + b) for b in range(0, size, block)
-    ]
-    return buf, np.concatenate([[_LEAD - 1], *newlines, [_LEAD + size]])
+    buf[_LEAD : _LEAD + size] = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n"))
+    return buf, np.concatenate([[_LEAD - 1], newlines, [_LEAD + size]])
 
 
 def _read_lines(lines, path) -> list[Signal]:

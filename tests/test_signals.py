@@ -1,6 +1,7 @@
 """Signal synthesis and CSV ingestion tests."""
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -317,20 +318,33 @@ class TestSignalCsv:
             read_signals_csv(path)
         assert str(excinfo.value) == f"{path}: line 2: {message}"
 
-    def test_the_writers_layout_never_reaches_the_line_loop(self, tmp_path, rng, monkeypatch):
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda text: text,
+            lambda text: re.sub(r"^(# signal .*)$", r"\1\n# probe 3", text, flags=re.M),
+            lambda text: text.replace("\n\n", "\n\n# between\n\n"),
+            lambda text: re.sub(r"^(# signal .*\n.*)$", r"\1\n", text, flags=re.M),
+        ],
+        ids=["plain", "comment-after-header", "comment-between-sections", "empty-in-section"],
+    )
+    def test_the_writers_layout_never_reaches_the_line_loop(
+        self, tmp_path, rng, monkeypatch, layout
+    ):
+        """Column-0 comments and empty lines anywhere take the fast path."""
         signals = [
             Signal(rng.normal(size=n), 1e6, StateLabel(1.0, 5.0, n, "test")) for n in (1, 2, 30)
         ]
         path = tmp_path / "written.csv"
-        path.write_text(signals_to_csv_text(signals, comment="seed=3"))
+        path.write_text(layout(signals_to_csv_text(signals, comment="seed=3")))
 
         def no_line_loop(lines, path):
-            raise AssertionError("the line loop read a file in the writer's layout")
+            raise AssertionError("the line loop read a file the line mask places")
 
         monkeypatch.setattr(signals_module, "_read_lines", no_line_loop)
         back = read_signals_csv(path)
         assert [s.state for s in back] == [s.state for s in signals]
-        assert all(np.array_equal(a.samples, b.samples) for a, b in zip(back, signals))
+        assert [s.samples.tobytes() for s in back] == [s.samples.tobytes() for s in signals]
 
 
 class TestSignalCsvWriter:
@@ -746,6 +760,14 @@ def _line_loop(path):
 # a bad line, then a non-ASCII byte more than one 8 KiB decode block later
 @example(data=b"# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1 2\n"
          + b"0.5\n" * 3000 + b"\xff\n")
+# the line mask's edges: a header with no samples before another header, a
+# whitespace-only line in a section, a file of comments and empty lines with
+# one whitespace-only line, a sample before the first header
+@example(data=b"# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n"
+         b"# signal damage=1 load=0 replicate=0 role=test sample_rate=1e6\n1\n")
+@example(data=b"# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1\n \t\n2\n")
+@example(data=b"# run\n\n#\n \n\n# signal\n")
+@example(data=b"1.5\n# signal damage=0 load=0 replicate=0 role=test sample_rate=1e6\n1\n")
 def test_read_signals_csv_equals_the_line_loop(tmp_path, data):
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data)
