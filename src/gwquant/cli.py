@@ -87,7 +87,7 @@ from .quantify import (
     two_state_scores,
     summarize_predictions,
 )
-from .sgpr import OptimizerConfig, evaluate_fit, train_sgpr
+from .sgpr import OptimizerConfig, _replicates, evaluate_fit, train_sgpr
 from .signals import (
     SimulationConfig,
     read_signals_csv,
@@ -298,17 +298,13 @@ def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
     Either side with fewer than 2 rows is an error giving both counts.
     """
     rng = np.random.default_rng(seed)
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(dataset.inputs):
-        groups.setdefault(tuple(row), []).append(i)
+    # each state's rows, in row order, states in sorted order
+    _, inverse, counts = _replicates(dataset.inputs)
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     train_idx, test_idx = [], []
-    for state in sorted(groups):
-        idx = np.array(groups[state])
+    for idx in groups:
         rng.shuffle(idx)
-        k = idx.size
-        n_train = max(1, math.ceil(train_fraction * k))
-        if k >= 2:
-            n_train = min(n_train, k - 1)
+        n_train = min(max(1, math.ceil(train_fraction * idx.size)), max(1, idx.size - 1))
         train_idx.extend(idx[:n_train])
         test_idx.extend(idx[n_train:])
     if min(len(train_idx), len(test_idx)) < 2:
@@ -317,15 +313,10 @@ def split_dataset(dataset: DiDataset, train_fraction: float, seed: int):
             f"trains on {len(train_idx)}, and each side needs at least 2: a state "
             "needs 2 or more replicates to hold one out"
         )
-    train_idx = sorted(train_idx)
-    test_idx = sorted(test_idx)
-
-    def subset(indices):
-        return DiDataset(
-            dataset.inputs[indices], dataset.targets[indices], list(dataset.column_names)
-        )
-
-    return subset(train_idx), subset(test_idx)
+    return tuple(
+        DiDataset(dataset.inputs[rows], dataset.targets[rows], list(dataset.column_names))
+        for rows in (sorted(train_idx), sorted(test_idx))
+    )
 
 
 MANIFEST_HEADER = "damage,load,n_signals,file"
@@ -720,7 +711,15 @@ def cmd_predict(args) -> int:
             grid = grid.refine(quantify.grid_refine)
         # the grid is the model's damage grid or a refinement: damage-only
         fixed = None if known_load is None else {"load": known_load}
-        scores = score_test_dis(model, grid, np.array(test_dis, dtype=float), fixed, threshold)
+        try:
+            scores = score_test_dis(model, grid, np.array(test_dis, dtype=float), fixed, threshold)
+        except FloatingPointError as exc:  # the kernel distance of a far load overflows
+            if known_load is None:
+                raise
+            raise InvalidArgumentError(
+                f"--known-load {args.known_load!r} is too far from the model's training "
+                f"loads: its kernel distance overflows ({exc})"
+            ) from None
         text = _predictions_json(scores)
 
     if args.out:

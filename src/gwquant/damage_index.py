@@ -203,6 +203,12 @@ def build_di_dataset(
     pool_means: dict[tuple[float, float], Signal] = {}
 
     def mean_signal(members: list[Signal]) -> Signal:
+        for s in members:
+            if not 1 <= n_use <= len(s):
+                raise InvalidArgumentError(
+                    f"n_use={n_use} does not fit a reference signal of {len(s)} samples at "
+                    f"(damage={s.state.damage_size:g}, load={s.state.load:g})"
+                )
         stack = np.stack([s.samples[:n_use] for s in members])
         return Signal(stack.mean(axis=0), members[0].sample_rate)
 

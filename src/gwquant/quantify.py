@@ -258,10 +258,14 @@ def score_test_dis(
     v_closest = model.row_variance[nearest]
     # the interval ends y* + 2 sd and y* - 2 sd, as y* - 2 sd is y* + (-2 sd)
     # exactly, and gaussian_cdf at both in one call, without its variance
-    # check: the variances are the model's own
+    # check: the variances are the model's own. 2 sd is below 2**513, so an
+    # end of a finite DI is finite
     ends = test_dis + np.multiply.outer((2.0, -2.0), np.sqrt(v_closest))
     mean, root = _grid_moments(model, queries)
-    upper, lower = _cdf(ends[..., None], mean, root)
+    # a quotient (mean - end) / sd past the double range is +-inf, whose CDF,
+    # 0 or 1, is that of any quotient past 40
+    with np.errstate(over="ignore"):
+        upper, lower = _cdf(ends[..., None], mean, root)
     probs = np.subtract(upper, lower, out=upper).clip(0.0, 1.0, out=upper)
 
     # grid states are sorted, so the first maximum is the smallest damage

@@ -157,6 +157,19 @@ def _factor(k: np.ndarray, r: np.ndarray, y: np.ndarray):
     return l, chol_solve(l, y)
 
 
+def _training_rows(x, y, min_rows: int):
+    """x as a 2-d float array and y as a 1-d one: the rows a model is trained
+    on or built from. Fewer than min_rows rows raise InvalidArgumentError and
+    a y of another length DimensionMismatchError."""
+    x = _as_2d(x)
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape[0] < min_rows:
+        raise InvalidArgumentError(f"need n >= {min_rows} training rows, got {x.shape[0]}")
+    if y.size != x.shape[0]:
+        raise DimensionMismatchError(f"{x.shape[0]} training rows but {y.size} targets")
+    return x, y
+
+
 def _replicates(x: np.ndarray):
     """(unique, inverse, counts): the sorted unique rows of x, the index of each
     row of x among them and how many rows of x each unique row stands for."""
@@ -255,8 +268,7 @@ class SgprModel(GpPosterior):
         target_offset: float = 0.0,
     ) -> "SgprModel":
         """Build the cached factorization for fixed hyperparameters."""
-        x = _as_2d(x)
-        y = np.asarray(y, dtype=float).ravel()
+        x, y = _training_rows(x, y, 1)
         return cls._conditioned(
             kernel, x, y, target_offset, _replicates(x), float(np.exp(log_noise_variance)),
             log_noise_variance=float(log_noise_variance),
@@ -297,10 +309,7 @@ def sgpr_nlml(params: KernelParams, log_noise_variance: float, x, y):
     The gradient is with respect to the packed log parameters
     [log_output_variance, log_length_scales (D), log_noise_variance].
     """
-    x = _as_2d(x)
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape[0] < 1 or y.size != x.shape[0]:
-        raise InvalidArgumentError("need n >= 1 training rows with matching targets")
+    x, y = _training_rows(x, y, 1)
     replicates = unique, _, counts = _replicates(x)
     k, k_grads = kernel_matrix_grads(unique, params)
     noise = np.full(counts.size, float(np.exp(log_noise_variance)))
@@ -379,12 +388,7 @@ def train_sgpr(x, y, optimizer: OptimizerConfig | None = None, center_targets: b
 
     Warns (and proceeds) when the targets are constant.
     """
-    x = _as_2d(x)
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape[0] < 2:
-        raise InvalidArgumentError("training needs n >= 2 rows")
-    if y.size != x.shape[0]:
-        raise DimensionMismatchError("inputs and targets row counts differ")
+    x, y = _training_rows(x, y, 2)
     if np.ptp(y) == 0:
         warnings.warn("training targets are constant", UserWarning, stacklevel=2)
     optimizer = optimizer or OptimizerConfig()

@@ -36,12 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError
-from .kernels import KernelParams, _as_2d, kernel_matrix, kernel_matrix_grads
+from .kernels import KernelParams, kernel_matrix, kernel_matrix_grads
 from .linalg import chol_logdet, robust_cholesky, solve_lower
 from .sgpr import (
     GpPosterior,
     OptimizerConfig,
     _replicates,
+    _training_rows,
     gaussian_nll,
     minimize_with_restarts,
     sgpr_predict,
@@ -119,8 +120,7 @@ class VhgprModel(GpPosterior):
 
     @classmethod
     def from_state(cls, state: VhgprState, x, y, target_offset: float = 0.0) -> "VhgprModel":
-        x = _as_2d(x)
-        y = np.asarray(y, dtype=float).ravel()
+        x, y = _training_rows(x, y, 1)
         _check_lambda(state.variational_lambda, x.shape[0])
         replicates = unique, inverse, counts = _replicates(x)
         totals = np.bincount(inverse, weights=state.variational_lambda)
@@ -188,16 +188,9 @@ def mv_bound(state: VhgprState, x, y):
     (D+1), kernel_g logs (D+1), mu0, rho (n)], variational_lambda =
     softplus(rho); each row of a state gets the state's d/dLambda_u.
     """
-    x = _as_2d(x)
-    y = np.asarray(y, dtype=float).ravel()
-    n = x.shape[0]
-    if n < 2:
-        raise InvalidArgumentError("the bound needs n >= 2 rows")
-    if y.size != n:
-        raise DimensionMismatchError("inputs and targets row counts differ")
-
+    x, y = _training_rows(x, y, 2)
     lam = state.variational_lambda
-    _check_lambda(lam, n)
+    _check_lambda(lam, x.shape[0])
     replicates = unique, inverse, counts = _replicates(x)
     lam_u = np.bincount(inverse, weights=lam)
     kg, kg_grads = kernel_matrix_grads(unique, state.kernel_g)
@@ -234,8 +227,7 @@ def train_vhgpr(
     variance and every Lambda entry at 0.5 (the bound's reparametrization
     is centered on Lambda - I/2).
     """
-    x = _as_2d(x)
-    y = np.asarray(y, dtype=float).ravel()
+    x, y = _training_rows(x, y, 2)
     optimizer = optimizer or OptimizerConfig()
     sgpr = train_sgpr(x, y, optimizer, center_targets=center_targets)
     offset = sgpr.target_offset

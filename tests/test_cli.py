@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gwquant import cli, persist
@@ -153,6 +154,46 @@ class TestSplitDataset:
         assert np.array_equal(t1.targets, t2.targets)
         merged = sorted(np.concatenate([t1.targets, h1.targets]).tolist())
         assert merged == dataset.targets.tolist()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.sampled_from([0.0, -0.0, 5.0]),
+                st.integers(1, 5),
+            ),
+            min_size=2, max_size=6,
+        ),
+        fraction=st.floats(0.05, 0.95),
+        seed=st.integers(0, 50),
+    )
+    def test_the_split_takes_the_rows_the_per_row_grouping_takes(self, cells, fraction, seed):
+        # the grouping by the replicate summary against a dict of each row's
+        # state tuple, which groups -0.0 with 0.0 too, with the same draws;
+        # each cell's (damage, load) repeats its count of times, rows shuffled
+        inputs = np.repeat([c[:2] for c in cells], [c[2] for c in cells], axis=0)
+        inputs = inputs[np.random.default_rng(seed + 1).permutation(len(inputs))]
+        dataset = DiDataset(inputs, np.arange(len(inputs), dtype=float), ["damage", "load"])
+        rng = np.random.default_rng(seed)
+        groups = {}
+        for i, row in enumerate(dataset.inputs):
+            groups.setdefault(tuple(row), []).append(i)
+        expected = [], []
+        for state in sorted(groups):
+            idx = np.array(groups[state])
+            rng.shuffle(idx)
+            n_train = max(1, math.ceil(fraction * idx.size))
+            if idx.size >= 2:
+                n_train = min(n_train, idx.size - 1)
+            expected[0].extend(idx[:n_train])
+            expected[1].extend(idx[n_train:])
+        if min(map(len, expected)) < 2:
+            with pytest.raises(InvalidArgumentError, match="the per-state split holds out"):
+                split_dataset(dataset, fraction, seed)
+            return
+        for got, rows in zip(split_dataset(dataset, fraction, seed), expected):
+            assert got.targets.tolist() == sorted(rows)
+            assert got.inputs.tobytes() == dataset.inputs[sorted(rows)].tobytes()
 
 
 class TestSimulate:
@@ -415,6 +456,27 @@ class TestPredict:
         assert out.count("\n") == 1 and out.endswith("\n")
         assert out == _single_state_oracle(pipeline["model_file"], [0.02], 0.0) + "\n"
         assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("kind", ["sgpr", "vhgpr"])
+    def test_a_di_whose_quotient_overflows_gets_the_table_of_a_far_di(
+        self, kind, pipeline, pipeline_vhgpr, tmp_path, capsys
+    ):
+        # (mean - di) / sd overflows to +-inf, whose CDF is that of any
+        # quotient past 40: the all-zero, low-confidence table 1e200 gets
+        model = pipeline["model_file"] if kind == "sgpr" else pipeline_vhgpr
+
+        def tables(*flags):
+            assert run("predict", "--model-file", model, "--known-load", 0, *flags) == 0
+            return json.loads(capsys.readouterr().out)
+
+        far = tables("--test-di", "1e200")
+        assert far["low_confidence"] and {p["p"] for p in far["probabilities"]} == {0.0}
+        dis = ["1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308"]
+        expected = [{**far, "test_di": float(di)} for di in dis]
+        assert [tables(f"--test-di={di}") for di in dis] == expected
+        rows = "".join(f"0,0,{di}\n" for di in [*dis, 0.02])
+        batch = tables("--test-di-file", _write(tmp_path, "dis.csv", "damage,load,di\n" + rows))
+        assert batch == [*expected, tables("--test-di", 0.02)]
 
     def test_batch_file_is_one_compact_line_with_sorted_keys(self, pipeline, tmp_path, capsys):
         dis = tmp_path / "dis.csv"
@@ -708,13 +770,12 @@ def test_single_state_text_equals_the_json_oracle(
     model = _HashedModel(rows, 1 if known_load is None else 2, moments)
     grid = StateGrid([(d,) for d in damages]).refine(refine)
     fixed = None if known_load is None else {"load": known_load}
-    with np.errstate(over="ignore"):
-        unflagged = score_test_dis(model, grid, np.array(dis), fixed, 0.0)
-        threshold = _threshold(unflagged, pick)
-        scores = score_test_dis(model, grid, np.array(dis), fixed, threshold)
-        tables = predict_single_state(
-            model, grid, dis, known_load=known_load, low_confidence_threshold=threshold
-        )
+    unflagged = score_test_dis(model, grid, np.array(dis), fixed, 0.0)
+    threshold = _threshold(unflagged, pick)
+    scores = score_test_dis(model, grid, np.array(dis), fixed, threshold)
+    tables = predict_single_state(
+        model, grid, dis, known_load=known_load, low_confidence_threshold=threshold
+    )
     assert cli._predictions_json(scores) == _tables_oracle(tables)
 
 
@@ -729,10 +790,9 @@ def test_single_state_text_equals_the_json_oracle(
 def test_two_column_grid_text_equals_the_json_oracle(rows, moments, states, dis, pick):
     model = _HashedModel(rows, 2, moments)
     grid = StateGrid(states)
-    with np.errstate(over="ignore"):
-        threshold = _threshold(score_test_dis(model, grid, np.array(dis), None, 0.0), pick)
-        scores = score_test_dis(model, grid, np.array(dis), None, threshold)
-        tables = state_probabilities(model, grid, dis, None, threshold)
+    threshold = _threshold(score_test_dis(model, grid, np.array(dis), None, 0.0), pick)
+    scores = score_test_dis(model, grid, np.array(dis), None, threshold)
+    tables = state_probabilities(model, grid, dis, None, threshold)
     assert cli._predictions_json(scores) == _tables_oracle(tables)
 
 
@@ -749,11 +809,10 @@ def test_two_state_text_equals_the_json_oracle(rows, moments, class1, class2_di,
     switched = [(d, w, 1.0 if i == 0 else 2.0, y) for i, (d, w, y) in enumerate(rows)]
     model = _HashedModel(switched, 3, moments)
     class2 = dict.fromkeys((d for d, *_ in rows), class2_di)
-    with np.errstate(over="ignore"):
-        text = cli._two_state_json(model, class1, class2, threshold)
-        prediction = predict_two_states(
-            model, class1, lambda d: class2[d], low_confidence_threshold=threshold
-        )
+    text = cli._two_state_json(model, class1, class2, threshold)
+    prediction = predict_two_states(
+        model, class1, lambda d: class2[d], low_confidence_threshold=threshold
+    )
     assert text == _two_state_oracle(prediction)
 
 
@@ -1934,9 +1993,11 @@ BAD_INPUTS.update({
     "model-length-scale-1e300": (
         _length_scale_model, "FloatingPointError: overflow encountered in exp"
     ),
-    "test-di-1e308": (
-        lambda p, t: _predict_argv(p, "--test-di", "1e308", "--known-load", 0),
-        "FloatingPointError: overflow",
+    # a load this far from the training loads overflows the kernel distance
+    "known-load-1e308": (
+        lambda p, t: _predict_argv(p, "--test-di", 0.1, "--known-load", "1e308"),
+        "--known-load '1e308' is too far from the model's training loads: its kernel "
+        "distance overflows (overflow encountered in square)",
     ),
     "evaluate-di-1e308": (
         lambda p, t: [
@@ -1959,6 +2020,23 @@ BAD_INPUTS.update({
             p, "--test-di", 0.1, "--test-di-file", p["di_csv"], "--known-load", 0
         ),
         "give --test-di or --test-di-file, not both",
+    ),
+    "predict-without-test-di": (
+        lambda p, t: _predict_argv(p, "--known-load", 5), "provide --test-di or --test-di-file"
+    ),
+    "two-state-without-file": (
+        lambda p, t: _predict_argv(p, "--two-state", model=_switch_model(t)),
+        "--two-state requires --test-di-file",
+    ),
+    "two-state-class2-rows-only": (
+        lambda p, t: _two_state_argv(
+            {"model_file": _switch_model(t)}, t, "2,0,0,0.1\n2,0,1,0.3\n"
+        ),
+        "two.csv: no class-1 test DI rows",
+    ),
+    "report-two-truths-one-prediction": (
+        lambda p, t: _report_argv(t, '[{"argmax": {"damage": 1}}]', "damage\n1\n2\n"),
+        "2 true states vs 1 predictions",
     ),
     "two-state-with-test-di": (
         lambda p, t: _switch_two_state_argv(t, "--test-di", 0.1), "--two-state takes no --test-di"
@@ -2103,6 +2181,52 @@ def test_bad_input_exits_one_with_one_error_line(case, pipeline, tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and fragment in err[0]
+
+
+# one predict flag's value replaced by an extreme, as a word of its own or
+# joined to the flag by "="; --grid-refine gets no accepted count above 50
+# (2**53 - 1 is left out), so no example builds a large grid
+_PREDICT_BASE = {
+    "--test-di": "0.02", "--known-load": "5", "--grid-refine": "2",
+    "--low-confidence-threshold": "0.05",
+}
+_EXTREMES = [
+    "0", "-0", "0.0", "-0.0", "5e-324", "-5e-324", "1e308", "-1e308", "1e-308", "-1e-308",
+    str(2**53 - 1), str(2**53 + 1), str(-(2**53) - 1), "1e400", "-1e400", "nan", "-nan",
+    "inf", "-inf", "", "dégât", "负载", " ", "\t", " 5 ", "\n",
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["sgpr", "vhgpr"]),
+    flag=st.sampled_from(sorted(_PREDICT_BASE)),
+    value=st.sampled_from(_EXTREMES),
+    joined=st.booleans(),
+)
+def test_an_extreme_predict_value_keeps_the_cli_contract(
+    pipeline, pipeline_vhgpr, kind, flag, value, joined
+):
+    assume(not (flag == "--grid-refine" and value == str(2**53 - 1)))
+    model = pipeline["model_file"] if kind == "sgpr" else str(pipeline_vhgpr)
+    argv = ["predict", "--model-file", model]
+    for name, base in _PREDICT_BASE.items():
+        text = value if name == flag else base
+        argv += [f"{name}={text}"] if joined else [name, text]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 1:  # one line, naming the flag whose value it refuses
+        assert len(lines) == 1 and lines[0].startswith("error: ") and flag in lines[0]
+    if code == 0:
+        # json reads NaN and Infinity as floats outside [0, 1]
+        table = json.loads(out.getvalue())
+        assert lines == [] and all(0.0 <= p["p"] <= 1.0 for p in table["probabilities"])
 
 
 # a text decoder reads a file 8 KiB at a time: the byte is the error whether

@@ -194,6 +194,20 @@ class TestBuildDiDataset:
         with pytest.raises(MissingBaselineError, match="damage=0"):
             build_di_dataset(signals, "rmsd", "healthy_per_load", n_use=300)
 
+    @pytest.mark.parametrize("n_use", [10, 0])
+    def test_a_reference_signal_that_n_use_does_not_fit_is_named(self, n_use):
+        # a healthy reference pool of 10, 5 and 10 samples, whose mean would
+        # stack rows of two lengths
+        pool = [sig(np.ones(n), rep=rep, role="baseline") for rep, n in enumerate((10, 5, 10))]
+        signals = [*pool, sig(np.arange(10.0), damage=1.0)]
+        short = 10 if n_use < 1 else 5
+        message = (
+            f"n_use={n_use} does not fit a reference signal of {short} samples at "
+            "(damage=0, load=0)"
+        )
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            build_di_dataset(signals, "rmsd", "healthy_per_load", n_use=n_use)
+
     def test_class_metadata_on_di_values(self):
         # class 1 pairs a signal with the healthy mean at its load, class 2
         # with the unloaded mean at its damage; rows keep the signal order

@@ -20,8 +20,48 @@ from gwquant.sgpr import (
     sgpr_predict,
     train_sgpr,
 )
+from gwquant.vhgpr import VhgprModel, VhgprState, mv_bound, train_vhgpr
 
 FAST_OPT = OptimizerConfig(n_restarts=2, seed=0)
+_KERNEL = KernelParams(0.0, [0.0])
+
+
+def _state(x):
+    return VhgprState(_KERNEL, _KERNEL, -2.0, np.full(len(x), 0.5))
+
+
+# every entry point that takes training rows: (the fewest rows it takes, a call)
+_ROW_TAKERS = {
+    "sgpr_nlml": (1, lambda x, y: sgpr_nlml(_KERNEL, -2.0, x, y)),
+    "mv_bound": (2, lambda x, y: mv_bound(_state(x), x, y)),
+    "train_sgpr": (2, lambda x, y: train_sgpr(x, y, FAST_OPT)),
+    "train_vhgpr": (2, lambda x, y: train_vhgpr(x, y, FAST_OPT)),
+    "SgprModel.from_hyperparams": (
+        1, lambda x, y: SgprModel.from_hyperparams(_KERNEL, -2.0, x, y)
+    ),
+    "VhgprModel.from_state": (1, lambda x, y: VhgprModel.from_state(_state(x), x, y)),
+    "VhgprModel.from_hyperparams": (
+        1,
+        lambda x, y: VhgprModel.from_hyperparams(
+            _KERNEL, _KERNEL, -2.0, np.full(len(x), 0.5), x, y
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_TAKERS))
+def test_every_row_taker_refuses_short_targets_and_too_few_rows_alike(name, capfd):
+    fewest, call = _ROW_TAKERS[name]
+    x = np.arange(4.0).reshape(-1, 1)
+    with pytest.raises(DimensionMismatchError, match="^4 training rows but 3 targets$"):
+        call(x, np.zeros(3))
+    few = x[: fewest - 1]
+    message = f"^need n >= {fewest} training rows, got {fewest - 1}$"
+    # refused before any arithmetic: numpy warns of nothing (a warning fails
+    # the test) and LAPACK prints nothing
+    with pytest.raises(InvalidArgumentError, match=message):
+        call(few, np.zeros(fewest - 1))
+    assert capfd.readouterr() == ("", "")
 
 
 def rel_err(a, b, floor=1e-8):
